@@ -676,14 +676,7 @@ def negative_control_entry() -> CatalogEntry:
     )
 
 
-def run_catalog(threads: int = 1):
+def run_catalog():
     """Verify every entry, yielding Reports in catalog order."""
-    entries = [build_example(i) for i in CATALOG_IDS]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(verify_entry, entries)
-    else:
-        for e in entries:
-            yield verify_entry(e)
+    for entry_id in CATALOG_IDS:
+        yield verify_entry(build_example(entry_id))

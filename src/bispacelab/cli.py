@@ -2,19 +2,16 @@
 
 Subcommands: verify-catalog, enumerate, suite, check. Global --format picks
 human text or machine JSON lines. Exit codes: 0 everything passed, 1 a
-claim or suite violation, 2 bad input. BISPACE_LAB_THREADS caps the worker
-threads used for independent entries/suites; output is identical for any
-worker count.
+claim or suite violation, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .catalog import CATALOG_IDS, build_example, verify_entry
+from .catalog import run_catalog
 from .finite import enumerate_spaces
 from .reports import (
     human_report,
@@ -30,30 +27,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _workers() -> int:
-    raw = os.environ.get("BISPACE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items: list) -> list:
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cmd_verify_catalog(args) -> int:
-    reports = _parallel_map(
-        lambda i: verify_entry(build_example(i)), list(CATALOG_IDS)
-    )
     failed = False
-    for report in reports:
+    for report in run_catalog():
         if args.format == "machine":
             sys.stdout.write(machine_report(report))
         else:
@@ -94,15 +70,8 @@ def _cmd_suite(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if config.sampled or _workers() == 1:
-        results = run_theorem_suite(config)
-    else:
-        results = _parallel_map(
-            lambda name: run_theorem_suite(SuiteConfig(n=config.n, which=(name,)))[0],
-            list(config.names()),
-        )
     failed = False
-    for result in results:
+    for result in run_theorem_suite(config):
         if args.format == "machine":
             sys.stdout.write(machine_suite(result))
         else:

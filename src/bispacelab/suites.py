@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import maps as maps_mod
@@ -711,6 +711,84 @@ def _containing_sets(k: int) -> list[int]:
     ]
 
 
+def _consequence_failures(m: int, k: int, semi: bool):
+    """Where each (sp-)precontinuity consequence fails, per map, source
+    bispace pair and direction.
+
+    Yields ``(f, pair, direction, (bad_neighborhood, bad_image_hull,
+    bad_preimage_hull))``. Each ``bad_*`` is a topset: bit s is set when the
+    consequence fails with s as the witness-side target structure. The
+    neighborhood consequence asks every open neighborhood of f(x) to contain
+    the image of a (semi)preopen neighborhood of x; the hull consequences
+    are ``f(hull A) <= cl_s f(A)`` and ``hull f^-1(B) <= f^-1(cl_s B)``.
+    Streamed, not cached: materialising the 3x3 grid costs more memory than
+    recomputing it per consumer costs time.
+    """
+    mt = map_tables(m, k)
+    bt_m = bispace_tables(m)
+    top_k = topology_tables(k)
+    t_m = bt_m.top.count
+    t_k = top_k.count
+    supersets = _superset_sets(k)
+    containing = _containing_sets(k)
+    around_table = bt_m.spo if semi else bt_m.po
+    hull_table = bt_m.spcl if semi else bt_m.pcl
+    for f in range(len(mt.maps)):
+        img_row = mt.img[f]
+        preim_row = mt.preim[f]
+        assign = mt.maps[f]
+        # not-subset rows: for each set and candidate hull image (preimage),
+        # the topset of s where the candidate escapes cl_s(img a)
+        # (f^-1(cl_s b)); lifted out of the pair loop, which only indexes them
+        notsub_cl = [
+            [
+                sum(
+                    1 << s
+                    for s in range(t_k)
+                    if src & ~top_k.cl[s][img_row[a]]
+                )
+                for src in range(1 << k)
+            ]
+            for a in range(1 << m)
+        ]
+        notsub_pre = [
+            [
+                sum(
+                    1 << s
+                    for s in range(t_k)
+                    if lhs & ~preim_row[top_k.cl[s][b]]
+                )
+                for lhs in range(1 << m)
+            ]
+            for b in range(1 << k)
+        ]
+        for pair in range(t_m * t_m):
+            for direction in (0, 1):
+                around = bt_m.dir_bits(around_table, pair, direction)
+                hull = bt_m.dir_bits(hull_table, pair, direction)
+                bad_i = 0
+                for x in range(m):
+                    reach = 0
+                    for u in range(1 << m):
+                        if (u >> x) & 1 and (around >> u) & 1:
+                            reach |= supersets[img_row[u]]
+                    need = containing[assign[x]] & ~reach
+                    if need:
+                        for s in range(t_k):
+                            if top_k.openbits[s] & need:
+                                bad_i |= 1 << s
+                bad_ii = 0
+                for a in range(1 << m):
+                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
+                bad_iii = 0
+                for b in range(1 << k):
+                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
+                yield f, pair, direction, (bad_i, bad_ii, bad_iii)
+
+
+_CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
+
+
 def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
     name = "thm-5.2" if semi else "thm-4.4"
     violations = []
@@ -718,80 +796,20 @@ def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
-        bt_m = bispace_tables(m)
-        top_k = topology_tables(k)
-        t_m = bt_m.top.count
-        t_k = top_k.count
-        supersets = _superset_sets(k)
-        containing = _containing_sets(k)
         gate_grid = grids.spc if semi else grids.pc
-        around_table = bt_m.spo if semi else bt_m.po
-        hull_table = bt_m.spcl if semi else bt_m.pcl
-        # not-subset tables: for each (f, a, candidate source-image mask):
-        # topset of s where the candidate escapes cl_s(img(a)) / preimage form
-        for f in range(len(mt.maps)):
-            img_row = mt.img[f]
-            preim_row = mt.preim[f]
-            assign = mt.maps[f]
-            notsub_cl = [
-                [
-                    sum(
-                        1 << s
-                        for s in range(t_k)
-                        if src & ~top_k.cl[s][img_row[a]]
+        bt_m = bispace_tables(m)
+        for f, pair, direction, bads in _consequence_failures(m, k, semi):
+            checked += 1
+            gate_i = gate_grid[f][pair if direction == 0 else bt_m.swap(pair)]
+            for tag, bad in zip(_CONSEQUENCES, bads):
+                hit = gate_i & bad
+                if hit:
+                    s = (hit & -hit).bit_length() - 1
+                    violations.append(
+                        f"{tag} m={m} k={k} f={mt.maps[f]} "
+                        f"X={divmod(pair, bt_m.top.count)} "
+                        f"dir={_dir_name(direction)} s_i={s}"
                     )
-                    for src in range(1 << k)
-                ]
-                for a in range(1 << m)
-            ]
-            notsub_pre = [
-                [
-                    sum(
-                        1 << s
-                        for s in range(t_k)
-                        if lhs & ~preim_row[top_k.cl[s][b]]
-                    )
-                    for lhs in range(1 << m)
-                ]
-                for b in range(1 << k)
-            ]
-            for pair in range(t_m * t_m):
-                gates = (gate_grid[f][pair], gate_grid[f][bt_m.swap(pair)])
-                if not gates[0] or not gates[1]:
-                    continue
-                for direction in (0, 1):
-                    checked += 1
-                    gate_i, gate_j = gates[direction], gates[1 - direction]
-                    around = bt_m.dir_bits(around_table, pair, direction)
-                    hull = bt_m.dir_bits(hull_table, pair, direction)
-                    bad_i = 0
-                    for x in range(m):
-                        reach = 0
-                        for u in range(1 << m):
-                            if (u >> x) & 1 and (around >> u) & 1:
-                                reach |= supersets[img_row[u]]
-                        need = containing[assign[x]] & ~reach
-                        if need:
-                            for s in range(t_k):
-                                if top_k.openbits[s] & need:
-                                    bad_i |= 1 << s
-                    bad_ii = 0
-                    for a in range(1 << m):
-                        bad_ii |= notsub_cl[a][img_row[hull[a]]]
-                    bad_iii = 0
-                    for b in range(1 << k):
-                        bad_iii |= notsub_pre[b][hull[preim_row[b]]]
-                    for tag, bad in (
-                        ("neighborhood", bad_i),
-                        ("image-hull", bad_ii),
-                        ("preimage-hull", bad_iii),
-                    ):
-                        if gate_i & bad:
-                            s = (gate_i & bad & -(gate_i & bad)).bit_length() - 1
-                            violations.append(
-                                f"{tag} m={m} k={k} f={assign} "
-                                f"X={divmod(pair, t_m)} dir={_dir_name(direction)} s_i={s}"
-                            )
     kind = "sp-continuous" if semi else "precontinuous"
     hull_name = "semipreclosure" if semi else "preclosure"
     return SuiteResult(
@@ -811,56 +829,19 @@ def _suite_note_4_2(config) -> SuiteResult:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         bt_m = bispace_tables(m)
-        top_k = topology_tables(k)
-        t_m = bt_m.top.count
-        t_k = top_k.count
-        all_s = (1 << t_k) - 1
-        supersets = _superset_sets(k)
-        containing = _containing_sets(k)
-        for f in range(len(mt.maps)):
-            img_row = mt.img[f]
-            preim_row = mt.preim[f]
-            assign = mt.maps[f]
-            for pair in range(t_m * t_m):
-                for direction in (0, 1):
-                    checked += 1
-                    gate_i = grids.pc[f][pair if direction == 0 else bt_m.swap(pair)]
-                    around = bt_m.dir_bits(bt_m.po, pair, direction)
-                    hull = bt_m.dir_bits(bt_m.pcl, pair, direction)
-                    bad_i = 0
-                    for x in range(m):
-                        reach = 0
-                        for u in range(1 << m):
-                            if (u >> x) & 1 and (around >> u) & 1:
-                                reach |= supersets[img_row[u]]
-                        need = containing[assign[x]] & ~reach
-                        if need:
-                            for s in range(t_k):
-                                if top_k.openbits[s] & need:
-                                    bad_i |= 1 << s
-                    bad_ii = 0
-                    bad_iii = 0
-                    for s in range(t_k):
-                        for a in range(1 << m):
-                            if img_row[hull[a]] & ~top_k.cl[s][img_row[a]]:
-                                bad_ii |= 1 << s
-                                break
-                        for b in range(1 << k):
-                            if hull[preim_row[b]] & ~preim_row[top_k.cl[s][b]]:
-                                bad_iii |= 1 << s
-                                break
-                    for tag, bad in (
-                        ("neighborhood", bad_i),
-                        ("image-hull", bad_ii),
-                        ("preimage-hull", bad_iii),
-                    ):
-                        escaped = (all_s & ~bad) & ~gate_i
-                        if escaped:
-                            s = (escaped & -escaped).bit_length() - 1
-                            violations.append(
-                                f"{tag} m={m} k={k} f={assign} X={divmod(pair, t_m)} "
-                                f"dir={_dir_name(direction)} s_i={s}"
-                            )
+        all_s = (1 << topology_tables(k).count) - 1
+        for f, pair, direction, bads in _consequence_failures(m, k, False):
+            checked += 1
+            gate_i = grids.pc[f][pair if direction == 0 else bt_m.swap(pair)]
+            for tag, bad in zip(_CONSEQUENCES, bads):
+                escaped = all_s & ~bad & ~gate_i
+                if escaped:
+                    s = (escaped & -escaped).bit_length() - 1
+                    violations.append(
+                        f"{tag} m={m} k={k} f={mt.maps[f]} "
+                        f"X={divmod(pair, bt_m.top.count)} "
+                        f"dir={_dir_name(direction)} s_i={s}"
+                    )
     return SuiteResult(
         "note-4.2",
         "on finite models, where both structures are full topologies, each "
@@ -1031,6 +1012,33 @@ def _suite_note_4_1(config) -> SuiteResult:
     )
 
 
+# The hierarchy's implications as (gap name, level, implied level): every
+# map at `level` is at `implied level`, and the gap is a map at the implied
+# level that is not at `level`. Levels are the keys of _continuity_levels.
+_HIERARCHY_EDGES = (
+    ("precontinuous-not-continuous", "cont", "pc"),
+    ("semicontinuous-not-continuous", "cont", "sc"),
+    ("sp-continuous-not-semicontinuous", "sc", "spc"),
+    ("sp-continuous-not-precontinuous", "pc", "spc"),
+)
+
+GAP_NAMES = tuple(gap for gap, _, _ in _HIERARCHY_EDGES)
+
+
+def _continuity_levels(mt, grids, bt_m, f: int, pair: int) -> dict:
+    """Per level, the target topsets (direction (1,2), direction (2,1))
+    where map f from source pair is continuous, semi-, pre- or
+    sp-continuous."""
+    t1, t2 = divmod(pair, bt_m.top.count)
+    swapped = bt_m.swap(pair)
+    return {
+        "cont": (mt.cont[f][t1], mt.cont[f][t2]),
+        "sc": (grids.sc[f][pair], grids.sc[f][swapped]),
+        "pc": (grids.pc[f][pair], grids.pc[f][swapped]),
+        "spc": (grids.spc[f][pair], grids.spc[f][swapped]),
+    }
+
+
 def _suite_hierarchy(config) -> SuiteResult:
     violations = []
     checked = 0
@@ -1043,20 +1051,11 @@ def _suite_hierarchy(config) -> SuiteResult:
             for pair in range(t_m * t_m):
                 t1, t2 = divmod(pair, t_m)
                 checked += 1
-                c1, c2 = mt.cont[f][t1], mt.cont[f][t2]
-                swapped = bt_m.swap(pair)
-                sc = (grids.sc[f][pair], grids.sc[f][swapped])
-                pc = (grids.pc[f][pair], grids.pc[f][swapped])
-                spc = (grids.spc[f][pair], grids.spc[f][swapped])
-                for tag, low, high in (
-                    ("continuous=>semi", (c1, c2), sc),
-                    ("continuous=>pre", (c1, c2), pc),
-                    ("semi=>sp", sc, spc),
-                    ("pre=>sp", pc, spc),
-                ):
-                    if not rect_subset(low[0], low[1], high[0], high[1]):
+                levels = _continuity_levels(mt, grids, bt_m, f, pair)
+                for _, low, high in _HIERARCHY_EDGES:
+                    if not rect_subset(*levels[low], *levels[high]):
                         violations.append(
-                            f"{tag} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
+                            f"{low}=>{high} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
                         )
     notes = []
     for gap, witness in find_hierarchy_witnesses(min(config.n, 3)).items():
@@ -1078,14 +1077,6 @@ def _suite_hierarchy(config) -> SuiteResult:
         tuple(violations),
         tuple(notes),
     )
-
-
-GAP_NAMES = (
-    "precontinuous-not-continuous",
-    "semicontinuous-not-continuous",
-    "sp-continuous-not-semicontinuous",
-    "sp-continuous-not-precontinuous",
-)
 
 
 def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
@@ -1121,19 +1112,11 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
         for f in range(len(mt.maps)):
             for pair in range(t_m * t_m):
                 t1, t2 = divmod(pair, t_m)
-                swapped = bt_m.swap(pair)
-                c = (mt.cont[f][t1], mt.cont[f][t2])
-                sc = (grids.sc[f][pair], grids.sc[f][swapped])
-                pc = (grids.pc[f][pair], grids.pc[f][swapped])
-                spc = (grids.spc[f][pair], grids.spc[f][swapped])
-                for name, have, lack in (
-                    ("precontinuous-not-continuous", pc, c),
-                    ("semicontinuous-not-continuous", sc, c),
-                    ("sp-continuous-not-semicontinuous", spc, sc),
-                    ("sp-continuous-not-precontinuous", spc, pc),
-                ):
+                levels = _continuity_levels(mt, grids, bt_m, f, pair)
+                for name, low, high in _HIERARCHY_EDGES:
                     if found[name]:
                         continue
+                    have, lack = levels[high], levels[low]
                     for s1 in range(t_k):
                         if not (have[0] >> s1) & 1:
                             continue
@@ -1270,31 +1253,14 @@ class SuiteConfig:
 
 def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
     """Run the configured suites; deterministic result order."""
-    results = []
-    for name in config.names():
-        start = time.perf_counter()
-        result = ALL_SUITES[name](config)
-        results.append(
-            SuiteResult(
-                result.name,
-                result.description,
-                result.checked,
-                result.violations,
-                result.notes,
-                duration_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        )
+    runs = [ALL_SUITES[name] for name in config.names()]
     if config.sampled:
+        runs.append(_sampled_map_checks)
+    results = []
+    for run in runs:
         start = time.perf_counter()
-        result = _sampled_map_checks(config)
+        result = run(config)
         results.append(
-            SuiteResult(
-                result.name,
-                result.description,
-                result.checked,
-                result.violations,
-                result.notes,
-                duration_ms=(time.perf_counter() - start) * 1000.0,
-            )
+            replace(result, duration_ms=(time.perf_counter() - start) * 1000.0)
         )
     return results

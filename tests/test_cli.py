@@ -120,25 +120,3 @@ def test_determinism_across_hash_seeds():
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
-
-
-def test_thread_cap_does_not_change_output():
-    serial = run_cli("--format", "machine", "verify-catalog")
-    threaded = run_cli(
-        "--format", "machine", "verify-catalog", env_extra={"BISPACE_LAB_THREADS": "4"}
-    )
-    assert serial.stdout == threaded.stdout
-    threaded_suite = run_cli(
-        "--format",
-        "machine",
-        "suite",
-        "--n",
-        "2",
-        "--which",
-        "thm-3.3,thm-3.4",
-        env_extra={"BISPACE_LAB_THREADS": "3"},
-    )
-    serial_suite = run_cli(
-        "--format", "machine", "suite", "--n", "2", "--which", "thm-3.3,thm-3.4"
-    )
-    assert threaded_suite.stdout == serial_suite.stdout

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -455,6 +456,79 @@ def test_map_tables_match_reference_2x2():
                 and (grids.spc[fi][bt.swap(pair)] >> s2) & 1
             )
             assert spc == is_pairwise_sp_continuous(f, bx, by)
+
+
+def _check_consequence_failures(m, k, semi, cases):
+    """Compare the suites' consequence-failure topsets with the reference.
+
+    Each case (f, t1, t2, s1, s2) must be gated, since the reference only
+    accepts (sp-)precontinuous maps; note-4.2 covers the ungated side.
+    """
+    from bispacelab.suites import _consequence_failures
+    from bispacelab.tables import bispace_tables, map_tables
+
+    mt = map_tables(m, k)
+    bt = bispace_tables(m)
+    wanted = {(f, bt.pair_index(t1, t2)) for f, t1, t2, _, _ in cases}
+    failures = {
+        (f, pair, direction): bads
+        for f, pair, direction, bads in _consequence_failures(m, k, semi)
+        if (f, pair) in wanted
+    }
+    sources = list(enumerate_spaces(m))
+    targets = list(enumerate_spaces(k))
+    for f, t1, t2, s1, s2 in cases:
+        pair = bt.pair_index(t1, t2)
+        expected = tuple(
+            not ((bad12 >> s1) & 1 or (bad21 >> s2) & 1)
+            for bad12, bad21 in zip(failures[f, pair, 0], failures[f, pair, 1])
+        )
+        report = precontinuity_consequences(
+            FiniteMap(m, k, mt.maps[f]),
+            Bispace(sources[t1], sources[t2]),
+            Bispace(targets[s1], targets[s2]),
+            sp_variant=semi,
+        )
+        got = (
+            report.neighborhood_witnesses,
+            report.image_preclosure_bound,
+            report.preimage_preclosure_bound,
+        )
+        assert got == expected, (m, k, semi, mt.maps[f], t1, t2, s1, s2)
+
+
+def _gated(m, k, semi, f, t1, t2, s1, s2):
+    from bispacelab.tables import bispace_tables, continuity_grids
+
+    grids = continuity_grids(m, k)
+    grid = grids.spc if semi else grids.pc
+    bt = bispace_tables(m)
+    pair = bt.pair_index(t1, t2)
+    return bool((grid[f][pair] >> s1) & 1 and (grid[f][bt.swap(pair)] >> s2) & 1)
+
+
+@pytest.mark.parametrize("semi", [False, True])
+def test_consequence_failures_match_reference_2x2(semi):
+    cases = [
+        (f, *structures)
+        for f in range(4)
+        for structures in itertools.product(range(4), repeat=4)
+        if _gated(2, 2, semi, f, *structures)
+    ]
+    assert len(cases) == 800
+    _check_consequence_failures(2, 2, semi, cases)
+
+
+@pytest.mark.parametrize("semi", [False, True])
+def test_consequence_failures_match_reference_3x3_sampled(semi):
+    # rejection sampling: enumerating all 19M candidates first is too slow
+    rng = random.Random(0)
+    cases = []
+    while len(cases) < 60:
+        case = (rng.randrange(27), *(rng.randrange(29) for _ in range(4)))
+        if _gated(3, 3, semi, *case):
+            cases.append(case)
+    _check_consequence_failures(3, 3, semi, cases)
 
 
 def test_convergence_bits_match_net_converges():
