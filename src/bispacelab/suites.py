@@ -29,6 +29,7 @@ from .tables import (
     continuity_grids,
     convergence_bits,
     decode_pair,
+    interval_masksets,
     map_tables,
     net_catalog,
     rect,
@@ -692,25 +693,6 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
     )
 
 
-def _superset_sets(k: int) -> list[int]:
-    size = 1 << k
-    out = []
-    for mask in range(size):
-        bits = 0
-        for v in range(size):
-            if mask & ~v == 0:
-                bits |= 1 << v
-        out.append(bits)
-    return out
-
-
-def _containing_sets(k: int) -> list[int]:
-    size = 1 << k
-    return [
-        sum(1 << v for v in range(size) if (v >> p) & 1) for p in range(k)
-    ]
-
-
 def _consequence_failures(m: int, k: int, semi: bool):
     """Where each (sp-)precontinuity consequence fails, per map, source
     bispace pair and direction.
@@ -729,8 +711,10 @@ def _consequence_failures(m: int, k: int, semi: bool):
     top_k = topology_tables(k)
     t_m = bt_m.top.count
     t_k = top_k.count
-    supersets = _superset_sets(k)
-    containing = _containing_sets(k)
+    # supersets[b]: maskset of the supersets of b; containing[p] is that
+    # of the singleton {p}
+    supersets = [row[-1] for row in interval_masksets(k)]
+    containing = [supersets[1 << p] for p in range(k)]
     around_table = bt_m.spo if semi else bt_m.po
     hull_table = bt_m.spcl if semi else bt_m.pcl
     for f in range(len(mt.maps)):

@@ -24,6 +24,7 @@ from bispacelab.symbolic import (
     singleton,
     uncountable,
 )
+from bispacelab.tables import TopologyTables
 
 
 def random_singleton_universe(rng: random.Random) -> AtomUniverse:
@@ -125,3 +126,49 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
         if (a & p_j).is_empty and tr.contains_set(need):
             return True
     return False
+
+
+def reference_bispace_rows(top: TopologyTables, t1: int, t2: int):
+    """Brute-force (po, wpo, so, spo, pcl, spcl) rows of one bispace pair.
+
+    Per-subset searches straight from the definitions: po/so scan the opens,
+    spo scans every candidate witness and pcl/spcl intersect the preclosed
+    (semipreclosed) supersets, 4^n steps. The oracle for bispace_tables.
+    """
+    size = 1 << top.n
+    full = top.full
+    opens1 = top.opens[t1]
+    cl2 = top.cl[t2]
+    int1 = top.intr[t1]
+    po_bits = 0
+    wpo_bits = 0
+    so_bits = 0
+    for a in range(size):
+        target = cl2[a]
+        if any(a & ~u == 0 and u & ~target == 0 for u in opens1):
+            po_bits |= 1 << a
+        if a & ~int1[cl2[a]] == 0:
+            wpo_bits |= 1 << a
+        if any(o & ~a == 0 and a & ~cl2[o] == 0 for o in opens1):
+            so_bits |= 1 << a
+    spo_bits = 0
+    for a in range(size):
+        for u in range(size):
+            if u & ~a == 0 and (po_bits >> u) & 1 and a & ~cl2[u] == 0:
+                spo_bits |= 1 << a
+                break
+    pcl_row = []
+    spcl_row = []
+    for a in range(size):
+        acc_p = full
+        acc_sp = full
+        for s in range(size):
+            if a & ~s == 0:
+                comp = full ^ s
+                if (po_bits >> comp) & 1:
+                    acc_p &= s
+                if (spo_bits >> comp) & 1:
+                    acc_sp &= s
+        pcl_row.append(acc_p)
+        spcl_row.append(acc_sp)
+    return po_bits, wpo_bits, so_bits, spo_bits, tuple(pcl_row), tuple(spcl_row)
