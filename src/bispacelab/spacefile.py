@@ -23,6 +23,14 @@ Grammar sketch (JSON subset):
     claims    = "claims": [ { "predicate": string, "set"?: name | [..],
                   "set2"?, "witness"?, "pair"?: [int, int], "space"?: int,
                   "expected"?: bool | [..], "note"?: string } ]
+
+Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
+symbolic universe at most MAX_ATOMS (12) atoms. The set predicates search
+the whole subset lattice, 2^n sets, so a default `check` of two named sets
+already takes tens of seconds at the limit, and each extra point or atom
+multiplies that by about four.
+Larger documents are rejected with a SpaceFileError naming the limit,
+before any set, space or universe is built.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from .finite import FiniteSpace, PointSet, SpaceAxiomError
 from .props import Bispace
 from .reports import Report
 from .symbolic import Atom, AtomUniverse, Cardinality, SchematicFamily
+
+MAX_CARRIER = 12
+MAX_ATOMS = 12
 
 _CARDINALITIES = {
     "singleton": Cardinality.SINGLETON,
@@ -115,6 +126,11 @@ def _parse_finite(doc: dict, where: str) -> Bispace:
     carrier = _require(doc, "carrier", where)
     if not isinstance(carrier, int) or carrier < 1:
         _fail(f"{where}.carrier", "must be a positive integer")
+    if carrier > MAX_CARRIER:
+        _fail(
+            f"{where}.carrier",
+            f"{carrier} points exceeds the limit of {MAX_CARRIER} points",
+        )
     spaces = []
     for field in ("opens1", "opens2"):
         raw = _require(doc, field, where)
@@ -141,6 +157,11 @@ def _parse_symbolic(doc: dict, where: str) -> Bispace:
     raw_atoms = _require(doc, "atoms", where)
     if not isinstance(raw_atoms, list) or not raw_atoms:
         _fail(f"{where}.atoms", "must be a nonempty list")
+    if len(raw_atoms) > MAX_ATOMS:
+        _fail(
+            f"{where}.atoms",
+            f"{len(raw_atoms)} atoms exceeds the limit of {MAX_ATOMS} atoms",
+        )
     atoms = []
     for idx, a in enumerate(raw_atoms):
         if not isinstance(a, dict):

@@ -703,8 +703,14 @@ def _consequence_failures(m: int, k: int, semi: bool):
     neighborhood consequence asks every open neighborhood of f(x) to contain
     the image of a (semi)preopen neighborhood of x; the hull consequences
     are ``f(hull A) <= cl_s f(A)`` and ``hull f^-1(B) <= f^-1(cl_s B)``.
-    Streamed, not cached: materialising the 3x3 grid costs more memory than
-    recomputing it per consumer costs time.
+
+    For a fixed map the triple reads nothing of the row but its (semi)preopen
+    maskset ``around`` and its hull row, so it is computed once per distinct
+    ``(around, hull)`` and reused for every (pair, direction) that has it
+    (44 distinct rows over the 1,682 at m = 3). The dict lives for one map;
+    the stream stays in (f, pair, direction) order. Streamed, not cached:
+    materialising the 3x3 grid costs more memory than recomputing it per
+    consumer costs time.
     """
     mt = map_tables(m, k)
     bt_m = bispace_tables(m)
@@ -746,28 +752,33 @@ def _consequence_failures(m: int, k: int, semi: bool):
             ]
             for b in range(1 << k)
         ]
+        seen: dict[tuple, tuple[int, int, int]] = {}
         for pair in range(t_m * t_m):
             for direction in (0, 1):
                 around = bt_m.dir_bits(around_table, pair, direction)
                 hull = bt_m.dir_bits(hull_table, pair, direction)
-                bad_i = 0
-                for x in range(m):
-                    reach = 0
-                    for u in range(1 << m):
-                        if (u >> x) & 1 and (around >> u) & 1:
-                            reach |= supersets[img_row[u]]
-                    need = containing[assign[x]] & ~reach
-                    if need:
-                        for s in range(t_k):
-                            if top_k.openbits[s] & need:
-                                bad_i |= 1 << s
-                bad_ii = 0
-                for a in range(1 << m):
-                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
-                bad_iii = 0
-                for b in range(1 << k):
-                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
-                yield f, pair, direction, (bad_i, bad_ii, bad_iii)
+                key = (around, hull)
+                bads = seen.get(key)
+                if bads is None:
+                    bad_i = 0
+                    for x in range(m):
+                        reach = 0
+                        for u in range(1 << m):
+                            if (u >> x) & 1 and (around >> u) & 1:
+                                reach |= supersets[img_row[u]]
+                        need = containing[assign[x]] & ~reach
+                        if need:
+                            for s in range(t_k):
+                                if top_k.openbits[s] & need:
+                                    bad_i |= 1 << s
+                    bad_ii = 0
+                    for a in range(1 << m):
+                        bad_ii |= notsub_cl[a][img_row[hull[a]]]
+                    bad_iii = 0
+                    for b in range(1 << k):
+                        bad_iii |= notsub_pre[b][hull[preim_row[b]]]
+                    bads = seen[key] = (bad_i, bad_ii, bad_iii)
+                yield f, pair, direction, bads
 
 
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")

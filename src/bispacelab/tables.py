@@ -378,19 +378,27 @@ class ContinuityGrids:
 
 @lru_cache(maxsize=None)
 def continuity_grids(m: int, k: int) -> ContinuityGrids:
+    """Grids for every map from m to k points; see ContinuityGrids.
+
+    Per map, the five topsets of a source pair depend only on that pair's
+    (po, so, spo) masksets: every test is a preimage maskset of the map
+    against one of the three. So they are computed once per distinct triple
+    (255 triples over the 841 pairs at m = 3) and shared by every pair that
+    has it; the dict lives for one map.
+    """
     mt = map_tables(m, k)
     bt = bispace_tables(m)
     s_count = topology_tables(k).count
-    pair_count = bt.top.count ** 2
+    keys = tuple(zip(bt.po, bt.so, bt.spo))
     pc_all, sc_all, spc_all, rhs_all, sp_rhs_all = [], [], [], [], []
     for f in range(len(mt.maps)):
         pm = mt.pm[f]
         pmc = mt.pm_closed[f]
-        pc_rows, sc_rows, spc_rows, rhs_rows, sp_rhs_rows = [], [], [], [], []
-        for pair in range(pair_count):
-            not_po = ~bt.po[pair]
-            not_so = ~bt.so[pair]
-            not_spo = ~bt.spo[pair]
+        seen: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
+        for key in keys:
+            if key in seen:
+                continue
+            not_po, not_so, not_spo = ~key[0], ~key[1], ~key[2]
             pc_bits = sc_bits = spc_bits = rhs_bits = sp_rhs_bits = 0
             for s in range(s_count):
                 bits = pm[s]
@@ -405,16 +413,15 @@ def continuity_grids(m: int, k: int) -> ContinuityGrids:
                     rhs_bits |= 1 << s
                 if cbits & not_spo == 0:
                     sp_rhs_bits |= 1 << s
-            pc_rows.append(pc_bits)
-            sc_rows.append(sc_bits)
-            spc_rows.append(spc_bits)
-            rhs_rows.append(rhs_bits)
-            sp_rhs_rows.append(sp_rhs_bits)
-        pc_all.append(tuple(pc_rows))
-        sc_all.append(tuple(sc_rows))
-        spc_all.append(tuple(spc_rows))
-        rhs_all.append(tuple(rhs_rows))
-        sp_rhs_all.append(tuple(sp_rhs_rows))
+            seen[key] = (pc_bits, sc_bits, spc_bits, rhs_bits, sp_rhs_bits)
+        pc_rows, sc_rows, spc_rows, rhs_rows, sp_rhs_rows = zip(
+            *(seen[key] for key in keys)
+        )
+        pc_all.append(pc_rows)
+        sc_all.append(sc_rows)
+        spc_all.append(spc_rows)
+        rhs_all.append(rhs_rows)
+        sp_rhs_all.append(sp_rhs_rows)
     return ContinuityGrids(
         tuple(pc_all), tuple(sc_all), tuple(spc_all),
         tuple(rhs_all), tuple(sp_rhs_all),
@@ -442,29 +449,40 @@ def convergence_bits(size: int, max_directed: int = 3) -> tuple[int, ...]:
 
     Bit net_idx * size + x is set iff the net is eventually inside every
     open around x.
+
+    A net is eventually inside u iff one of its tails, the value masks
+    OR(1 << values[b] for b above a), is a subset of u. So a net's limit
+    points depend only on its minimal tails, and nets that share that set
+    share one limit-point mask per topology. Each group's nets are spread
+    into the row by one multiplication: the group's pattern has bit
+    net_idx * size per net, and multiplying by a mask below 2^size copies
+    the mask into each net's slot without carries.
     """
     top = topology_tables(size)
     dsets = enumerate_directed_sets(max_directed)
-    nets = net_catalog(size, max_directed)
+    full = (1 << size) - 1
+    patterns: dict[tuple[int, ...], int] = {}
+    for n_idx, (d_idx, values) in enumerate(net_catalog(size, max_directed)):
+        d = dsets[d_idx]
+        tails = set()
+        for a in range(d.size):
+            tail = 0
+            for b in d.above(a):
+                tail |= 1 << values[b]
+            tails.add(tail)
+        minimal = tuple(sorted(
+            t for t in tails if not any(o != t and o & ~t == 0 for o in tails)
+        ))
+        patterns[minimal] = patterns.get(minimal, 0) | 1 << (n_idx * size)
     out = []
     for t in range(top.count):
-        opens = top.opens[t]
         bits = 0
-        for n_idx, (d_idx, values) in enumerate(nets):
-            d = dsets[d_idx]
-            above = [d.above(a) for a in range(d.size)]
-            for x in range(size):
-                ok = True
-                for u in opens:
-                    if not (u >> x) & 1:
-                        continue
-                    if not any(
-                        all((u >> values[b]) & 1 for b in above[a])
-                        for a in range(d.size)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    bits |= 1 << (n_idx * size + x)
+        for minimal, pattern in patterns.items():
+            # points with an open neighbourhood that contains no tail
+            escaped = 0
+            for u in top.opens[t]:
+                if all(tail & ~u for tail in minimal):
+                    escaped |= u
+            bits |= pattern * (full & ~escaped)
         out.append(bits)
     return tuple(out)

@@ -24,7 +24,15 @@ from bispacelab.symbolic import (
     singleton,
     uncountable,
 )
-from bispacelab.tables import TopologyTables
+from bispacelab.maps import enumerate_directed_sets
+from bispacelab.tables import (
+    TopologyTables,
+    bispace_tables,
+    interval_masksets,
+    map_tables,
+    net_catalog,
+    topology_tables,
+)
 
 
 def random_singleton_universe(rng: random.Random) -> AtomUniverse:
@@ -172,3 +180,148 @@ def reference_bispace_rows(top: TopologyTables, t1: int, t2: int):
         pcl_row.append(acc_p)
         spcl_row.append(acc_sp)
     return po_bits, wpo_bits, so_bits, spo_bits, tuple(pcl_row), tuple(spcl_row)
+
+
+def reference_continuity_grids(m: int, k: int):
+    """Per-pair (pc, sc, spc, rhs_closed, sp_rhs_closed) grids, one loop over
+    every source pair per map. The oracle for tables.continuity_grids."""
+    mt = map_tables(m, k)
+    bt = bispace_tables(m)
+    s_count = topology_tables(k).count
+    pair_count = bt.top.count ** 2
+    pc_all, sc_all, spc_all, rhs_all, sp_rhs_all = [], [], [], [], []
+    for f in range(len(mt.maps)):
+        pm = mt.pm[f]
+        pmc = mt.pm_closed[f]
+        pc_rows, sc_rows, spc_rows, rhs_rows, sp_rhs_rows = [], [], [], [], []
+        for pair in range(pair_count):
+            not_po = ~bt.po[pair]
+            not_so = ~bt.so[pair]
+            not_spo = ~bt.spo[pair]
+            pc_bits = sc_bits = spc_bits = rhs_bits = sp_rhs_bits = 0
+            for s in range(s_count):
+                bits = pm[s]
+                cbits = pmc[s]
+                if bits & not_po == 0:
+                    pc_bits |= 1 << s
+                if bits & not_so == 0:
+                    sc_bits |= 1 << s
+                if bits & not_spo == 0:
+                    spc_bits |= 1 << s
+                if cbits & not_po == 0:
+                    rhs_bits |= 1 << s
+                if cbits & not_spo == 0:
+                    sp_rhs_bits |= 1 << s
+            pc_rows.append(pc_bits)
+            sc_rows.append(sc_bits)
+            spc_rows.append(spc_bits)
+            rhs_rows.append(rhs_bits)
+            sp_rhs_rows.append(sp_rhs_bits)
+        pc_all.append(tuple(pc_rows))
+        sc_all.append(tuple(sc_rows))
+        spc_all.append(tuple(spc_rows))
+        rhs_all.append(tuple(rhs_rows))
+        sp_rhs_all.append(tuple(sp_rhs_rows))
+    return (
+        tuple(pc_all), tuple(sc_all), tuple(spc_all),
+        tuple(rhs_all), tuple(sp_rhs_all),
+    )
+
+
+def reference_convergence_bits(size: int, max_directed: int = 3) -> tuple[int, ...]:
+    """Per topology, bit net_idx * size + x set iff the net is eventually
+    inside every open around x; checked net by net and open by open. The
+    oracle for tables.convergence_bits."""
+    top = topology_tables(size)
+    dsets = enumerate_directed_sets(max_directed)
+    nets = net_catalog(size, max_directed)
+    out = []
+    for t in range(top.count):
+        opens = top.opens[t]
+        bits = 0
+        for n_idx, (d_idx, values) in enumerate(nets):
+            d = dsets[d_idx]
+            above = [d.above(a) for a in range(d.size)]
+            for x in range(size):
+                ok = True
+                for u in opens:
+                    if not (u >> x) & 1:
+                        continue
+                    if not any(
+                        all((u >> values[b]) & 1 for b in above[a])
+                        for a in range(d.size)
+                    ):
+                        ok = False
+                        break
+                if ok:
+                    bits |= 1 << (n_idx * size + x)
+        out.append(bits)
+    return tuple(out)
+
+
+def reference_consequence_failures(m: int, k: int, semi: bool):
+    """Per (map, source pair, direction), the topsets where the neighborhood,
+    image-hull and preimage-hull consequences fail, recomputed for every
+    row. The oracle for suites._consequence_failures."""
+    mt = map_tables(m, k)
+    bt_m = bispace_tables(m)
+    top_k = topology_tables(k)
+    t_m = bt_m.top.count
+    t_k = top_k.count
+    # supersets[b]: maskset of the supersets of b; containing[p] is that
+    # of the singleton {p}
+    supersets = [row[-1] for row in interval_masksets(k)]
+    containing = [supersets[1 << p] for p in range(k)]
+    around_table = bt_m.spo if semi else bt_m.po
+    hull_table = bt_m.spcl if semi else bt_m.pcl
+    for f in range(len(mt.maps)):
+        img_row = mt.img[f]
+        preim_row = mt.preim[f]
+        assign = mt.maps[f]
+        # not-subset rows: for each set and candidate hull image (preimage),
+        # the topset of s where the candidate escapes cl_s(img a)
+        # (f^-1(cl_s b)); lifted out of the pair loop, which only indexes them
+        notsub_cl = [
+            [
+                sum(
+                    1 << s
+                    for s in range(t_k)
+                    if src & ~top_k.cl[s][img_row[a]]
+                )
+                for src in range(1 << k)
+            ]
+            for a in range(1 << m)
+        ]
+        notsub_pre = [
+            [
+                sum(
+                    1 << s
+                    for s in range(t_k)
+                    if lhs & ~preim_row[top_k.cl[s][b]]
+                )
+                for lhs in range(1 << m)
+            ]
+            for b in range(1 << k)
+        ]
+        for pair in range(t_m * t_m):
+            for direction in (0, 1):
+                around = bt_m.dir_bits(around_table, pair, direction)
+                hull = bt_m.dir_bits(hull_table, pair, direction)
+                bad_i = 0
+                for x in range(m):
+                    reach = 0
+                    for u in range(1 << m):
+                        if (u >> x) & 1 and (around >> u) & 1:
+                            reach |= supersets[img_row[u]]
+                    need = containing[assign[x]] & ~reach
+                    if need:
+                        for s in range(t_k):
+                            if top_k.openbits[s] & need:
+                                bad_i |= 1 << s
+                bad_ii = 0
+                for a in range(1 << m):
+                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
+                bad_iii = 0
+                for b in range(1 << k):
+                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
+                yield f, pair, direction, (bad_i, bad_ii, bad_iii)

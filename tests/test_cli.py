@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from bispacelab.reports import parse_machine
 
@@ -120,3 +121,28 @@ def test_determinism_across_hash_seeds():
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_check_rejects_oversized_carrier_quickly(tmp_path):
+    # a 24-point indiscrete bispace is a tiny file, but its subset lattice
+    # has 2^24 sets; check must refuse it instead of searching
+    doc = tmp_path / "big.json"
+    everything = list(range(24))
+    doc.write_text(
+        json.dumps(
+            {
+                "kind": "finite",
+                "carrier": 24,
+                "opens1": [[], everything],
+                "opens2": [[], everything],
+                "sets": {"A": [0]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    result = run_cli("check", str(doc))
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 2
+    assert "limit of 12 points" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -1,8 +1,15 @@
 import json
+import time
 
 import pytest
 
-from bispacelab.spacefile import SpaceFileError, check_user_file, parse_spacefile
+from bispacelab.spacefile import (
+    MAX_ATOMS,
+    MAX_CARRIER,
+    SpaceFileError,
+    check_user_file,
+    parse_spacefile,
+)
 
 EX_3_2_DOC = {
     "kind": "symbolic",
@@ -198,3 +205,50 @@ def test_user_supplied_carriers_beyond_enumeration_limit(tmp_path):
     }
     report = check_user_file(write(tmp_path, doc))
     assert report.passed
+
+
+def _indiscrete_doc(points):
+    everything = list(range(points))
+    return {
+        "kind": "finite",
+        "carrier": points,
+        "opens1": [[], everything],
+        "opens2": [[], everything],
+        "sets": {"A": [0]},
+    }
+
+
+def _atoms_doc(count):
+    atoms = [{"id": f"a{i}", "cardinality": "singleton"} for i in range(count)]
+    return {
+        "kind": "symbolic",
+        "atoms": atoms,
+        "family1": {"region": ["a0"], "mandatory": []},
+        "family2": {"region": [], "mandatory": []},
+        "sets": {"A": ["a0"]},
+    }
+
+
+def test_carrier_over_limit_rejected_before_any_set_is_built():
+    start = time.perf_counter()
+    with pytest.raises(SpaceFileError) as exc:
+        parse_spacefile(json.dumps(_indiscrete_doc(24)), "big")
+    assert time.perf_counter() - start < 1.0
+    message = str(exc.value)
+    assert "big.carrier" in message
+    assert f"limit of {MAX_CARRIER} points" in message
+
+
+def test_atoms_over_limit_rejected():
+    with pytest.raises(SpaceFileError) as exc:
+        parse_spacefile(json.dumps(_atoms_doc(MAX_ATOMS + 1)), "wide")
+    message = str(exc.value)
+    assert "wide.atoms" in message
+    assert f"limit of {MAX_ATOMS} atoms" in message
+
+
+def test_documents_at_the_limits_parse():
+    finite = parse_spacefile(json.dumps(_indiscrete_doc(MAX_CARRIER)), "f")
+    assert finite.bispace.first.size == MAX_CARRIER
+    symbolic = parse_spacefile(json.dumps(_atoms_doc(MAX_ATOMS)), "s")
+    assert len(symbolic.bispace.first.universe) == MAX_ATOMS

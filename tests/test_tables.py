@@ -1,10 +1,23 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from bispacelab.tables import bispace_tables, interval_masksets, topology_tables
-from helpers import reference_bispace_rows
+from bispacelab.suites import _consequence_failures
+from bispacelab.tables import (
+    bispace_tables,
+    continuity_grids,
+    convergence_bits,
+    interval_masksets,
+    topology_tables,
+)
+from helpers import (
+    reference_bispace_rows,
+    reference_consequence_failures,
+    reference_continuity_grids,
+    reference_convergence_bits,
+)
 
 
 def _rows(bt, pair):
@@ -42,3 +55,23 @@ def test_interval_masksets(n):
     for a, c in itertools.product(range(size), repeat=2):
         expected = {s for s in range(size) if a & ~s == 0 and s & ~c == 0}
         assert {s for s in range(size) if (ivl[a][c] >> s) & 1} == expected
+
+
+@pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
+def test_continuity_grids_match_per_pair_loop(m, k):
+    assert dataclasses.astuple(continuity_grids(m, k)) == reference_continuity_grids(
+        m, k
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_convergence_bits_match_per_net_loop(size):
+    assert convergence_bits(size) == reference_convergence_bits(size)
+
+
+@pytest.mark.parametrize("semi", [False, True])
+def test_consequence_failures_match_unmemoised_3x3(semi):
+    got = _consequence_failures(3, 3, semi)
+    expected = reference_consequence_failures(3, 3, semi)
+    for got_row, expected_row in itertools.zip_longest(got, expected):
+        assert got_row == expected_row
