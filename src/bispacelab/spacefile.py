@@ -24,6 +24,13 @@ Grammar sketch (JSON subset):
                   "set2"?, "witness"?, "pair"?: [int, int], "space"?: int,
                   "expected"?: bool | [..], "note"?: string } ]
 
+Points are JSON integers (not true/false) and atom ids are strings. Each
+claim names the arguments its predicate reads: "set" always, "pair" for the
+(i,j) predicates, "set2" for open_between and "witness" for
+semipreopen_witness_valid; "expected" is a boolean, or for the set-valued
+predicates (closure, interior, limit_points, pcl, spcl) an array of
+members. A claim that could not be evaluated is rejected when parsed.
+
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
 symbolic universe at most MAX_ATOMS (12) atoms. The set predicates search
 the whole subset lattice, 2^n sets, so a default `check` of two named sets
@@ -79,6 +86,23 @@ FILE_PREDICATES = (
     "semipreopen_witness_valid",
 )
 
+# predicates whose value is a set (every other file predicate is boolean),
+# those that read an index pair, and the named-set arguments beyond "set"
+_SET_VALUED = ("closure", "interior", "limit_points", "pcl", "spcl")
+_PAIR_PREDICATES = (
+    "is_ij_preopen",
+    "is_ij_weakly_preopen",
+    "is_ij_semiopen",
+    "is_ij_semipreopen",
+    "is_ij_preclosed",
+    "is_ij_semipreclosed",
+    "pcl",
+    "spcl",
+    "closed_supersets_interior",
+    "semipreopen_witness_valid",
+)
+_EXTRA_SETS = {"open_between": "set2", "semipreopen_witness_valid": "witness"}
+
 _BATTERY = (
     ("is_open", {"space": 1}),
     ("is_open", {"space": 2}),
@@ -122,9 +146,37 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not points."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _string_list(raw, where: str) -> list:
+    if not isinstance(raw, list) or any(not isinstance(v, str) for v in raw):
+        _fail(where, "must be an array of strings")
+    return raw
+
+
+def _members(bispace: Bispace, members, where: str):
+    """The set of `members` (points of a finite carrier, atom ids of a
+    symbolic universe) on the document's carrier."""
+    backend = bispace.first
+    if isinstance(backend, SchematicFamily):
+        try:
+            return backend.universe.subset(*_string_list(members, where))
+        except KeyError as e:
+            _fail(where, str(e.args[0]))
+    if not isinstance(members, list) or any(not _is_int(p) for p in members):
+        _fail(where, "must be an array of integers")
+    try:
+        return PointSet.of(backend.size, members)
+    except ValueError as e:
+        _fail(where, str(e))
+
+
 def _parse_finite(doc: dict, where: str) -> Bispace:
     carrier = _require(doc, "carrier", where)
-    if not isinstance(carrier, int) or carrier < 1:
+    if not _is_int(carrier) or carrier < 1:
         _fail(f"{where}.carrier", "must be a positive integer")
     if carrier > MAX_CARRIER:
         _fail(
@@ -138,9 +190,7 @@ def _parse_finite(doc: dict, where: str) -> Bispace:
             _fail(f"{where}.{field}", "must be a list of point arrays")
         opens = []
         for idx, points in enumerate(raw):
-            if not isinstance(points, list) or any(
-                not isinstance(p, int) for p in points
-            ):
+            if not isinstance(points, list) or any(not _is_int(p) for p in points):
                 _fail(f"{where}.{field}[{idx}]", "must be an array of integers")
             try:
                 opens.append(PointSet.of(carrier, points))
@@ -170,12 +220,15 @@ def _parse_symbolic(doc: dict, where: str) -> Bispace:
         if not isinstance(aid, str) or not aid:
             _fail(f"{where}.atoms[{idx}].id", "must be a nonempty string")
         card = a.get("cardinality")
-        if card not in _CARDINALITIES:
+        if not isinstance(card, str) or card not in _CARDINALITIES:
             _fail(
                 f"{where}.atoms[{idx}].cardinality",
                 f"must be one of {sorted(_CARDINALITIES)}, got {card!r}",
             )
-        atoms.append(Atom(aid, _CARDINALITIES[card], a.get("label", "")))
+        label = a.get("label", "")
+        if not isinstance(label, str):
+            _fail(f"{where}.atoms[{idx}].label", "must be a string")
+        atoms.append(Atom(aid, _CARDINALITIES[card], label))
     try:
         universe = AtomUniverse(atoms)
     except ValueError as e:
@@ -186,8 +239,12 @@ def _parse_symbolic(doc: dict, where: str) -> Bispace:
         if not isinstance(raw, dict):
             _fail(f"{where}.{field}", "must be an object with region/mandatory")
         try:
-            region = universe.subset(*raw.get("region", []))
-            mandatory = universe.subset(*raw.get("mandatory", []))
+            region = universe.subset(
+                *_string_list(raw.get("region", []), f"{where}.{field}.region")
+            )
+            mandatory = universe.subset(
+                *_string_list(raw.get("mandatory", []), f"{where}.{field}.mandatory")
+            )
         except KeyError as e:
             _fail(f"{where}.{field}", str(e.args[0]))
         try:
@@ -202,21 +259,15 @@ def _parse_sets(doc: dict, bispace: Bispace, where: str) -> dict:
     raw = doc.get("sets", {})
     if not isinstance(raw, dict):
         _fail(f"{where}.sets", "must be an object of name -> member list")
-    backend = bispace.first
     for name, members in raw.items():
-        if not isinstance(members, list):
-            _fail(f"{where}.sets.{name}", "must be an array")
-        try:
-            if isinstance(backend, SchematicFamily):
-                named[name] = backend.universe.subset(*members)
-            else:
-                named[name] = PointSet.of(backend.size, members)
-        except (KeyError, ValueError) as e:
-            _fail(f"{where}.sets.{name}", str(e.args[0] if e.args else e))
+        named[name] = _members(bispace, members, f"{where}.sets.{name}")
     return named
 
 
-def _parse_claims(raw_claims, named: dict, symbolic: bool, where: str) -> list[Claim]:
+def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list[Claim]:
+    """Claims whose arguments and expected value are all checked here, so
+    evaluating them cannot fail on the document's contents."""
+    symbolic = bispace.is_symbolic
     claims = []
     if not isinstance(raw_claims, list):
         _fail(where, "claims must be a list")
@@ -235,36 +286,86 @@ def _parse_claims(raw_claims, named: dict, symbolic: bool, where: str) -> list[C
         if predicate == "limit_points" and symbolic:
             _fail(f"{loc}.predicate", "limit_points applies to finite documents")
         args = {}
+        resolved = {}
         for key in ("set", "set2", "witness"):
             if key in c:
                 v = c[key]
-                if isinstance(v, str) and v not in named:
-                    _fail(f"{loc}.{key}", f"unknown named set {v!r}")
+                if isinstance(v, str):
+                    if v not in named:
+                        _fail(f"{loc}.{key}", f"unknown named set {v!r}")
+                    resolved[key] = named[v]
+                elif isinstance(v, list):
+                    resolved[key] = _members(bispace, v, f"{loc}.{key}")
+                else:
+                    _fail(f"{loc}.{key}", "must be a set name or an array of members")
                 args[key] = v
+        required = ["set"]
+        if predicate in _EXTRA_SETS:
+            required.append(_EXTRA_SETS[predicate])
+        if predicate in _PAIR_PREDICATES:
+            required.append("pair")
+        for key in required:
+            if key not in c:
+                _fail(loc, f"{predicate} needs {key!r}")
         if "pair" in c:
-            pair = tuple(c["pair"])
-            if pair not in ((1, 2), (2, 1)):
+            pair = c["pair"]
+            if (
+                not isinstance(pair, list)
+                or not all(_is_int(i) for i in pair)
+                or tuple(pair) not in ((1, 2), (2, 1))
+            ):
                 _fail(f"{loc}.pair", "must be [1,2] or [2,1]")
-            args["pair"] = pair
+            args["pair"] = tuple(pair)
         if "space" in c:
-            if c["space"] not in (1, 2):
+            if not _is_int(c["space"]) or c["space"] not in (1, 2):
                 _fail(f"{loc}.space", "must be 1 or 2")
             args["space"] = c["space"]
+        if predicate == "open_between" and not resolved["set"].issubset(
+            resolved["set2"]
+        ):
+            _fail(f"{loc}.set", "open_between needs set inside set2")
         expected = c.get("expected")
-        if isinstance(expected, list):
-            expected = list(expected)
-        claims.append(Claim(predicate, args, expected, c.get("note", "")))
+        if predicate in _SET_VALUED:
+            if expected is not None:
+                _members(bispace, expected, f"{loc}.expected")
+                expected = list(expected)
+        elif expected is not None and not isinstance(expected, bool):
+            _fail(f"{loc}.expected", "must be true, false or null")
+        note = c.get("note", "")
+        if not isinstance(note, str):
+            _fail(f"{loc}.note", "must be a string")
+        claims.append(Claim(predicate, args, expected, note))
     return claims
 
 
-def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
-    """Parse a document into a verifiable entry; raise SpaceFileError if bad."""
+def _load_json(text: str, name: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise SpaceFileError(
             f"{name}: line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise SpaceFileError(f"{name}: JSON nested too deeply") from None
+    except ValueError as e:
+        # e.g. an integer literal longer than the interpreter converts
+        raise SpaceFileError(f"{name}: {e}") from None
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise SpaceFileError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SpaceFileError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
+
+
+def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
+    """Parse a document into a verifiable entry; raise SpaceFileError if bad."""
+    doc = _load_json(text, name)
     if not isinstance(doc, dict):
         _fail(name, "top level must be an object")
     kind = _require(doc, "kind", name)
@@ -276,7 +377,7 @@ def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
         _fail(f"{name}.kind", f"must be 'finite' or 'symbolic', got {kind!r}")
     named = _parse_sets(doc, bispace, name)
     raw_claims = doc.get("claims", [])
-    claims = _parse_claims(raw_claims, named, kind == "symbolic", f"{name}.claims")
+    claims = _parse_claims(raw_claims, named, bispace, f"{name}.claims")
     if not claims:
         claims = [
             Claim(pred, {**base, "set": set_name})
@@ -301,26 +402,15 @@ def check_user_file(path, claims_path: Optional[str] = None) -> Report:
     default battery runs over all named sets.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise SpaceFileError(f"{path}: {e}") from None
-    entry = parse_spacefile(text, path.name)
+    entry = parse_spacefile(_read_text(path), path.name)
     if claims_path is not None:
         claims_file = Path(claims_path)
-        try:
-            raw = json.loads(claims_file.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise SpaceFileError(f"{claims_file}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise SpaceFileError(
-                f"{claims_file.name}: line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from None
+        raw = _load_json(_read_text(claims_file), claims_file.name)
         raw_claims = raw.get("claims", raw) if isinstance(raw, dict) else raw
         extra = _parse_claims(
             raw_claims,
             entry.named_sets,
-            entry.bispace.is_symbolic,
+            entry.bispace,
             f"{claims_file.name}.claims",
         )
         entry = CatalogEntry(

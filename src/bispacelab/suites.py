@@ -34,7 +34,6 @@ from .tables import (
     net_catalog,
     rect,
     rect_equal,
-    rect_subset,
     relabel_subset,
     topology_tables,
     trace_tables,
@@ -131,23 +130,27 @@ def _suite_c1_iff_c2(config) -> SuiteResult:
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            for direction in (0, 1):
-                po = bt.dir_bits(bt.po, pair, direction)
-                wpo = bt.dir_bits(bt.wpo, pair, direction)
-                checked += 1 << n
-                if po & ~wpo:
-                    a = (po & ~wpo & -(po & ~wpo)).bit_length() - 1
-                    violations.append(
-                        f"squeeze-without-containment n={n} pair={divmod(pair, t_count)} "
-                        f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                    )
-                if wpo & ~po:
-                    a = (wpo & ~po & -(wpo & ~po)).bit_length() - 1
-                    violations.append(
-                        f"containment-without-squeeze n={n} pair={divmod(pair, t_count)} "
-                        f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                    )
+        po_table, wpo_table = bt.po, bt.wpo
+        for t1 in range(t_count):
+            for t2 in range(t_count):
+                for direction, row in (
+                    (0, t1 * t_count + t2), (1, t2 * t_count + t1)
+                ):
+                    po = po_table[row]
+                    wpo = wpo_table[row]
+                    checked += 1 << n
+                    if po & ~wpo:
+                        a = (po & ~wpo & -(po & ~wpo)).bit_length() - 1
+                        violations.append(
+                            f"squeeze-without-containment n={n} pair=({t1}, {t2}) "
+                            f"dir={_dir_name(direction)} A={_ps(n, a)}"
+                        )
+                    if wpo & ~po:
+                        a = (wpo & ~po & -(wpo & ~po)).bit_length() - 1
+                        violations.append(
+                            f"containment-without-squeeze n={n} pair=({t1}, {t2}) "
+                            f"dir={_dir_name(direction)} A={_ps(n, a)}"
+                        )
     return SuiteResult(
         "C1-iff-C2",
         "the squeezed-open condition and the interior-of-closure condition "
@@ -163,20 +166,24 @@ def _suite_open_implies_preopen(config) -> SuiteResult:
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            t1, t2 = divmod(pair, t_count)
-            for direction in (0, 1):
-                opens_i = bt.top.openbits[t1 if direction == 0 else t2]
-                po = bt.dir_bits(bt.po, pair, direction)
-                so = bt.dir_bits(bt.so, pair, direction)
-                spo = bt.dir_bits(bt.spo, pair, direction)
-                checked += 3
-                if opens_i & ~po:
-                    violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
-                if opens_i & ~so:
-                    violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
-                if (po | so) & ~spo:
-                    violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
+        openbits = bt.top.openbits
+        po_table, so_table, spo_table = bt.po, bt.so, bt.spo
+        for t1 in range(t_count):
+            for t2 in range(t_count):
+                for opens_i, row in (
+                    (openbits[t1], t1 * t_count + t2),
+                    (openbits[t2], t2 * t_count + t1),
+                ):
+                    po = po_table[row]
+                    so = so_table[row]
+                    spo = spo_table[row]
+                    checked += 3
+                    if opens_i & ~po:
+                        violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
+                    if opens_i & ~so:
+                        violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
+                    if (po | so) & ~spo:
+                        violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
     return SuiteResult(
         "open-implies-preopen",
         "open sets are preopen and semiopen; preopen and semiopen sets are "
@@ -418,40 +425,40 @@ def _suite_note_3_4(config) -> SuiteResult:
 
 
 def _suite_thm_3_6(config, semi: bool = False) -> SuiteResult:
+    """The faults of a (pair, direction) are a function of its (semi)preopen
+    maskset and hull row alone, so per n they are computed once per distinct
+    (maskset, hull row) and formatted for every (pair, direction) that has
+    it. The key needs both: a wrong hull row beside a right maskset must
+    still fault."""
     name = "thm-3.7" if semi else "thm-3.6"
     violations = []
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            for direction in (0, 1):
-                bits = bt.dir_bits(bt.spo if semi else bt.po, pair, direction)
-                hull = bt.dir_bits(bt.spcl if semi else bt.pcl, pair, direction)
-                for a in range(1 << n):
-                    h = hull[a]
-                    for x in range(n):
-                        checked += 1
-                        lhs = (h >> x) & 1
-                        rhs = all(
-                            u & a
-                            for u in range(1 << n)
-                            if (bits >> u) & 1 and (u >> x) & 1
+        bits_table = bt.spo if semi else bt.po
+        hull_table = bt.spcl if semi else bt.pcl
+        size = 1 << n
+        # membership checks n per set; monotonicity one per nested (a, b)
+        per_row = n * size + 3 ** n
+        faults_of: dict[tuple, list[tuple[str, str]]] = {}
+        for t1 in range(t_count):
+            for t2 in range(t_count):
+                for direction, row in (
+                    (0, t1 * t_count + t2), (1, t2 * t_count + t1)
+                ):
+                    checked += per_row
+                    bits = bits_table[row]
+                    hull = hull_table[row]
+                    key = (bits, hull)
+                    faults = faults_of.get(key)
+                    if faults is None:
+                        faults = faults_of[key] = _hull_faults(n, bits, hull)
+                    for kind, where in faults:
+                        violations.append(
+                            f"{kind} n={n} pair=({t1}, {t2}) "
+                            f"dir={_dir_name(direction)} {where}"
                         )
-                        if lhs != bool(rhs):
-                            violations.append(
-                                f"membership n={n} pair={divmod(pair, t_count)} "
-                                f"dir={_dir_name(direction)} A={_ps(n, a)} x={x}"
-                            )
-                for a in range(1 << n):
-                    for b in range(1 << n):
-                        if a & ~b == 0:
-                            checked += 1
-                            if hull[a] & ~hull[b]:
-                                violations.append(
-                                    f"monotone n={n} pair={divmod(pair, t_count)} "
-                                    f"dir={_dir_name(direction)} A={_ps(n, a)} B={_ps(n, b)}"
-                                )
     kind = "semipreclosure" if semi else "preclosure"
     return SuiteResult(
         name,
@@ -460,6 +467,25 @@ def _suite_thm_3_6(config, semi: bool = False) -> SuiteResult:
         checked,
         tuple(violations),
     )
+
+
+def _hull_faults(n: int, bits: int, hull) -> list[tuple[str, str]]:
+    """(kind, witness) faults of one hull row against its maskset: x is in
+    hull[a] iff every member containing x meets a, and the row is monotone."""
+    size = 1 << n
+    members = [u for u in range(size) if (bits >> u) & 1]
+    faults = []
+    for a in range(size):
+        h = hull[a]
+        for x in range(n):
+            meets_all = all(u & a for u in members if (u >> x) & 1)
+            if (h >> x) & 1 != meets_all:
+                faults.append(("membership", f"A={_ps(n, a)} x={x}"))
+    for a in range(size):
+        for b in range(size):
+            if a & ~b == 0 and hull[a] & ~hull[b]:
+                faults.append(("monotone", f"A={_ps(n, a)} B={_ps(n, b)}"))
+    return faults
 
 
 def _suite_remark_3_1(config) -> SuiteResult:
@@ -541,11 +567,18 @@ def _has_tables(k: int):
 
 
 def _suite_thm_4_1(config) -> SuiteResult:
+    """Per map, the members of a source row and the pairsets where their
+    images fail are a function of the row's maskset and direction alone
+    (the map's image row and the target pairsets are fixed), so the count
+    and OR of those pairsets are memoised per (maskset, direction) for one
+    map. The rectangle of continuous-open target pairs decides pass or fail;
+    only a failing (pair, direction) walks its members again to name them."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         bt_m = bispace_tables(m)
+        po_table, spo_table = bt_m.po, bt_m.spo
         t_m = bt_m.top.count
         t_k = topology_tables(k).count
         has_po, has_spo = _has_tables(k)
@@ -556,25 +589,44 @@ def _suite_thm_4_1(config) -> SuiteResult:
         for f in range(len(mt.maps)):
             co = [mt.cont[f][t] & mt.openmap[f][t] for t in range(t_m)]
             img_row = mt.img[f]
+            # (maskset, direction) -> (member count, OR of failing pairsets)
+            po_seen: dict[tuple[int, int], tuple[int, int]] = {}
+            spo_seen: dict[tuple[int, int], tuple[int, int]] = {}
             for t1 in range(t_m):
-                if not co[t1]:
+                co1 = co[t1]
+                if not co1:
                     continue
                 for t2 in range(t_m):
-                    if not co[t2]:
+                    co2 = co[t2]
+                    if not co2:
                         continue
-                    key = (co[t1], co[t2])
+                    key = (co1, co2)
                     r = rect_cache.get(key)
                     if r is None:
-                        r = rect(co[t1], co[t2], t_k)
-                        rect_cache[key] = r
+                        r = rect_cache[key] = rect(co1, co2, t_k)
                     pair = t1 * t_m + t2
-                    for direction in (0, 1):
-                        po = bt_m.dir_bits(bt_m.po, pair, direction)
-                        spo = bt_m.dir_bits(bt_m.spo, pair, direction)
+                    swapped = t2 * t_m + t1
+                    for direction, row in ((0, pair), (1, swapped)):
+                        po = po_table[row]
+                        spo = spo_table[row]
+                        po_neg = neg_po[direction]
+                        spo_neg = neg_spo[direction]
+                        po_sum = po_seen.get((po, direction))
+                        if po_sum is None:
+                            po_sum = po_seen[(po, direction)] = _member_summary(
+                                po, img_row, po_neg
+                            )
+                        spo_sum = spo_seen.get((spo, direction))
+                        if spo_sum is None:
+                            spo_sum = spo_seen[(spo, direction)] = _member_summary(
+                                spo, img_row, spo_neg
+                            )
+                        checked += po_sum[0] + spo_sum[0]
+                        if not (r & po_sum[1] or r & spo_sum[1]):
+                            continue
                         for a in range(1 << m):
                             if (po >> a) & 1:
-                                checked += 1
-                                bad = r & neg_po[direction][img_row[a]]
+                                bad = r & po_neg[img_row[a]]
                                 if bad:
                                     s1, s2 = decode_pair(bad, t_k)
                                     violations.append(
@@ -583,8 +635,7 @@ def _suite_thm_4_1(config) -> SuiteResult:
                                         f"dir={_dir_name(direction)} A={_ps(m, a)}"
                                     )
                             if (spo >> a) & 1:
-                                checked += 1
-                                bad = r & neg_spo[direction][img_row[a]]
+                                bad = r & spo_neg[img_row[a]]
                                 if bad:
                                     s1, s2 = decode_pair(bad, t_k)
                                     violations.append(
@@ -601,55 +652,85 @@ def _suite_thm_4_1(config) -> SuiteResult:
     )
 
 
+def _member_summary(bits: int, img_row, neg) -> tuple[int, int]:
+    """Number of members of maskset `bits`, and the OR of neg[img_row[a]]
+    over its members a."""
+    count = 0
+    fail = 0
+    rem = bits
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        count += 1
+        fail |= neg[img_row[low.bit_length() - 1]]
+    return count, fail
+
+
 def _suite_thm_4_2(config) -> SuiteResult:
+    """Per map, the pairset of targets whose preimage leaves a source row is
+    a function of the row's maskset and direction alone (the map's preimage
+    row and the target pairsets are fixed), so it is memoised per
+    (maskset, direction) for one map; each (pair, direction) still counts
+    its 2^k target sets."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         bt_m = bispace_tables(m)
+        po_table, spo_table = bt_m.po, bt_m.spo
         t_m = bt_m.top.count
         t_k = topology_tables(k).count
         has_po, has_spo = _has_tables(k)
+        size_k = 1 << k
         rect_cache: dict = {}
         for f in range(len(mt.maps)):
             preim_row = mt.preim[f]
-            for pair in range(t_m * t_m):
-                t1, t2 = divmod(pair, t_m)
-                h1 = grids.pc[f][pair] & mt.openmap[f][t1]
-                h2 = grids.pc[f][bt_m.swap(pair)] & mt.openmap[f][t2]
-                if not h1 or not h2:
-                    continue
-                key = (h1, h2)
-                r = rect_cache.get(key)
-                if r is None:
-                    r = rect(h1, h2, t_k)
-                    rect_cache[key] = r
-                for direction in (0, 1):
-                    po_x = bt_m.dir_bits(bt_m.po, pair, direction)
-                    spo_x = bt_m.dir_bits(bt_m.spo, pair, direction)
-                    bad_po = 0
-                    bad_spo = 0
-                    for a in range(1 << k):
-                        checked += 1
-                        if not (po_x >> preim_row[a]) & 1:
-                            bad_po |= has_po[direction][a]
-                        if not (spo_x >> preim_row[a]) & 1:
-                            bad_spo |= has_spo[direction][a]
-                    hit = r & bad_po
-                    if hit:
-                        s1, s2 = decode_pair(hit, t_k)
-                        violations.append(
-                            f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                        )
-                    hit = r & bad_spo
-                    if hit:
-                        s1, s2 = decode_pair(hit, t_k)
-                        violations.append(
-                            f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                        )
+            pc_row = grids.pc[f]
+            open_row = mt.openmap[f]
+            po_seen: dict[tuple[int, int], int] = {}
+            spo_seen: dict[tuple[int, int], int] = {}
+            for t1 in range(t_m):
+                open1 = open_row[t1]
+                for t2 in range(t_m):
+                    pair = t1 * t_m + t2
+                    swapped = t2 * t_m + t1
+                    h1 = pc_row[pair] & open1
+                    h2 = pc_row[swapped] & open_row[t2]
+                    if not h1 or not h2:
+                        continue
+                    key = (h1, h2)
+                    r = rect_cache.get(key)
+                    if r is None:
+                        r = rect_cache[key] = rect(h1, h2, t_k)
+                    for direction, row in ((0, pair), (1, swapped)):
+                        po_x = po_table[row]
+                        spo_x = spo_table[row]
+                        checked += size_k
+                        bad_po = po_seen.get((po_x, direction))
+                        if bad_po is None:
+                            bad_po = po_seen[(po_x, direction)] = _escape_pairs(
+                                po_x, preim_row, has_po[direction]
+                            )
+                        bad_spo = spo_seen.get((spo_x, direction))
+                        if bad_spo is None:
+                            bad_spo = spo_seen[(spo_x, direction)] = _escape_pairs(
+                                spo_x, preim_row, has_spo[direction]
+                            )
+                        hit = r & bad_po
+                        if hit:
+                            s1, s2 = decode_pair(hit, t_k)
+                            violations.append(
+                                f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                                f"Y=({s1},{s2}) dir={_dir_name(direction)}"
+                            )
+                        hit = r & bad_spo
+                        if hit:
+                            s1, s2 = decode_pair(hit, t_k)
+                            violations.append(
+                                f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                                f"Y=({s1},{s2}) dir={_dir_name(direction)}"
+                            )
     return SuiteResult(
         "thm-4.2",
         "precontinuous open maps pull (semi)preopen sets back to "
@@ -657,6 +738,16 @@ def _suite_thm_4_2(config) -> SuiteResult:
         checked,
         tuple(violations),
     )
+
+
+def _escape_pairs(bits: int, preim_row, has) -> int:
+    """OR of has[a] over the target sets a whose preimage is not in maskset
+    `bits`."""
+    bad = 0
+    for a, pre in enumerate(preim_row):
+        if not (bits >> pre) & 1:
+            bad |= has[a]
+    return bad
 
 
 def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
@@ -707,22 +798,51 @@ def _consequence_failures(m: int, k: int, semi: bool):
     For a fixed map the triple reads nothing of the row but its (semi)preopen
     maskset ``around`` and its hull row, so it is computed once per distinct
     ``(around, hull)`` and reused for every (pair, direction) that has it
-    (44 distinct rows over the 1,682 at m = 3). The dict lives for one map;
-    the stream stays in (f, pair, direction) order. Streamed, not cached:
-    materialising the 3x3 grid costs more memory than recomputing it per
-    consumer costs time.
+    (44 distinct rows over the 1,682 at m = 3). Rows are numbered by their
+    distinct key once per call and the per-map memo is a list over those
+    numbers; the stream stays in (f, pair, direction) order. Streamed, not
+    cached: materialising the 3x3 grid costs more memory than recomputing it
+    per consumer costs time.
     """
     mt = map_tables(m, k)
     bt_m = bispace_tables(m)
     top_k = topology_tables(k)
     t_m = bt_m.top.count
     t_k = top_k.count
+    size_k = 1 << k
     # supersets[b]: maskset of the supersets of b; containing[p] is that
     # of the singleton {p}
     supersets = [row[-1] for row in interval_masksets(k)]
     containing = [supersets[1 << p] for p in range(k)]
+    # escapes_cl[v][src]: topset of s where src escapes cl_s(v)
+    escapes_cl = [
+        [
+            sum(1 << s for s in range(t_k) if src & ~top_k.cl[s][v])
+            for src in range(size_k)
+        ]
+        for v in range(size_k)
+    ]
+    # closures_of[b]: (c, topset of s with cl_s(b) = c) per distinct c
+    closures_of = []
+    for b in range(size_k):
+        groups: dict[int, int] = {}
+        for s in range(t_k):
+            c = top_k.cl[s][b]
+            groups[c] = groups.get(c, 0) | 1 << s
+        closures_of.append(tuple(groups.items()))
     around_table = bt_m.spo if semi else bt_m.po
     hull_table = bt_m.spcl if semi else bt_m.pcl
+    # (pair, direction, key number) in stream order, and each key number's
+    # (around, hull)
+    key_ids: dict[tuple, int] = {}
+    rows = []
+    for t1 in range(t_m):
+        for t2 in range(t_m):
+            pair = t1 * t_m + t2
+            for direction, row in ((0, pair), (1, t2 * t_m + t1)):
+                key = (around_table[row], hull_table[row])
+                rows.append((pair, direction, key_ids.setdefault(key, len(key_ids))))
+    keys = list(key_ids)
     for f in range(len(mt.maps)):
         img_row = mt.img[f]
         preim_row = mt.preim[f]
@@ -730,58 +850,46 @@ def _consequence_failures(m: int, k: int, semi: bool):
         # not-subset rows: for each set and candidate hull image (preimage),
         # the topset of s where the candidate escapes cl_s(img a)
         # (f^-1(cl_s b)); lifted out of the pair loop, which only indexes them
-        notsub_cl = [
-            [
-                sum(
-                    1 << s
-                    for s in range(t_k)
-                    if src & ~top_k.cl[s][img_row[a]]
-                )
-                for src in range(1 << k)
-            ]
-            for a in range(1 << m)
-        ]
+        notsub_cl = [escapes_cl[v] for v in img_row]
         notsub_pre = [
             [
-                sum(
-                    1 << s
-                    for s in range(t_k)
-                    if lhs & ~preim_row[top_k.cl[s][b]]
-                )
+                sum(topset for c, topset in groups if lhs & ~preim_row[c])
                 for lhs in range(1 << m)
             ]
-            for b in range(1 << k)
+            for groups in closures_of
         ]
-        seen: dict[tuple, tuple[int, int, int]] = {}
-        for pair in range(t_m * t_m):
-            for direction in (0, 1):
-                around = bt_m.dir_bits(around_table, pair, direction)
-                hull = bt_m.dir_bits(hull_table, pair, direction)
-                key = (around, hull)
-                bads = seen.get(key)
-                if bads is None:
-                    bad_i = 0
-                    for x in range(m):
-                        reach = 0
-                        for u in range(1 << m):
-                            if (u >> x) & 1 and (around >> u) & 1:
-                                reach |= supersets[img_row[u]]
-                        need = containing[assign[x]] & ~reach
-                        if need:
-                            for s in range(t_k):
-                                if top_k.openbits[s] & need:
-                                    bad_i |= 1 << s
-                    bad_ii = 0
-                    for a in range(1 << m):
-                        bad_ii |= notsub_cl[a][img_row[hull[a]]]
-                    bad_iii = 0
-                    for b in range(1 << k):
-                        bad_iii |= notsub_pre[b][hull[preim_row[b]]]
-                    bads = seen[key] = (bad_i, bad_ii, bad_iii)
-                yield f, pair, direction, bads
+        seen: list = [None] * len(keys)
+        for pair, direction, key_id in rows:
+            bads = seen[key_id]
+            if bads is None:
+                around, hull = keys[key_id]
+                bad_i = 0
+                for x in range(m):
+                    reach = 0
+                    for u in range(1 << m):
+                        if (u >> x) & 1 and (around >> u) & 1:
+                            reach |= supersets[img_row[u]]
+                    need = containing[assign[x]] & ~reach
+                    if need:
+                        for s in range(t_k):
+                            if top_k.openbits[s] & need:
+                                bad_i |= 1 << s
+                bad_ii = 0
+                for a in range(1 << m):
+                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
+                bad_iii = 0
+                for b in range(size_k):
+                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
+                bads = seen[key_id] = (bad_i, bad_ii, bad_iii)
+            yield f, pair, direction, bads
 
 
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
+
+
+def _swapped_pairs(t_count: int) -> list[int]:
+    """Per pair index (t1, t2), the index of (t2, t1)."""
+    return [t2 * t_count + t1 for t1 in range(t_count) for t2 in range(t_count)]
 
 
 def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
@@ -792,17 +900,20 @@ def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         gate_grid = grids.spc if semi else grids.pc
-        bt_m = bispace_tables(m)
+        t_m = bispace_tables(m).top.count
+        swapped = _swapped_pairs(t_m)
         for f, pair, direction, bads in _consequence_failures(m, k, semi):
             checked += 1
-            gate_i = gate_grid[f][pair if direction == 0 else bt_m.swap(pair)]
+            gate_i = gate_grid[f][swapped[pair] if direction else pair]
+            if not gate_i & (bads[0] | bads[1] | bads[2]):
+                continue
             for tag, bad in zip(_CONSEQUENCES, bads):
                 hit = gate_i & bad
                 if hit:
                     s = (hit & -hit).bit_length() - 1
                     violations.append(
                         f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X={divmod(pair, bt_m.top.count)} "
+                        f"X={divmod(pair, t_m)} "
                         f"dir={_dir_name(direction)} s_i={s}"
                     )
     kind = "sp-continuous" if semi else "precontinuous"
@@ -823,18 +934,21 @@ def _suite_note_4_2(config) -> SuiteResult:
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
-        bt_m = bispace_tables(m)
+        t_m = bispace_tables(m).top.count
+        swapped = _swapped_pairs(t_m)
         all_s = (1 << topology_tables(k).count) - 1
         for f, pair, direction, bads in _consequence_failures(m, k, False):
             checked += 1
-            gate_i = grids.pc[f][pair if direction == 0 else bt_m.swap(pair)]
+            gate_i = grids.pc[f][swapped[pair] if direction else pair]
+            if not all_s & ~gate_i & ~(bads[0] & bads[1] & bads[2]):
+                continue
             for tag, bad in zip(_CONSEQUENCES, bads):
                 escaped = all_s & ~bad & ~gate_i
                 if escaped:
                     s = (escaped & -escaped).bit_length() - 1
                     violations.append(
                         f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X={divmod(pair, bt_m.top.count)} "
+                        f"X={divmod(pair, t_m)} "
                         f"dir={_dir_name(direction)} s_i={s}"
                     )
     return SuiteResult(
@@ -847,49 +961,71 @@ def _suite_note_4_2(config) -> SuiteResult:
 
 
 def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
+    """Per map, the restricted map on a region, and so its whole grid row,
+    depends on the region alone: each of the 2^m - 1 rows is looked up once
+    per map, and the traced sub-pair indices of a region depend only on the
+    source pair, so they are computed once per (m, k)."""
     name = "thm-5.3" if semi else "thm-4.5"
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
-        grids = continuity_grids(m, k)
         bt_m = bispace_tables(m)
         tr = trace_tables(m)
         t_m = bt_m.top.count
-        grid = grids.spc if semi else grids.pc
+        opens = bt_m.top.opens
+        openbits = bt_m.top.openbits
+        # per sub-size j: map tables, grid and bispace topology count of the
+        # restrictions to j points
+        subs = [None]
+        for j in range(1, m + 1):
+            grids_j = continuity_grids(j, k)
+            subs.append((
+                map_tables(j, k),
+                grids_j.spc if semi else grids_j.pc,
+                bispace_tables(j).top.count,
+            ))
+        grid = subs[m][1]
+        # per source pair: (region, sub-pair, swapped sub-pair) for every
+        # nonempty region open in both structures, in tau_1's open order
+        regions_of = []
+        for t1 in range(t_m):
+            for t2 in range(t_m):
+                regions = []
+                for region in opens[t1]:
+                    if region and (openbits[t2] >> region) & 1:
+                        sub_m, t1s = tr[t1][region]
+                        _, t2s = tr[t2][region]
+                        sub_count = subs[sub_m][2]
+                        regions.append((
+                            region,
+                            t1s * sub_count + t2s,
+                            t2s * sub_count + t1s,
+                        ))
+                regions_of.append(regions)
         for f in range(len(mt.maps)):
             assign = mt.maps[f]
-            for pair in range(t_m * t_m):
-                t1, t2 = divmod(pair, t_m)
-                g1 = grid[f][pair]
-                g2 = grid[f][bt_m.swap(pair)]
-                if not g1 or not g2:
-                    continue
-                biopen = (
-                    o
-                    for o in bt_m.top.opens[t1]
-                    if o and (bt_m.top.openbits[t2] >> o) & 1
-                )
-                for region in biopen:
-                    checked += 1
-                    sub_m, t1s = tr[t1][region]
-                    _, t2s = tr[t2][region]
-                    sub_assign = tuple(
-                        assign[p] for p in range(m) if (region >> p) & 1
-                    )
-                    mt_sub = map_tables(sub_m, k)
-                    grids_sub = continuity_grids(sub_m, k)
-                    f_sub = mt_sub.index[sub_assign]
-                    sub_tcount = bispace_tables(sub_m).top.count
-                    sub_pair = t1s * sub_tcount + t2s
-                    sub_grid = grids_sub.spc if semi else grids_sub.pc
-                    s1 = sub_grid[f_sub][sub_pair]
-                    s2 = sub_grid[f_sub][bispace_tables(sub_m).swap(sub_pair)]
-                    if not rect_subset(g1, g2, s1, s2):
-                        violations.append(
-                            f"m={m} k={k} f={assign} X=({t1},{t2}) "
-                            f"A={_ps(m, region)}"
-                        )
+            row = grid[f]
+            sub_rows = [()]
+            for region in range(1, 1 << m):
+                sub_assign = tuple(assign[p] for p in range(m) if (region >> p) & 1)
+                mt_sub, grid_sub, _ = subs[len(sub_assign)]
+                sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
+            for t1 in range(t_m):
+                for t2 in range(t_m):
+                    pair = t1 * t_m + t2
+                    g1 = row[pair]
+                    g2 = row[t2 * t_m + t1]
+                    if not g1 or not g2:
+                        continue
+                    for region, sub_pair, sub_swapped in regions_of[pair]:
+                        checked += 1
+                        sub_row = sub_rows[region]
+                        if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
+                            violations.append(
+                                f"m={m} k={k} f={assign} X=({t1},{t2}) "
+                                f"A={_ps(m, region)}"
+                            )
     kind = "sp-continuity" if semi else "precontinuity"
     return SuiteResult(
         name,
@@ -901,6 +1037,12 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
 
 
 def _suite_thm_4_6(config) -> SuiteResult:
+    """Per map, a source net's image net, and so its slot offset in the
+    target convergence row, depends on the net alone, so the offsets are
+    computed once per map; a mapped convergence row depends on the map and
+    the target topology alone, so it is memoised per topology for one map.
+    The limit points of a source net in the mapped row are the preimage of
+    its image net's limit set."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -910,58 +1052,60 @@ def _suite_thm_4_6(config) -> SuiteResult:
         top_k = topology_tables(k)
         t_m = top_m.count
         t_k = top_k.count
+        full_k = top_k.full
         conv_m = convergence_bits(m)
         conv_k = convergence_bits(k)
         nets_m = net_catalog(m)
         nets_k_index = {net: i for i, net in enumerate(net_catalog(k))}
-        mapped_cache: dict = {}
-
-        def mapped_conv(f: int, s: int) -> int:
-            key = (f, s)
-            got = mapped_cache.get(key)
-            if got is not None:
-                return got
-            assign = mt.maps[f]
-            bits = 0
-            target_bits = conv_k[s]
-            for n_idx, (d_idx, values) in enumerate(nets_m):
-                tgt_idx = nets_k_index[(d_idx, tuple(assign[v] for v in values))]
-                for x in range(m):
-                    if (target_bits >> (tgt_idx * k + assign[x])) & 1:
-                        bits |= 1 << (n_idx * m + x)
-            mapped_cache[key] = bits
-            return bits
-
         # Directions are symmetric under swapping both structure pairs, and
         # all ordered pairs are enumerated, so checking (1,2) covers (2,1).
         for f in range(len(mt.maps)):
+            assign = mt.maps[f]
             preim_row = mt.preim[f]
             img_row = mt.img[f]
+            pc_row = grids.pc[f]
+            # per source net: (its slot shift in a source row, its image
+            # net's slot offset in a target row)
+            slots = [
+                (
+                    n_idx * m,
+                    nets_k_index[(d_idx, tuple(assign[v] for v in values))] * k,
+                )
+                for n_idx, (d_idx, values) in enumerate(nets_m)
+            ]
+            mapped: dict[int, int] = {}
             for t_j in range(t_m):
                 cl_j = top_m.cl[t_j]
+                # target sets v equal to the image of cl_j of their preimage
+                fixed = 0
+                for v in range(1 << k):
+                    if img_row[cl_j[preim_row[v]]] == v:
+                        fixed |= 1 << v
                 cond_c = 0
                 for s in range(t_k):
-                    if all(
-                        img_row[cl_j[preim_row[v]]] == v for v in top_k.opens[s]
-                    ):
+                    if top_k.openbits[s] & ~fixed == 0:
                         cond_c |= 1 << s
-                if not cond_c:
-                    continue
                 rem = cond_c
                 while rem:
                     low = rem & -rem
                     s_i = low.bit_length() - 1
                     rem ^= low
-                    mc = mapped_conv(f, s_i)
+                    mc = mapped.get(s_i)
+                    if mc is None:
+                        target_bits = conv_k[s_i]
+                        mc = 0
+                        for shift, offset in slots:
+                            mc |= preim_row[(target_bits >> offset) & full_k] << shift
+                        mapped[s_i] = mc
                     for t_i in range(t_m):
-                        if not (grids.pc[f][t_i * t_m + t_j] >> s_i) & 1:
+                        if not (pc_row[t_i * t_m + t_j] >> s_i) & 1:
                             continue
                         checked += 1
                         escape = conv_m[t_i] & ~mc
                         if escape:
                             idx = (escape & -escape).bit_length() - 1
                             violations.append(
-                                f"m={m} k={k} f={mt.maps[f]} t_i={t_i} t_j={t_j} "
+                                f"m={m} k={k} f={assign} t_i={t_i} t_j={t_j} "
                                 f"s_i={s_i} net={nets_m[idx // m]} x={idx % m}"
                             )
     return SuiteResult(
@@ -1009,7 +1153,8 @@ def _suite_note_4_1(config) -> SuiteResult:
 
 # The hierarchy's implications as (gap name, level, implied level): every
 # map at `level` is at `implied level`, and the gap is a map at the implied
-# level that is not at `level`. Levels are the keys of _continuity_levels.
+# level that is not at `level`. Levels are named in _LEVELS, the order of
+# the tuples _continuity_levels returns.
 _HIERARCHY_EDGES = (
     ("precontinuous-not-continuous", "cont", "pc"),
     ("semicontinuous-not-continuous", "cont", "sc"),
@@ -1019,19 +1164,27 @@ _HIERARCHY_EDGES = (
 
 GAP_NAMES = tuple(gap for gap, _, _ in _HIERARCHY_EDGES)
 
+_LEVELS = ("cont", "sc", "pc", "spc")
 
-def _continuity_levels(mt, grids, bt_m, f: int, pair: int) -> dict:
-    """Per level, the target topsets (direction (1,2), direction (2,1))
-    where map f from source pair is continuous, semi-, pre- or
-    sp-continuous."""
-    t1, t2 = divmod(pair, bt_m.top.count)
-    swapped = bt_m.swap(pair)
-    return {
-        "cont": (mt.cont[f][t1], mt.cont[f][t2]),
-        "sc": (grids.sc[f][pair], grids.sc[f][swapped]),
-        "pc": (grids.pc[f][pair], grids.pc[f][swapped]),
-        "spc": (grids.spc[f][pair], grids.spc[f][swapped]),
-    }
+# per edge: gap name, label, and the positions of the low and high level's
+# (1,2) topset in a _continuity_levels tuple (the (2,1) one follows it)
+_EDGE_SLOTS = tuple(
+    (gap, f"{low}=>{high}", 2 * _LEVELS.index(low), 2 * _LEVELS.index(high))
+    for gap, low, high in _HIERARCHY_EDGES
+)
+
+
+def _continuity_levels(mt, grids, f: int, t_m: int) -> list[tuple]:
+    """Per source pair (t1, t2), in pair order: for each level in _LEVELS
+    order, the target topsets (direction (1,2), direction (2,1)) where map f
+    is continuous, semi-, pre- or sp-continuous, flattened into one tuple."""
+    cont, sc, pc, spc = mt.cont[f], grids.sc[f], grids.pc[f], grids.spc[f]
+    return [
+        (cont[t1], cont[t2], sc[p], sc[q], pc[p], pc[q], spc[p], spc[q])
+        for t1 in range(t_m)
+        for t2 in range(t_m)
+        for p, q in ((t1 * t_m + t2, t2 * t_m + t1),)
+    ]
 
 
 def _suite_hierarchy(config) -> SuiteResult:
@@ -1040,17 +1193,17 @@ def _suite_hierarchy(config) -> SuiteResult:
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
-        bt_m = bispace_tables(m)
-        t_m = bt_m.top.count
+        t_m = bispace_tables(m).top.count
         for f in range(len(mt.maps)):
-            for pair in range(t_m * t_m):
-                t1, t2 = divmod(pair, t_m)
-                checked += 1
-                levels = _continuity_levels(mt, grids, bt_m, f, pair)
-                for _, low, high in _HIERARCHY_EDGES:
-                    if not rect_subset(*levels[low], *levels[high]):
+            checked += t_m * t_m
+            for pair, levels in enumerate(_continuity_levels(mt, grids, f, t_m)):
+                for _, label, low, high in _EDGE_SLOTS:
+                    l1 = levels[low]
+                    l2 = levels[low + 1]
+                    if l1 and l2 and (l1 & ~levels[high] or l2 & ~levels[high + 1]):
+                        t1, t2 = divmod(pair, t_m)
                         violations.append(
-                            f"{low}=>{high} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
+                            f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
                         )
     notes = []
     for gap, witness in find_hierarchy_witnesses(min(config.n, 3)).items():
@@ -1096,36 +1249,38 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
             "sigma2": [list(PointSet(k, o)) for o in top_k.opens[s2]],
         }
 
+    missing = len(found)
     for m, k in _map_size_combos(max_size):
-        if all(found.values()):
-            break
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
-        bt_m = bispace_tables(m)
-        t_m = bt_m.top.count
-        t_k = topology_tables(k).count
+        t_m = bispace_tables(m).top.count
         for f in range(len(mt.maps)):
-            for pair in range(t_m * t_m):
-                t1, t2 = divmod(pair, t_m)
-                levels = _continuity_levels(mt, grids, bt_m, f, pair)
-                for name, low, high in _HIERARCHY_EDGES:
+            for pair, levels in enumerate(_continuity_levels(mt, grids, f, t_m)):
+                for name, _, low, high in _EDGE_SLOTS:
                     if found[name]:
                         continue
-                    have, lack = levels[high], levels[low]
-                    for s1 in range(t_k):
-                        if not (have[0] >> s1) & 1:
-                            continue
-                        for s2 in range(t_k):
-                            if not (have[1] >> s2) & 1:
-                                continue
-                            if ((lack[0] >> s1) & 1) and ((lack[1] >> s2) & 1):
-                                continue
+                    # first (s1, s2) inside the high rectangle and outside
+                    # the low one, s1 then s2 ascending
+                    have2 = levels[high + 1]
+                    rem = levels[high]
+                    while rem:
+                        bit = rem & -rem
+                        rem ^= bit
+                        if levels[low] & bit:
+                            cand = have2 & ~levels[low + 1]
+                        else:
+                            cand = have2
+                        if cand:
                             found[name] = witness(
-                                m, k, mt.maps[f], t1, t2, s1, s2
+                                m, k, mt.maps[f], *divmod(pair, t_m),
+                                bit.bit_length() - 1,
+                                (cand & -cand).bit_length() - 1,
                             )
+                            missing -= 1
                             break
-                        if found[name]:
-                            break
+                if not missing:
+                    return found
+    return found
     return found
 
 

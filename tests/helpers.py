@@ -1,6 +1,9 @@
 """Shared generators and cross-backend comparison drivers for the tests."""
 
+import dataclasses
+import hashlib
 import random
+from unittest import mock
 
 from bispacelab.finite import PointSet
 from bispacelab.props import (
@@ -325,3 +328,113 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
                 for b in range(1 << k):
                     bad_iii |= notsub_pre[b][hull[preim_row[b]]]
                 yield f, pair, direction, (bad_i, bad_ii, bad_iii)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: suites run on deliberately wrong tables
+# ---------------------------------------------------------------------------
+
+# every suite whose sweep reads rows through a per-row memo or the
+# per-element pair loop; their violation lists on wrong tables are frozen in
+# tests/data/fault_injection.json
+FAULT_SUITES = (
+    "C1-iff-C2", "open-implies-preopen", "thm-3.6", "thm-3.7", "thm-4.1",
+    "thm-4.2", "thm-4.4", "thm-4.5", "thm-4.6", "thm-5.2", "thm-5.3",
+    "note-4.2", "hierarchy",
+)
+
+
+def _flip_row(rows, index: int, bit: int):
+    return rows[:index] + (rows[index] ^ (1 << bit),) + rows[index + 1:]
+
+
+def _flip_hull(rows, pair: int, subset: int, bit: int):
+    row = rows[pair]
+    row = row[:subset] + (row[subset] ^ (1 << bit),) + row[subset + 1:]
+    return rows[:pair] + (row,) + rows[pair + 1:]
+
+
+def _flip_grid(grid, f: int, pair: int, bit: int):
+    return grid[:f] + (_flip_row(grid[f], pair, bit),) + grid[f + 1:]
+
+
+# case name -> (bispace-table corruption per n, grid corruption per (m, k));
+# each corruption maps the true table to a dataclasses.replace copy with one
+# bit (or one pair of bits) flipped
+FAULT_CASES = {
+    "po-pair100-bit3": (
+        {3: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 100, 3))},
+        {},
+    ),
+    "spo-pair257-bit5": (
+        {3: lambda bt: dataclasses.replace(bt, spo=_flip_row(bt.spo, 257, 5))},
+        {},
+    ),
+    "pcl-pair300-entry2": (
+        {3: lambda bt: dataclasses.replace(bt, pcl=_flip_hull(bt.pcl, 300, 2, 0))},
+        {},
+    ),
+    "grid32-f5-pc40-sc41": (
+        {},
+        {(3, 2): lambda g: dataclasses.replace(
+            g, pc=_flip_grid(g.pc, 5, 40, 1), sc=_flip_grid(g.sc, 5, 41, 1)
+        )},
+    ),
+    "grid22-f1-pair5-restriction": (
+        {},
+        {(2, 2): lambda g: dataclasses.replace(
+            g, pc=_flip_grid(g.pc, 1, 5, 0), spc=_flip_grid(g.spc, 1, 5, 0)
+        )},
+    ),
+}
+
+
+def fault_injection_digests(case: str, n: int = 3) -> dict:
+    """Run FAULT_SUITES at carrier size n on the tables corrupted by `case`.
+
+    Returns per suite ``{"checked", "violations", "sha256"}``, the digest
+    being over the violation lines joined by newlines. The suites read the
+    corrupted tables through their module's `bispace_tables` and
+    `continuity_grids`; the per-k pairset cache starts empty and is restored
+    afterwards, so no corrupted row outlives the run.
+    """
+    from bispacelab import suites
+
+    bt_faults, grid_faults = FAULT_CASES[case]
+    true_bt = suites.bispace_tables
+    true_grids = suites.continuity_grids
+
+    def corrupt_bt(size):
+        table = true_bt(size)
+        return bt_faults[size](table) if size in bt_faults else table
+
+    def corrupt_grids(m, k):
+        grids = true_grids(m, k)
+        return grid_faults[(m, k)](grids) if (m, k) in grid_faults else grids
+
+    out = {}
+    with mock.patch.object(suites, "bispace_tables", corrupt_bt), \
+            mock.patch.object(suites, "continuity_grids", corrupt_grids), \
+            mock.patch.dict(suites._HAS_CACHE, clear=True):
+        for result in suites.run_theorem_suite(
+            suites.SuiteConfig(n=n, which=FAULT_SUITES)
+        ):
+            out[result.name] = {
+                "checked": result.checked,
+                "violations": len(result.violations),
+                "sha256": hashlib.sha256(
+                    "\n".join(result.violations).encode()
+                ).hexdigest(),
+            }
+    return out
+
+
+if __name__ == "__main__":
+    # Re-record tests/data/fault_injection.json; run from the repository root
+    # with PYTHONPATH=src, and only on a commit whose suites are trusted.
+    import json
+    import pathlib
+
+    fixture = {case: fault_injection_digests(case) for case in FAULT_CASES}
+    path = pathlib.Path(__file__).parent / "data" / "fault_injection.json"
+    path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")

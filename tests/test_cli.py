@@ -146,3 +146,96 @@ def test_check_rejects_oversized_carrier_quickly(tmp_path):
     assert result.returncode == 2
     assert "limit of 12 points" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+GOOD_DOC = {
+    "kind": "finite",
+    "carrier": 2,
+    "opens1": [[], [0], [0, 1]],
+    "opens2": [[], [0, 1]],
+    "sets": {"A": [0]},
+}
+
+
+def assert_input_error(result):
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def check_claims(tmp_path, claims, doc=GOOD_DOC):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, "claims": claims}), encoding="utf-8")
+    return run_cli("check", str(path))
+
+
+def test_check_rejects_non_utf8_document(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(GOOD_DOC).encode() + b" \xff\xfe")
+    result = run_cli("check", str(path))
+    assert_input_error(result)
+    assert "UTF-8" in result.stderr
+
+
+def test_check_rejects_non_utf8_claims_file(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(GOOD_DOC), encoding="utf-8")
+    claims = tmp_path / "claims.json"
+    claims.write_bytes(b'[{"predicate": "is_open", "note": "\xe9"}]')
+    result = run_cli("check", str(doc), "--claims", str(claims))
+    assert_input_error(result)
+    assert "UTF-8" in result.stderr
+
+
+def test_check_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert_input_error(result)
+    assert "nested too deeply" in result.stderr
+
+
+def test_check_rejects_pair_predicate_without_pair(tmp_path):
+    result = check_claims(tmp_path, [{"predicate": "is_ij_preopen", "set": "A"}])
+    assert_input_error(result)
+    assert "'pair'" in result.stderr
+
+
+def test_check_rejects_non_list_pair(tmp_path):
+    result = check_claims(
+        tmp_path, [{"predicate": "is_ij_preopen", "set": "A", "pair": 5}]
+    )
+    assert_input_error(result)
+    assert "pair" in result.stderr
+
+
+def test_check_rejects_non_string_set_argument(tmp_path):
+    result = check_claims(
+        tmp_path, [{"predicate": "is_open", "set": 5, "space": 1}]
+    )
+    assert_input_error(result)
+    assert ".set" in result.stderr
+
+
+def test_check_rejects_expected_point_outside_carrier(tmp_path):
+    result = check_claims(
+        tmp_path,
+        [{"predicate": "closure", "set": "A", "space": 1, "expected": [0, 7]}],
+    )
+    assert_input_error(result)
+    assert "outside carrier" in result.stderr
+
+
+def test_check_rejects_non_integer_set_members(tmp_path):
+    for members in ([0.0], [[0]], [True]):
+        result = check_claims(tmp_path, [], {**GOOD_DOC, "sets": {"A": members}})
+        assert_input_error(result)
+        assert "sets.A" in result.stderr
+
+
+def test_check_rejects_booleans_as_open_set_points(tmp_path):
+    # true would otherwise be read as point 1
+    doc = {**GOOD_DOC, "opens1": [[], [0], [0, True]]}
+    result = check_claims(tmp_path, [], doc)
+    assert_input_error(result)
+    assert "opens1[2]" in result.stderr

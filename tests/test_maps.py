@@ -422,40 +422,70 @@ def test_precontinuity_consequences_sp_variant():
 # The suite tables agree with the reference map predicates
 # ---------------------------------------------------------------------------
 
-def test_map_tables_match_reference_2x2():
+def _check_map_tables(m, k, cases):
+    """Compare the map tables' cont/openmap topsets and the pc/sc/spc grids
+    with the reference predicates on each (f, t1, t2, s1, s2) case."""
     from bispacelab.tables import bispace_tables, continuity_grids, map_tables
 
-    mt = map_tables(2, 2)
-    grids = continuity_grids(2, 2)
-    bt = bispace_tables(2)
-    spaces = list(enumerate_spaces(2))
-    for fi, assign in enumerate(mt.maps):
-        f = FiniteMap(2, 2, assign)
-        for t1, t2, s1, s2 in itertools.product(range(4), repeat=4):
-            bx = Bispace(spaces[t1], spaces[t2])
-            by = Bispace(spaces[s1], spaces[s2])
-            pair = bt.pair_index(t1, t2)
-            cont = bool((mt.cont[fi][t1] >> s1) & 1 and (mt.cont[fi][t2] >> s2) & 1)
-            assert cont == is_pairwise_continuous(f, bx, by)
-            open_ = bool(
-                (mt.openmap[fi][t1] >> s1) & 1 and (mt.openmap[fi][t2] >> s2) & 1
-            )
-            assert open_ == is_pairwise_open_map(f, bx, by)
-            pc = bool(
-                (grids.pc[fi][pair] >> s1) & 1
-                and (grids.pc[fi][bt.swap(pair)] >> s2) & 1
-            )
-            assert pc == is_pairwise_precontinuous(f, bx, by)
-            sc = bool(
-                (grids.sc[fi][pair] >> s1) & 1
-                and (grids.sc[fi][bt.swap(pair)] >> s2) & 1
-            )
-            assert sc == is_pairwise_semi_continuous(f, bx, by)
-            spc = bool(
-                (grids.spc[fi][pair] >> s1) & 1
-                and (grids.spc[fi][bt.swap(pair)] >> s2) & 1
-            )
-            assert spc == is_pairwise_sp_continuous(f, bx, by)
+    mt = map_tables(m, k)
+    grids = continuity_grids(m, k)
+    bt = bispace_tables(m)
+    sources = list(enumerate_spaces(m))
+    targets = list(enumerate_spaces(k))
+    for fi, t1, t2, s1, s2 in cases:
+        f = FiniteMap(m, k, mt.maps[fi])
+        bx = Bispace(sources[t1], sources[t2])
+        by = Bispace(targets[s1], targets[s2])
+        pair = bt.pair_index(t1, t2)
+        swapped = bt.pair_index(t2, t1)
+        cont = bool((mt.cont[fi][t1] >> s1) & 1 and (mt.cont[fi][t2] >> s2) & 1)
+        assert cont == is_pairwise_continuous(f, bx, by)
+        open_ = bool(
+            (mt.openmap[fi][t1] >> s1) & 1 and (mt.openmap[fi][t2] >> s2) & 1
+        )
+        assert open_ == is_pairwise_open_map(f, bx, by)
+        for grid, reference in (
+            (grids.pc, is_pairwise_precontinuous),
+            (grids.sc, is_pairwise_semi_continuous),
+            (grids.spc, is_pairwise_sp_continuous),
+        ):
+            held = bool((grid[fi][pair] >> s1) & 1 and (grid[fi][swapped] >> s2) & 1)
+            assert held == reference(f, bx, by), (reference.__name__, fi, t1, t2, s1, s2)
+
+
+def test_map_tables_match_reference_2x2():
+    cases = [
+        (fi, *rest)
+        for fi in range(4)
+        for rest in itertools.product(range(4), repeat=4)
+    ]
+    _check_map_tables(2, 2, cases)
+
+
+@pytest.mark.parametrize("m,k", [(3, 2), (3, 3)])
+def test_map_tables_match_reference_sampled(m, k):
+    # 300 seeded cases: half uniform (mostly failing maps), half drawn until
+    # the map is sp-continuous, so every grid sees both verdicts
+    from bispacelab.tables import continuity_grids, map_tables
+
+    rng = random.Random(1000 * m + k)
+    maps = len(map_tables(m, k).maps)
+    t_m = len(list(enumerate_spaces(m)))
+    t_k = len(list(enumerate_spaces(k)))
+    spc = continuity_grids(m, k).spc
+
+    def draw():
+        return (
+            rng.randrange(maps), rng.randrange(t_m), rng.randrange(t_m),
+            rng.randrange(t_k), rng.randrange(t_k),
+        )
+
+    cases = [draw() for _ in range(150)]
+    while len(cases) < 300:
+        fi, t1, t2, s1, s2 = case = draw()
+        if (spc[fi][t1 * t_m + t2] >> s1) & 1 and (spc[fi][t2 * t_m + t1] >> s2) & 1:
+            cases.append(case)
+    _check_map_tables(m, k, cases)
 
 
 def _check_consequence_failures(m, k, semi, cases):

@@ -2,8 +2,12 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bispacelab.catalog import verify_entry
 from bispacelab.spacefile import (
+    FILE_PREDICATES,
     MAX_ATOMS,
     MAX_CARRIER,
     SpaceFileError,
@@ -252,3 +256,105 @@ def test_documents_at_the_limits_parse():
     assert finite.bispace.first.size == MAX_CARRIER
     symbolic = parse_spacefile(json.dumps(_atoms_doc(MAX_ATOMS)), "s")
     assert len(symbolic.bispace.first.universe) == MAX_ATOMS
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any JSON value either parses or raises SpaceFileError
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+# values a document plausibly holds somewhere, mixed with arbitrary ones
+NEAR_VALUES = (
+    st.sampled_from(
+        ["A", "B", "nope", "irr01", "rats", "finite", "symbolic", "countable",
+         [1, 2], [2, 1], [0], [0, 1], [True, 2], [0.0], [[0]], 1, 2, 3, True]
+    )
+    | JSON_VALUES
+)
+
+SET_ARGS = st.sampled_from(
+    ["A", "B", "cl2A", "nope", [0], [0, 1], [0, 7], [True], ["irr01"],
+     ["rats", "irr12"], ["zz"]]
+) | JSON_VALUES
+
+CLAIMS = st.lists(
+    st.fixed_dictionaries(
+        {"predicate": st.sampled_from(FILE_PREDICATES) | JSON_VALUES},
+        optional={
+            "set": SET_ARGS,
+            "set2": SET_ARGS,
+            "witness": SET_ARGS,
+            "pair": st.sampled_from([[1, 2], [2, 1], [1, 1], [True, 2], 5, [1, 2, 3]])
+            | JSON_VALUES,
+            "space": st.sampled_from([1, 2, 3, True]) | JSON_VALUES,
+            "expected": st.sampled_from(
+                [True, False, None, [0], [0, 7], ["irr01"], ["zz"], 1]
+            )
+            | JSON_VALUES,
+            "note": st.text(max_size=4) | JSON_VALUES,
+        },
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def parses_or_rejects(value):
+    """parse_spacefile on the JSON text of `value`: the entry, or None when
+    the document was rejected with a SpaceFileError."""
+    try:
+        return parse_spacefile(json.dumps(value), "fuzz")
+    except SpaceFileError:
+        return None
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for idx, child in enumerate(value):
+            yield from _paths(child, prefix + (idx,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_fuzz_arbitrary_json_parses_or_rejects(value):
+    parses_or_rejects(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC]), st.data())
+def test_fuzz_mutated_documents_parse_or_reject(base, data):
+    doc = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            # a copy: later mutations must not edit the strategy's samples
+            parent[path[-1]] = json.loads(json.dumps(data.draw(NEAR_VALUES)))
+    parses_or_rejects(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC]), CLAIMS)
+def test_fuzz_claims_parse_or_reject_and_accepted_claims_evaluate(base, claims):
+    entry = parses_or_rejects({**base, "claims": claims})
+    if entry is not None:
+        # a claim accepted by the parser must evaluate without raising
+        verify_entry(entry)

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from bispacelab.finite import PointSet, enumerate_spaces
@@ -10,6 +13,7 @@ from bispacelab.suites import (
     SuiteConfig,
     run_theorem_suite,
 )
+from helpers import FAULT_CASES, FAULT_SUITES, fault_injection_digests
 
 
 def test_config_validation():
@@ -118,3 +122,26 @@ def test_sampled_sweep_deterministic_for_fixed_seed():
         )
 
     assert run() == run()
+
+
+FAULT_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "fault_injection.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_violation_lists_on_corrupted_tables_match_fixture(case):
+    # one flipped table bit must give exactly the frozen violations (count,
+    # order and wording); a sweep that skips a check, or a memo keyed too
+    # coarsely, changes the list
+    assert fault_injection_digests(case) == FAULT_FIXTURE[case]
+
+
+def test_fault_fixture_fires_every_memoised_suite():
+    fired = {
+        name
+        for digests in FAULT_FIXTURE.values()
+        for name, d in digests.items()
+        if d["violations"]
+    }
+    assert fired == set(FAULT_SUITES)
