@@ -15,6 +15,7 @@ additionally runs a seeded sampled sweep with the reference predicates
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, replace
@@ -124,6 +125,19 @@ def _suite_lemma_3_1(config) -> SuiteResult:
     )
 
 
+def _row_reads(rows, t_count: int) -> list[tuple[int, int, int, int]]:
+    """(t1, t2, direction, row) for every read of the given rows, in sweep
+    order: row a * t_count + b is direction (1,2) at pair (a, b) and
+    direction (2,1) at pair (b, a)."""
+    reads = []
+    for row in rows:
+        a, b = divmod(row, t_count)
+        reads.append((a, b, 0, row))
+        reads.append((b, a, 1, row))
+    reads.sort()
+    return reads
+
+
 def _suite_c1_iff_c2(config) -> SuiteResult:
     violations = []
     checked = 0
@@ -131,26 +145,26 @@ def _suite_c1_iff_c2(config) -> SuiteResult:
         bt = bispace_tables(n)
         t_count = bt.top.count
         po_table, wpo_table = bt.po, bt.wpo
-        for t1 in range(t_count):
-            for t2 in range(t_count):
-                for direction, row in (
-                    (0, t1 * t_count + t2), (1, t2 * t_count + t1)
-                ):
-                    po = po_table[row]
-                    wpo = wpo_table[row]
-                    checked += 1 << n
-                    if po & ~wpo:
-                        a = (po & ~wpo & -(po & ~wpo)).bit_length() - 1
-                        violations.append(
-                            f"squeeze-without-containment n={n} pair=({t1}, {t2}) "
-                            f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                        )
-                    if wpo & ~po:
-                        a = (wpo & ~po & -(wpo & ~po)).bit_length() - 1
-                        violations.append(
-                            f"containment-without-squeeze n={n} pair=({t1}, {t2}) "
-                            f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                        )
+        # every row is read in both directions, over all 2^n subsets
+        checked += 2 * t_count * t_count << n
+        failing = itertools.compress(
+            itertools.count(), map(operator.ne, po_table, wpo_table)
+        )
+        for t1, t2, direction, row in _row_reads(failing, t_count):
+            po = po_table[row]
+            wpo = wpo_table[row]
+            if po & ~wpo:
+                a = (po & ~wpo & -(po & ~wpo)).bit_length() - 1
+                violations.append(
+                    f"squeeze-without-containment n={n} pair=({t1}, {t2}) "
+                    f"dir={_dir_name(direction)} A={_ps(n, a)}"
+                )
+            if wpo & ~po:
+                a = (wpo & ~po & -(wpo & ~po)).bit_length() - 1
+                violations.append(
+                    f"containment-without-squeeze n={n} pair=({t1}, {t2}) "
+                    f"dir={_dir_name(direction)} A={_ps(n, a)}"
+                )
     return SuiteResult(
         "C1-iff-C2",
         "the squeezed-open condition and the interior-of-closure condition "
@@ -168,22 +182,33 @@ def _suite_open_implies_preopen(config) -> SuiteResult:
         t_count = bt.top.count
         openbits = bt.top.openbits
         po_table, so_table, spo_table = bt.po, bt.so, bt.spo
-        for t1 in range(t_count):
-            for t2 in range(t_count):
-                for opens_i, row in (
-                    (openbits[t1], t1 * t_count + t2),
-                    (openbits[t2], t2 * t_count + t1),
-                ):
-                    po = po_table[row]
-                    so = so_table[row]
-                    spo = spo_table[row]
-                    checked += 3
-                    if opens_i & ~po:
-                        violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
-                    if opens_i & ~so:
-                        violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
-                    if (po | so) & ~spo:
-                        violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
+        # row a * t_count + b is read in both directions, each time with
+        # three checks against the opens of t_a; it passes iff those opens
+        # lie in po & so and po | so lies in spo
+        checked += 6 * t_count * t_count
+        opens_i = list(itertools.chain.from_iterable(
+            itertools.repeat(bits, t_count) for bits in openbits
+        ))
+        covered = map(operator.and_, map(operator.and_, opens_i, po_table), so_table)
+        joined = map(operator.or_, map(operator.or_, po_table, so_table), spo_table)
+        fails = map(
+            operator.or_,
+            map(operator.ne, covered, opens_i),
+            map(operator.ne, joined, spo_table),
+        )
+        for t1, t2, _, row in _row_reads(
+            itertools.compress(itertools.count(), fails), t_count
+        ):
+            opens = opens_i[row]
+            po = po_table[row]
+            so = so_table[row]
+            spo = spo_table[row]
+            if opens & ~po:
+                violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
+            if opens & ~so:
+                violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
+            if (po | so) & ~spo:
+                violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
     return SuiteResult(
         "open-implies-preopen",
         "open sets are preopen and semiopen; preopen and semiopen sets are "

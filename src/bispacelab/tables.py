@@ -7,6 +7,11 @@ is an int with bit s1*T+s2 set ("pairset"). Rectangle products of topsets
 expand into pairsets, which turns every per-(map, source-bispace) question
 over all target bispaces into a handful of big-int operations.
 
+The bispace tables are built packed across tau_2: a maskset per tau_2 sits in
+a slot of 2^n bits (at least 8) of one big int, slot t2 holding pair (t1, t2),
+so one OR per tau_1-open computes a row for every t2 at once and one split
+turns the packed int back into per-pair rows (see BispaceTables).
+
 Everything here recomputes the reference predicates in flat form; the test
 suite asserts agreement with the reference implementations, so the tables
 never replace the direct route, they only drive the bulk sweeps.
@@ -15,6 +20,7 @@ never replace the direct route, they only drive the bulk sweeps.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,13 +38,6 @@ def rect(topset1: int, topset2: int, t_count: int) -> int:
         out |= topset2 << (s1 * t_count)
         m1 ^= low
     return out
-
-
-def rect_subset(a1: int, a2: int, b1: int, b2: int) -> bool:
-    """a1 x a2 inside b1 x b2."""
-    if a1 == 0 or a2 == 0:
-        return True
-    return a1 & ~b1 == 0 and a2 & ~b2 == 0
 
 
 def rect_equal(a1: int, a2: int, b1: int, b2: int) -> bool:
@@ -114,8 +113,18 @@ class BispaceTables:
     direction 0 masks at (t2,t1), so only direction 0 is materialized and
     `dir_bits` does the swap.
 
-    Every row is a definitional search, run bit-parallel over masksets of
-    intervals {s : a <= s <= c}; no predicate is derived from another one.
+    Every row is a definitional search: "some tau_1-open set lies between",
+    taken over the opens of t1 and run bit-parallel over masksets; no row is
+    derived from another one (po is not read off wpo, nor spo off po). Per
+    tau_2 and subset o the build keeps
+      P(o)      = {a : a <= o <= cl_2(a)}, the sets o squeezes,
+      around(o) = {s : o <= s <= cl_2(o)},
+      Q(o)      = OR of around(a) over a in P(o),
+      fibre(c)  = {a : cl_2(a) = c},
+    so po, so and spo at (t1, t2) are the ORs of P, around and Q over the
+    tau_1-opens, and wpo is the OR over c of fibre(c) & {a : a <= int_1(c)}.
+    Each of these masksets sits in one int with a slot per t2 (see
+    `_slot_width`), so one OR per tau_1-open serves every t2 at once.
     Pairs with equal (semi)preopen masksets share one hull row object.
     """
 
@@ -163,52 +172,84 @@ def _hull_row(bits: int, n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+# struct codes of unsigned slots by width (enumeration stops at 4 points, so
+# slots are 8 or 16 bits); the "<" prefix fixes standard little-endian
+# sizes, so the slot layout does not depend on sys.byteorder
+_SLOT_CODES = {8: "B", 16: "H"}
+
+
+def _slot_width(n: int) -> int:
+    """Bits per slot for masksets on an n-point carrier: 2^n, at least 8."""
+    return max(1 << n, 8)
+
+
+def _pack_slots(values, width: int) -> int:
+    """The int with values[i] in bits width*i .. width*(i+1)-1."""
+    code = _SLOT_CODES[width]
+    return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+
+
+def _split_slots(packed: int, width: int, count: int) -> tuple[int, ...]:
+    """The `count` slots of `packed`, lowest first; inverts _pack_slots."""
+    data = packed.to_bytes(count * width // 8, "little")
+    return struct.unpack(f"<{count}{_SLOT_CODES[width]}", data)
+
+
 @lru_cache(maxsize=None)
 def bispace_tables(n: int) -> BispaceTables:
     top = topology_tables(n)
     t_count = top.count
     size = 1 << n
+    width = _slot_width(n)
     ivl = interval_masksets(n)
-    # around[t2][x]: maskset of the sets between x and cl_2(x)
-    around_all = [[ivl[x][cl2[x]] for x in range(size)] for cl2 in top.cl]
+    # per t2 and subset: P, around, Q and fibre (see BispaceTables)
+    p_all, around_all, q_all, fibre_all = [], [], [], []
+    for cl2 in top.cl:
+        around = [ivl[x][cl2[x]] for x in range(size)]
+        p = [0] * size
+        q = [0] * size
+        fibre = [0] * size
+        for a in range(size):
+            fibre[cl2[a]] |= 1 << a
+            rest = around[a]
+            while rest:
+                low = rest & -rest
+                o = low.bit_length() - 1
+                p[o] |= 1 << a
+                q[o] |= around[a]
+                rest ^= low
+        p_all.append(p)
+        around_all.append(around)
+        q_all.append(q)
+        fibre_all.append(fibre)
+    # packed[o]: slot t2 holds the t2 maskset of subset o
+    p_packed, around_packed, q_packed, fibre_packed = (
+        [_pack_slots(column, width) for column in zip(*per_t2)]
+        for per_t2 in (p_all, around_all, q_all, fibre_all)
+    )
+    # sub_spread[x]: {a : a <= x} in every slot (no carries: it is < 2^width)
+    ones = _pack_slots([1] * t_count, width)
+    sub_spread = [bits * ones for bits in ivl[0]]
+    po, wpo, so, spo = [], [], [], []
+    for t1 in range(t_count):
+        int1 = top.intr[t1]
+        po_packed = so_packed = spo_packed = wpo_packed = 0
+        for o in top.opens[t1]:
+            po_packed |= p_packed[o]
+            so_packed |= around_packed[o]
+            spo_packed |= q_packed[o]
+        for c in range(size):
+            wpo_packed |= fibre_packed[c] & sub_spread[int1[c]]
+        po.extend(_split_slots(po_packed, width, t_count))
+        wpo.extend(_split_slots(wpo_packed, width, t_count))
+        so.extend(_split_slots(so_packed, width, t_count))
+        spo.extend(_split_slots(spo_packed, width, t_count))
     # a hull row depends only on its maskset, and many pairs share one
     # (1,639 distinct rows over the 126,025 pairs at n = 4)
-    hulls: dict[int, tuple[int, ...]] = {}
-    po, wpo, so, spo = [], [], [], []
-    pcl_rows, spcl_rows = [], []
-    for t1 in range(t_count):
-        openbits1 = top.openbits[t1]
-        opens1 = top.opens[t1]
-        int1 = top.intr[t1]
-        for t2 in range(t_count):
-            cl2 = top.cl[t2]
-            around = around_all[t2]
-            # po: some tau_1-open set lies between a and cl_2(a);
-            # spo: a lies between some preopen u and cl_2(u)
-            po_bits = wpo_bits = spo_bits = 0
-            for a in range(size):
-                if openbits1 & around[a]:
-                    po_bits |= 1 << a
-                    spo_bits |= around[a]
-                # wpo: a inside int_1(cl_2(a))
-                if a & ~int1[cl2[a]] == 0:
-                    wpo_bits |= 1 << a
-            # so: a lies between some tau_1-open o and cl_2(o)
-            so_bits = 0
-            for o in opens1:
-                so_bits |= around[o]
-            for bits in (po_bits, spo_bits):
-                if bits not in hulls:
-                    hulls[bits] = _hull_row(bits, n)
-            po.append(po_bits)
-            wpo.append(wpo_bits)
-            so.append(so_bits)
-            spo.append(spo_bits)
-            pcl_rows.append(hulls[po_bits])
-            spcl_rows.append(hulls[spo_bits])
+    hulls = {bits: _hull_row(bits, n) for bits in {*po, *spo}}
     return BispaceTables(
         top, tuple(po), tuple(wpo), tuple(so), tuple(spo),
-        tuple(pcl_rows), tuple(spcl_rows),
+        tuple(map(hulls.__getitem__, po)), tuple(map(hulls.__getitem__, spo)),
     )
 
 

@@ -29,7 +29,9 @@ from bispacelab.symbolic import (
 )
 from bispacelab.maps import enumerate_directed_sets
 from bispacelab.tables import (
+    BispaceTables,
     TopologyTables,
+    _hull_row,
     bispace_tables,
     interval_masksets,
     map_tables,
@@ -183,6 +185,57 @@ def reference_bispace_rows(top: TopologyTables, t1: int, t2: int):
         pcl_row.append(acc_p)
         spcl_row.append(acc_sp)
     return po_bits, wpo_bits, so_bits, spo_bits, tuple(pcl_row), tuple(spcl_row)
+
+
+def reference_bispace_tables(n: int) -> BispaceTables:
+    """bispace_tables(n) built pair by pair: per (t1, t2), po/wpo/spo scan
+    the subsets and so the tau_1-opens against interval masksets. The oracle
+    for the build packed across tau_2."""
+    top = topology_tables(n)
+    t_count = top.count
+    size = 1 << n
+    ivl = interval_masksets(n)
+    # around[t2][x]: maskset of the sets between x and cl_2(x)
+    around_all = [[ivl[x][cl2[x]] for x in range(size)] for cl2 in top.cl]
+    # a hull row depends only on its maskset, and many pairs share one
+    # (1,639 distinct rows over the 126,025 pairs at n = 4)
+    hulls: dict[int, tuple[int, ...]] = {}
+    po, wpo, so, spo = [], [], [], []
+    pcl_rows, spcl_rows = [], []
+    for t1 in range(t_count):
+        openbits1 = top.openbits[t1]
+        opens1 = top.opens[t1]
+        int1 = top.intr[t1]
+        for t2 in range(t_count):
+            cl2 = top.cl[t2]
+            around = around_all[t2]
+            # po: some tau_1-open set lies between a and cl_2(a);
+            # spo: a lies between some preopen u and cl_2(u)
+            po_bits = wpo_bits = spo_bits = 0
+            for a in range(size):
+                if openbits1 & around[a]:
+                    po_bits |= 1 << a
+                    spo_bits |= around[a]
+                # wpo: a inside int_1(cl_2(a))
+                if a & ~int1[cl2[a]] == 0:
+                    wpo_bits |= 1 << a
+            # so: a lies between some tau_1-open o and cl_2(o)
+            so_bits = 0
+            for o in opens1:
+                so_bits |= around[o]
+            for bits in (po_bits, spo_bits):
+                if bits not in hulls:
+                    hulls[bits] = _hull_row(bits, n)
+            po.append(po_bits)
+            wpo.append(wpo_bits)
+            so.append(so_bits)
+            spo.append(spo_bits)
+            pcl_rows.append(hulls[po_bits])
+            spcl_rows.append(hulls[spo_bits])
+    return BispaceTables(
+        top, tuple(po), tuple(wpo), tuple(so), tuple(spo),
+        tuple(pcl_rows), tuple(spcl_rows),
+    )
 
 
 def reference_continuity_grids(m: int, k: int):
@@ -374,6 +427,24 @@ FAULT_CASES = {
         {3: lambda bt: dataclasses.replace(bt, pcl=_flip_hull(bt.pcl, 300, 2, 0))},
         {},
     ),
+    # sets a wpo bit that po lacks: containment-without-squeeze
+    "wpo-pair400-bit1": (
+        {3: lambda bt: dataclasses.replace(bt, wpo=_flip_row(bt.wpo, 400, 1))},
+        {},
+    ),
+    # clears the bit of a tau_1-open from so: open-not-semiopen
+    "so-pair500-bit4": (
+        {3: lambda bt: dataclasses.replace(bt, so=_flip_row(bt.so, 500, 4))},
+        {},
+    ),
+    # rows 342 = (11, 23) and 678 = (23, 11) each lose the po bit of a
+    # tau_1-open, so both directions of the pair fail (open-not-preopen)
+    "po-pair342-pair678-both-directions": (
+        {3: lambda bt: dataclasses.replace(
+            bt, po=_flip_row(_flip_row(bt.po, 342, 5), 678, 3)
+        )},
+        {},
+    ),
     "grid32-f5-pc40-sc41": (
         {},
         {(3, 2): lambda g: dataclasses.replace(
@@ -389,14 +460,13 @@ FAULT_CASES = {
 }
 
 
-def fault_injection_digests(case: str, n: int = 3) -> dict:
-    """Run FAULT_SUITES at carrier size n on the tables corrupted by `case`.
+def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
+    """Run the suites `which` at carrier size n on the tables corrupted by
+    `case`.
 
-    Returns per suite ``{"checked", "violations", "sha256"}``, the digest
-    being over the violation lines joined by newlines. The suites read the
-    corrupted tables through their module's `bispace_tables` and
-    `continuity_grids`; the per-k pairset cache starts empty and is restored
-    afterwards, so no corrupted row outlives the run.
+    The suites read the corrupted tables through their module's
+    `bispace_tables` and `continuity_grids`; the per-k pairset cache starts
+    empty and is restored afterwards, so no corrupted row outlives the run.
     """
     from bispacelab import suites
 
@@ -412,21 +482,26 @@ def fault_injection_digests(case: str, n: int = 3) -> dict:
         grids = true_grids(m, k)
         return grid_faults[(m, k)](grids) if (m, k) in grid_faults else grids
 
-    out = {}
     with mock.patch.object(suites, "bispace_tables", corrupt_bt), \
             mock.patch.object(suites, "continuity_grids", corrupt_grids), \
             mock.patch.dict(suites._HAS_CACHE, clear=True):
-        for result in suites.run_theorem_suite(
-            suites.SuiteConfig(n=n, which=FAULT_SUITES)
-        ):
-            out[result.name] = {
-                "checked": result.checked,
-                "violations": len(result.violations),
-                "sha256": hashlib.sha256(
-                    "\n".join(result.violations).encode()
-                ).hexdigest(),
-            }
-    return out
+        return suites.run_theorem_suite(suites.SuiteConfig(n=n, which=which))
+
+
+def fault_injection_digests(case: str, n: int = 3) -> dict:
+    """Per suite of FAULT_SUITES on the tables corrupted by `case`,
+    ``{"checked", "violations", "sha256"}``, the digest being over the
+    violation lines joined by newlines."""
+    return {
+        result.name: {
+            "checked": result.checked,
+            "violations": len(result.violations),
+            "sha256": hashlib.sha256(
+                "\n".join(result.violations).encode()
+            ).hexdigest(),
+        }
+        for result in fault_injection_results(case, n)
+    }
 
 
 if __name__ == "__main__":

@@ -13,7 +13,12 @@ from bispacelab.suites import (
     SuiteConfig,
     run_theorem_suite,
 )
-from helpers import FAULT_CASES, FAULT_SUITES, fault_injection_digests
+from helpers import (
+    FAULT_CASES,
+    FAULT_SUITES,
+    fault_injection_digests,
+    fault_injection_results,
+)
 
 
 def test_config_validation():
@@ -145,3 +150,21 @@ def test_fault_fixture_fires_every_memoised_suite():
         if d["violations"]
     }
     assert fired == set(FAULT_SUITES)
+
+
+def test_fault_cases_fire_every_row_comparison_kind():
+    # the fixture freezes digests only; this pins that each violation kind
+    # of the two row-comparison suites is among them
+    kinds = set()
+    for case in FAULT_CASES:
+        for result in fault_injection_results(
+            case, which=("C1-iff-C2", "open-implies-preopen")
+        ):
+            kinds.update(line.split()[0] for line in result.violations)
+    assert kinds == {
+        "squeeze-without-containment",
+        "containment-without-squeeze",
+        "open-not-preopen",
+        "open-not-semiopen",
+        "not-semipreopen",
+    }

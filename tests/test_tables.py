@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
 from bispacelab.suites import _consequence_failures
 from bispacelab.tables import (
+    _pack_slots,
+    _split_slots,
     bispace_tables,
     continuity_grids,
     convergence_bits,
@@ -14,6 +17,7 @@ from bispacelab.tables import (
 )
 from helpers import (
     reference_bispace_rows,
+    reference_bispace_tables,
     reference_consequence_failures,
     reference_continuity_grids,
     reference_convergence_bits,
@@ -46,6 +50,41 @@ def test_bispace_tables_match_brute_force_sampled_n4():
         assert _rows(bt, bt.pair_index(t1, t2)) == reference_bispace_rows(
             top, t1, t2
         ), (t1, t2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bispace_tables_match_per_pair_build_on_every_pair(n):
+    # 126,025 pairs at n = 4; the per-pair build is checked against the
+    # brute force above
+    got = bispace_tables(n)
+    expected = reference_bispace_tables(n)
+    for field in ("po", "wpo", "so", "spo", "pcl", "spcl"):
+        got_rows = getattr(got, field)
+        expected_rows = getattr(expected, field)
+        assert len(got_rows) == len(expected_rows), field
+        bad = next(
+            (pair for pair, (g, e) in enumerate(zip(got_rows, expected_rows))
+             if g != e),
+            None,
+        )
+        assert bad is None, (field, divmod(bad, got.top.count))
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("width", [8, 16])
+def test_split_slots_matches_shifts(width, byteorder, monkeypatch):
+    # the slots are fixed little-endian: a split that read sys.byteorder
+    # would give other slots under the other setting
+    monkeypatch.setattr(sys, "byteorder", byteorder)
+    rng = random.Random(width)
+    for count in (1, 2, 29, 355):
+        for _ in range(20):
+            packed = rng.getrandbits(width * count)
+            expected = tuple(
+                (packed >> (width * i)) & ((1 << width) - 1) for i in range(count)
+            )
+            assert _split_slots(packed, width, count) == expected
+            assert _pack_slots(expected, width) == packed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
