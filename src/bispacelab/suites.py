@@ -14,6 +14,7 @@ additionally runs a seeded sampled sweep with the reference predicates
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -33,9 +34,10 @@ from .tables import (
     interval_masksets,
     map_tables,
     net_catalog,
+    pair_rows,
     rect,
     rect_equal,
-    relabel_subset,
+    subsets_of,
     topology_tables,
     trace_tables,
 )
@@ -223,13 +225,11 @@ def _suite_thm_3_1(config) -> SuiteResult:
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            t1, t2 = divmod(pair, t_count)
-            for direction in (0, 1):
-                po = bt.dir_bits(bt.po, pair, direction)
-                spo = bt.dir_bits(bt.spo, pair, direction)
-                cl_j = bt.top.cl[t2 if direction == 0 else t1]
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
+            for direction, row, t_j in ((0, pair, t2), (1, swapped, t1)):
+                po = bt.po[row]
+                spo = bt.spo[row]
+                cl_j = bt.top.cl[t_j]
                 for a in range(1 << n):
                     target = cl_j[a]
                     for u in range(1 << n):
@@ -264,36 +264,38 @@ def _suite_thm_3_1(config) -> SuiteResult:
 
 
 def _suite_thm_3_2(config) -> SuiteResult:
+    """Per (t_i, t_j), the condition maskset is every subset minus, for each
+    tau_j-closed g, the subsets of g that are not subsets of int_i g; it is
+    laid out like the po rows and compared with them row by row."""
     violations = []
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            t1, t2 = divmod(pair, t_count)
-            for direction in (0, 1):
-                po = bt.dir_bits(bt.po, pair, direction)
-                opens_j = bt.top.opens[t2 if direction == 0 else t1]
-                intr_i = bt.top.intr[t1 if direction == 0 else t2]
-                full = bt.top.full
-                cond = 0
-                for a in range(1 << n):
-                    ok = True
-                    for o in opens_j:
-                        g = full ^ o
-                        if a & ~g == 0 and a & ~intr_i[g]:
-                            ok = False
-                            break
-                    if ok:
-                        cond |= 1 << a
-                    checked += 1
-                if po != cond:
-                    diff = po ^ cond
-                    a = (diff & -diff).bit_length() - 1
-                    side = "forward" if (po >> a) & 1 else "converse-on-finite"
-                    violations.append(
-                        f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} A={_ps(n, a)}"
-                    )
+        top = bt.top
+        t_count = top.count
+        every = (1 << (1 << n)) - 1
+        sub = interval_masksets(n)[0]
+        closed = [[top.full ^ o for o in opens] for opens in top.opens]
+        cond_table = []
+        for intr_i in top.intr:
+            # escapes[g]: the subsets of g that are not subsets of int_i g
+            escapes = [sub[g] & ~sub[intr_i[g]] for g in range(1 << n)]
+            for closed_j in closed:
+                bad = functools.reduce(operator.or_, [escapes[g] for g in closed_j])
+                cond_table.append(every & ~bad)
+        # every row is read in both directions, over all 2^n subsets
+        checked += 2 * t_count * t_count << n
+        failing = itertools.compress(
+            itertools.count(), map(operator.ne, bt.po, cond_table)
+        )
+        for t1, t2, direction, row in _row_reads(failing, t_count):
+            po = bt.po[row]
+            diff = po ^ cond_table[row]
+            a = (diff & -diff).bit_length() - 1
+            side = "forward" if (po >> a) & 1 else "converse-on-finite"
+            violations.append(
+                f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} A={_ps(n, a)}"
+            )
     return SuiteResult(
         "thm-3.2",
         "preopen sets land in the interior of every closed superset, and on "
@@ -308,17 +310,16 @@ def _suite_thm_3_3(config) -> SuiteResult:
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            for direction in (0, 1):
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
+            for direction, row in ((0, pair), (1, swapped)):
                 for table, tag in ((bt.po, "preopen"), (bt.spo, "semipreopen")):
-                    bits = bt.dir_bits(table, pair, direction)
+                    bits = table[row]
                     members = [a for a in range(1 << n) if (bits >> a) & 1]
                     for a, b in itertools.combinations_with_replacement(members, 2):
                         checked += 1
                         if not (bits >> (a | b)) & 1:
                             violations.append(
-                                f"{tag} n={n} pair={divmod(pair, t_count)} "
+                                f"{tag} n={n} pair=({t1}, {t2}) "
                                 f"dir={_dir_name(direction)} A={_ps(n, a)} B={_ps(n, b)}"
                             )
     return SuiteResult(
@@ -335,15 +336,13 @@ def _suite_thm_3_4(config) -> SuiteResult:
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            t1, t2 = divmod(pair, t_count)
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
             biopen = [
                 o for o in bt.top.opens[t1] if (bt.top.openbits[t2] >> o) & 1
             ]
-            for direction in (0, 1):
+            for direction, row in ((0, pair), (1, swapped)):
                 for table, tag in ((bt.po, "preopen"), (bt.spo, "semipreopen")):
-                    bits = bt.dir_bits(table, pair, direction)
+                    bits = table[row]
                     for a in range(1 << n):
                         if not (bits >> a) & 1:
                             continue
@@ -369,27 +368,24 @@ def _suite_thm_3_5(config) -> SuiteResult:
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         tr = trace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            t1, t2 = divmod(pair, t_count)
+        # inside[y][i] is the subset of y relabelled to subset i of y
+        inside = [subsets_of(y) for y in range(1 << n)]
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
             for y in range(1, 1 << n):
                 sub_n1, t1s = tr[t1][y]
                 _, t2s = tr[t2][y]
                 sub_bt = bispace_tables(sub_n1)
-                sub_pair = t1s * sub_bt.top.count + t2s
-                for direction in (0, 1):
-                    po = bt.dir_bits(bt.po, pair, direction)
-                    spo = bt.dir_bits(bt.spo, pair, direction)
-                    sub_po = sub_bt.dir_bits(sub_bt.po, sub_pair, direction)
-                    sub_spo = sub_bt.dir_bits(sub_bt.spo, sub_pair, direction)
-                    y_open_i = (
-                        bt.top.openbits[t1 if direction == 0 else t2] >> y
-                    ) & 1
-                    for a in range(1 << n):
-                        if a & ~y:
-                            continue
+                for direction, row, sub_row, t_i in (
+                    (0, pair, sub_bt.pair_index(t1s, t2s), t1),
+                    (1, swapped, sub_bt.pair_index(t2s, t1s), t2),
+                ):
+                    po = bt.po[row]
+                    spo = bt.spo[row]
+                    sub_po = sub_bt.po[sub_row]
+                    sub_spo = sub_bt.spo[sub_row]
+                    y_open_i = (bt.top.openbits[t_i] >> y) & 1
+                    for a_sub, a in enumerate(inside[y]):
                         checked += 1
-                        a_sub = relabel_subset(a, y)
                         if (po >> a) & 1 and not (sub_po >> a_sub) & 1:
                             violations.append(
                                 f"preopen-restriction n={n} pair=({t1},{t2}) "
@@ -431,13 +427,11 @@ def _suite_note_3_4(config) -> SuiteResult:
             for y in range(1, 1 << n):
                 sub_n, t_sub = tr[t][y]
                 sub_cl = topology_tables(sub_n).cl[t_sub]
-                for a in range(1 << n):
-                    if a & ~y:
-                        continue
+                # inside[i] is the subset of y relabelled to subset i of y
+                inside = subsets_of(y)
+                for a_sub, a in enumerate(inside):
                     checked += 1
-                    if sub_cl[relabel_subset(a, y)] != relabel_subset(
-                        top.cl[t][a] & y, y
-                    ):
+                    if inside[sub_cl[a_sub]] != top.cl[t][a] & y:
                         violations.append(
                             f"relative-closure n={n} t={t} Y={_ps(n, y)} A={_ps(n, a)}"
                         )
@@ -467,23 +461,20 @@ def _suite_thm_3_6(config, semi: bool = False) -> SuiteResult:
         # membership checks n per set; monotonicity one per nested (a, b)
         per_row = n * size + 3 ** n
         faults_of: dict[tuple, list[tuple[str, str]]] = {}
-        for t1 in range(t_count):
-            for t2 in range(t_count):
-                for direction, row in (
-                    (0, t1 * t_count + t2), (1, t2 * t_count + t1)
-                ):
-                    checked += per_row
-                    bits = bits_table[row]
-                    hull = hull_table[row]
-                    key = (bits, hull)
-                    faults = faults_of.get(key)
-                    if faults is None:
-                        faults = faults_of[key] = _hull_faults(n, bits, hull)
-                    for kind, where in faults:
-                        violations.append(
-                            f"{kind} n={n} pair=({t1}, {t2}) "
-                            f"dir={_dir_name(direction)} {where}"
-                        )
+        for t1, t2, pair, swapped in pair_rows(t_count):
+            for direction, row in ((0, pair), (1, swapped)):
+                checked += per_row
+                bits = bits_table[row]
+                hull = hull_table[row]
+                key = (bits, hull)
+                faults = faults_of.get(key)
+                if faults is None:
+                    faults = faults_of[key] = _hull_faults(n, bits, hull)
+                for kind, where in faults:
+                    violations.append(
+                        f"{kind} n={n} pair=({t1}, {t2}) "
+                        f"dir={_dir_name(direction)} {where}"
+                    )
     kind = "semipreclosure" if semi else "preclosure"
     return SuiteResult(
         name,
@@ -518,15 +509,13 @@ def _suite_remark_3_1(config) -> SuiteResult:
     note = None
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
-        t_count = bt.top.count
-        for pair in range(t_count * t_count):
-            for direction in (0, 1):
-                po = bt.dir_bits(bt.po, pair, direction)
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
+            for direction, row in ((0, pair), (1, swapped)):
+                po = bt.po[row]
                 members = [a for a in range(1 << n) if (po >> a) & 1]
                 for a, b in itertools.combinations(members, 2):
                     checked += 1
                     if not (po >> (a & b)) & 1:
-                        t1, t2 = divmod(pair, t_count)
                         note = (
                             f"witness: n={n} pair=({t1},{t2}) dir={_dir_name(direction)} "
                             f"A={_ps(n, a)} B={_ps(n, b)} intersection={_ps(n, a & b)} "
@@ -562,33 +551,27 @@ def _map_size_combos(n: int) -> list[tuple[int, int]]:
     return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
 
 
-def _has_pairsets(k: int):
-    """Per direction and subset mask: pairset of target bispaces where it is
-    preopen / semipreopen."""
-    bt = bispace_tables(k)
-    t = bt.top.count
-    size = 1 << k
-    has_po = [[0] * size, [0] * size]
-    has_spo = [[0] * size, [0] * size]
-    for pair in range(t * t):
-        for direction in (0, 1):
-            po = bt.dir_bits(bt.po, pair, direction)
-            spo = bt.dir_bits(bt.spo, pair, direction)
-            for a in range(size):
-                if (po >> a) & 1:
-                    has_po[direction][a] |= 1 << pair
-                if (spo >> a) & 1:
-                    has_spo[direction][a] |= 1 << pair
-    return has_po, has_spo
-
-
-_HAS_CACHE: dict = {}
-
-
-def _has_tables(k: int):
-    if k not in _HAS_CACHE:
-        _HAS_CACHE[k] = _has_pairsets(k)
-    return _HAS_CACHE[k]
+def _has_pairsets(n: int) -> dict:
+    """Per target size k up to the map sweeps' limit, per direction and
+    subset mask: pairset of target bispaces where it is preopen /
+    semipreopen."""
+    out = {}
+    for k in range(1, min(n, MAX_EXHAUSTIVE_MAP_CARRIER) + 1):
+        bt = bispace_tables(k)
+        size = 1 << k
+        has_po = [[0] * size, [0] * size]
+        has_spo = [[0] * size, [0] * size]
+        for _, _, pair, swapped in pair_rows(bt.top.count):
+            for direction, row in ((0, pair), (1, swapped)):
+                po = bt.po[row]
+                spo = bt.spo[row]
+                for a in range(size):
+                    if (po >> a) & 1:
+                        has_po[direction][a] |= 1 << pair
+                    if (spo >> a) & 1:
+                        has_spo[direction][a] |= 1 << pair
+        out[k] = has_po, has_spo
+    return out
 
 
 def _suite_thm_4_1(config) -> SuiteResult:
@@ -600,13 +583,14 @@ def _suite_thm_4_1(config) -> SuiteResult:
     only a failing (pair, direction) walks its members again to name them."""
     violations = []
     checked = 0
+    has = _has_pairsets(config.n)
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         bt_m = bispace_tables(m)
         po_table, spo_table = bt_m.po, bt_m.spo
         t_m = bt_m.top.count
         t_k = topology_tables(k).count
-        has_po, has_spo = _has_tables(k)
+        has_po, has_spo = has[k]
         full_pairs = (1 << (t_k * t_k)) - 1
         neg_po = [[full_pairs ^ h for h in has_po[d]] for d in (0, 1)]
         neg_spo = [[full_pairs ^ h for h in has_spo[d]] for d in (0, 1)]
@@ -617,57 +601,52 @@ def _suite_thm_4_1(config) -> SuiteResult:
             # (maskset, direction) -> (member count, OR of failing pairsets)
             po_seen: dict[tuple[int, int], tuple[int, int]] = {}
             spo_seen: dict[tuple[int, int], tuple[int, int]] = {}
-            for t1 in range(t_m):
+            for t1, t2, pair, swapped in pair_rows(t_m):
                 co1 = co[t1]
-                if not co1:
+                co2 = co[t2]
+                if not co1 or not co2:
                     continue
-                for t2 in range(t_m):
-                    co2 = co[t2]
-                    if not co2:
+                key = (co1, co2)
+                r = rect_cache.get(key)
+                if r is None:
+                    r = rect_cache[key] = rect(co1, co2, t_k)
+                for direction, row in ((0, pair), (1, swapped)):
+                    po = po_table[row]
+                    spo = spo_table[row]
+                    po_neg = neg_po[direction]
+                    spo_neg = neg_spo[direction]
+                    po_sum = po_seen.get((po, direction))
+                    if po_sum is None:
+                        po_sum = po_seen[(po, direction)] = _member_summary(
+                            po, img_row, po_neg
+                        )
+                    spo_sum = spo_seen.get((spo, direction))
+                    if spo_sum is None:
+                        spo_sum = spo_seen[(spo, direction)] = _member_summary(
+                            spo, img_row, spo_neg
+                        )
+                    checked += po_sum[0] + spo_sum[0]
+                    if not (r & po_sum[1] or r & spo_sum[1]):
                         continue
-                    key = (co1, co2)
-                    r = rect_cache.get(key)
-                    if r is None:
-                        r = rect_cache[key] = rect(co1, co2, t_k)
-                    pair = t1 * t_m + t2
-                    swapped = t2 * t_m + t1
-                    for direction, row in ((0, pair), (1, swapped)):
-                        po = po_table[row]
-                        spo = spo_table[row]
-                        po_neg = neg_po[direction]
-                        spo_neg = neg_spo[direction]
-                        po_sum = po_seen.get((po, direction))
-                        if po_sum is None:
-                            po_sum = po_seen[(po, direction)] = _member_summary(
-                                po, img_row, po_neg
-                            )
-                        spo_sum = spo_seen.get((spo, direction))
-                        if spo_sum is None:
-                            spo_sum = spo_seen[(spo, direction)] = _member_summary(
-                                spo, img_row, spo_neg
-                            )
-                        checked += po_sum[0] + spo_sum[0]
-                        if not (r & po_sum[1] or r & spo_sum[1]):
-                            continue
-                        for a in range(1 << m):
-                            if (po >> a) & 1:
-                                bad = r & po_neg[img_row[a]]
-                                if bad:
-                                    s1, s2 = decode_pair(bad, t_k)
-                                    violations.append(
-                                        f"preopen m={m} k={k} f={mt.maps[f]} "
-                                        f"X=({t1},{t2}) Y=({s1},{s2}) "
-                                        f"dir={_dir_name(direction)} A={_ps(m, a)}"
-                                    )
-                            if (spo >> a) & 1:
-                                bad = r & spo_neg[img_row[a]]
-                                if bad:
-                                    s1, s2 = decode_pair(bad, t_k)
-                                    violations.append(
-                                        f"semipreopen m={m} k={k} f={mt.maps[f]} "
-                                        f"X=({t1},{t2}) Y=({s1},{s2}) "
-                                        f"dir={_dir_name(direction)} A={_ps(m, a)}"
-                                    )
+                    for a in range(1 << m):
+                        if (po >> a) & 1:
+                            bad = r & po_neg[img_row[a]]
+                            if bad:
+                                s1, s2 = decode_pair(bad, t_k)
+                                violations.append(
+                                    f"preopen m={m} k={k} f={mt.maps[f]} "
+                                    f"X=({t1},{t2}) Y=({s1},{s2}) "
+                                    f"dir={_dir_name(direction)} A={_ps(m, a)}"
+                                )
+                        if (spo >> a) & 1:
+                            bad = r & spo_neg[img_row[a]]
+                            if bad:
+                                s1, s2 = decode_pair(bad, t_k)
+                                violations.append(
+                                    f"semipreopen m={m} k={k} f={mt.maps[f]} "
+                                    f"X=({t1},{t2}) Y=({s1},{s2}) "
+                                    f"dir={_dir_name(direction)} A={_ps(m, a)}"
+                                )
     return SuiteResult(
         "thm-4.1",
         "continuous open maps push (semi)preopen sets forward to "
@@ -699,6 +678,7 @@ def _suite_thm_4_2(config) -> SuiteResult:
     its 2^k target sets."""
     violations = []
     checked = 0
+    has = _has_pairsets(config.n)
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
@@ -706,7 +686,7 @@ def _suite_thm_4_2(config) -> SuiteResult:
         po_table, spo_table = bt_m.po, bt_m.spo
         t_m = bt_m.top.count
         t_k = topology_tables(k).count
-        has_po, has_spo = _has_tables(k)
+        has_po, has_spo = has[k]
         size_k = 1 << k
         rect_cache: dict = {}
         for f in range(len(mt.maps)):
@@ -715,47 +695,43 @@ def _suite_thm_4_2(config) -> SuiteResult:
             open_row = mt.openmap[f]
             po_seen: dict[tuple[int, int], int] = {}
             spo_seen: dict[tuple[int, int], int] = {}
-            for t1 in range(t_m):
-                open1 = open_row[t1]
-                for t2 in range(t_m):
-                    pair = t1 * t_m + t2
-                    swapped = t2 * t_m + t1
-                    h1 = pc_row[pair] & open1
-                    h2 = pc_row[swapped] & open_row[t2]
-                    if not h1 or not h2:
-                        continue
-                    key = (h1, h2)
-                    r = rect_cache.get(key)
-                    if r is None:
-                        r = rect_cache[key] = rect(h1, h2, t_k)
-                    for direction, row in ((0, pair), (1, swapped)):
-                        po_x = po_table[row]
-                        spo_x = spo_table[row]
-                        checked += size_k
-                        bad_po = po_seen.get((po_x, direction))
-                        if bad_po is None:
-                            bad_po = po_seen[(po_x, direction)] = _escape_pairs(
-                                po_x, preim_row, has_po[direction]
-                            )
-                        bad_spo = spo_seen.get((spo_x, direction))
-                        if bad_spo is None:
-                            bad_spo = spo_seen[(spo_x, direction)] = _escape_pairs(
-                                spo_x, preim_row, has_spo[direction]
-                            )
-                        hit = r & bad_po
-                        if hit:
-                            s1, s2 = decode_pair(hit, t_k)
-                            violations.append(
-                                f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                                f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                            )
-                        hit = r & bad_spo
-                        if hit:
-                            s1, s2 = decode_pair(hit, t_k)
-                            violations.append(
-                                f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                                f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                            )
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                h1 = pc_row[pair] & open_row[t1]
+                h2 = pc_row[swapped] & open_row[t2]
+                if not h1 or not h2:
+                    continue
+                key = (h1, h2)
+                r = rect_cache.get(key)
+                if r is None:
+                    r = rect_cache[key] = rect(h1, h2, t_k)
+                for direction, row in ((0, pair), (1, swapped)):
+                    po_x = po_table[row]
+                    spo_x = spo_table[row]
+                    checked += size_k
+                    bad_po = po_seen.get((po_x, direction))
+                    if bad_po is None:
+                        bad_po = po_seen[(po_x, direction)] = _escape_pairs(
+                            po_x, preim_row, has_po[direction]
+                        )
+                    bad_spo = spo_seen.get((spo_x, direction))
+                    if bad_spo is None:
+                        bad_spo = spo_seen[(spo_x, direction)] = _escape_pairs(
+                            spo_x, preim_row, has_spo[direction]
+                        )
+                    hit = r & bad_po
+                    if hit:
+                        s1, s2 = decode_pair(hit, t_k)
+                        violations.append(
+                            f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
+                        )
+                    hit = r & bad_spo
+                    if hit:
+                        s1, s2 = decode_pair(hit, t_k)
+                        violations.append(
+                            f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
+                        )
     return SuiteResult(
         "thm-4.2",
         "precontinuous open maps pull (semi)preopen sets back to "
@@ -783,18 +759,18 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         t_m = bispace_tables(m).top.count
-        swap = bispace_tables(m).swap
         lhs_grid = grids.spc if semi else grids.pc
         rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
         for f in range(len(mt.maps)):
-            for pair in range(t_m * t_m):
+            lhs = lhs_grid[f]
+            rhs = rhs_grid[f]
+            for t1, t2, pair, swapped in pair_rows(t_m):
                 checked += 1
-                l1 = lhs_grid[f][pair]
-                l2 = lhs_grid[f][swap(pair)]
-                r1 = rhs_grid[f][pair]
-                r2 = rhs_grid[f][swap(pair)]
+                l1 = lhs[pair]
+                l2 = lhs[swapped]
+                r1 = rhs[pair]
+                r2 = rhs[swapped]
                 if not rect_equal(l1, l2, r1, r2):
-                    t1, t2 = divmod(pair, t_m)
                     violations.append(
                         f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
                         f"open-route={l1:x},{l2:x} closed-route={r1:x},{r2:x}"
@@ -813,8 +789,9 @@ def _consequence_failures(m: int, k: int, semi: bool):
     """Where each (sp-)precontinuity consequence fails, per map, source
     bispace pair and direction.
 
-    Yields ``(f, pair, direction, (bad_neighborhood, bad_image_hull,
-    bad_preimage_hull))``. Each ``bad_*`` is a topset: bit s is set when the
+    Yields ``(f, t1, t2, direction, row, (bad_neighborhood, bad_image_hull,
+    bad_preimage_hull))``, `row` being the bispace row the direction reads
+    (see tables.pair_rows). Each ``bad_*`` is a topset: bit s is set when the
     consequence fails with s as the witness-side target structure. The
     neighborhood consequence asks every open neighborhood of f(x) to contain
     the image of a (semi)preopen neighborhood of x; the hull consequences
@@ -825,7 +802,7 @@ def _consequence_failures(m: int, k: int, semi: bool):
     ``(around, hull)`` and reused for every (pair, direction) that has it
     (44 distinct rows over the 1,682 at m = 3). Rows are numbered by their
     distinct key once per call and the per-map memo is a list over those
-    numbers; the stream stays in (f, pair, direction) order. Streamed, not
+    numbers; the stream stays in (f, t1, t2, direction) order. Streamed, not
     cached: materialising the 3x3 grid costs more memory than recomputing it
     per consumer costs time.
     """
@@ -857,16 +834,15 @@ def _consequence_failures(m: int, k: int, semi: bool):
         closures_of.append(tuple(groups.items()))
     around_table = bt_m.spo if semi else bt_m.po
     hull_table = bt_m.spcl if semi else bt_m.pcl
-    # (pair, direction, key number) in stream order, and each key number's
-    # (around, hull)
+    # (t1, t2, direction, row, key number) in stream order, and each key
+    # number's (around, hull)
     key_ids: dict[tuple, int] = {}
-    rows = []
-    for t1 in range(t_m):
-        for t2 in range(t_m):
-            pair = t1 * t_m + t2
-            for direction, row in ((0, pair), (1, t2 * t_m + t1)):
-                key = (around_table[row], hull_table[row])
-                rows.append((pair, direction, key_ids.setdefault(key, len(key_ids))))
+    reads = []
+    for t1, t2, pair, swapped in pair_rows(t_m):
+        for direction, row in ((0, pair), (1, swapped)):
+            key = (around_table[row], hull_table[row])
+            key_id = key_ids.setdefault(key, len(key_ids))
+            reads.append((t1, t2, direction, row, key_id))
     keys = list(key_ids)
     for f in range(len(mt.maps)):
         img_row = mt.img[f]
@@ -884,7 +860,7 @@ def _consequence_failures(m: int, k: int, semi: bool):
             for groups in closures_of
         ]
         seen: list = [None] * len(keys)
-        for pair, direction, key_id in rows:
+        for t1, t2, direction, row, key_id in reads:
             bads = seen[key_id]
             if bads is None:
                 around, hull = keys[key_id]
@@ -906,15 +882,10 @@ def _consequence_failures(m: int, k: int, semi: bool):
                 for b in range(size_k):
                     bad_iii |= notsub_pre[b][hull[preim_row[b]]]
                 bads = seen[key_id] = (bad_i, bad_ii, bad_iii)
-            yield f, pair, direction, bads
+            yield f, t1, t2, direction, row, bads
 
 
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
-
-
-def _swapped_pairs(t_count: int) -> list[int]:
-    """Per pair index (t1, t2), the index of (t2, t1)."""
-    return [t2 * t_count + t1 for t1 in range(t_count) for t2 in range(t_count)]
 
 
 def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
@@ -925,11 +896,9 @@ def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         gate_grid = grids.spc if semi else grids.pc
-        t_m = bispace_tables(m).top.count
-        swapped = _swapped_pairs(t_m)
-        for f, pair, direction, bads in _consequence_failures(m, k, semi):
+        for f, t1, t2, direction, row, bads in _consequence_failures(m, k, semi):
             checked += 1
-            gate_i = gate_grid[f][swapped[pair] if direction else pair]
+            gate_i = gate_grid[f][row]
             if not gate_i & (bads[0] | bads[1] | bads[2]):
                 continue
             for tag, bad in zip(_CONSEQUENCES, bads):
@@ -938,7 +907,7 @@ def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
                     s = (hit & -hit).bit_length() - 1
                     violations.append(
                         f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X={divmod(pair, t_m)} "
+                        f"X=({t1}, {t2}) "
                         f"dir={_dir_name(direction)} s_i={s}"
                     )
     kind = "sp-continuous" if semi else "precontinuous"
@@ -959,12 +928,10 @@ def _suite_note_4_2(config) -> SuiteResult:
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
-        t_m = bispace_tables(m).top.count
-        swapped = _swapped_pairs(t_m)
         all_s = (1 << topology_tables(k).count) - 1
-        for f, pair, direction, bads in _consequence_failures(m, k, False):
+        for f, t1, t2, direction, row, bads in _consequence_failures(m, k, False):
             checked += 1
-            gate_i = grids.pc[f][swapped[pair] if direction else pair]
+            gate_i = grids.pc[f][row]
             if not all_s & ~gate_i & ~(bads[0] & bads[1] & bads[2]):
                 continue
             for tag, bad in zip(_CONSEQUENCES, bads):
@@ -973,7 +940,7 @@ def _suite_note_4_2(config) -> SuiteResult:
                     s = (escaped & -escaped).bit_length() - 1
                     violations.append(
                         f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X={divmod(pair, t_m)} "
+                        f"X=({t1}, {t2}) "
                         f"dir={_dir_name(direction)} s_i={s}"
                     )
     return SuiteResult(
@@ -1000,7 +967,7 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
         t_m = bt_m.top.count
         opens = bt_m.top.opens
         openbits = bt_m.top.openbits
-        # per sub-size j: map tables, grid and bispace topology count of the
+        # per sub-size j: map tables, grid and bispace pair index of the
         # restrictions to j points
         subs = [None]
         for j in range(1, m + 1):
@@ -1008,26 +975,23 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
             subs.append((
                 map_tables(j, k),
                 grids_j.spc if semi else grids_j.pc,
-                bispace_tables(j).top.count,
+                bispace_tables(j).pair_index,
             ))
         grid = subs[m][1]
         # per source pair: (region, sub-pair, swapped sub-pair) for every
         # nonempty region open in both structures, in tau_1's open order
         regions_of = []
-        for t1 in range(t_m):
-            for t2 in range(t_m):
-                regions = []
-                for region in opens[t1]:
-                    if region and (openbits[t2] >> region) & 1:
-                        sub_m, t1s = tr[t1][region]
-                        _, t2s = tr[t2][region]
-                        sub_count = subs[sub_m][2]
-                        regions.append((
-                            region,
-                            t1s * sub_count + t2s,
-                            t2s * sub_count + t1s,
-                        ))
-                regions_of.append(regions)
+        for t1, t2, _, _ in pair_rows(t_m):
+            regions = []
+            for region in opens[t1]:
+                if region and (openbits[t2] >> region) & 1:
+                    sub_m, t1s = tr[t1][region]
+                    _, t2s = tr[t2][region]
+                    sub_index = subs[sub_m][2]
+                    regions.append(
+                        (region, sub_index(t1s, t2s), sub_index(t2s, t1s))
+                    )
+            regions_of.append(regions)
         for f in range(len(mt.maps)):
             assign = mt.maps[f]
             row = grid[f]
@@ -1036,21 +1000,19 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
                 sub_assign = tuple(assign[p] for p in range(m) if (region >> p) & 1)
                 mt_sub, grid_sub, _ = subs[len(sub_assign)]
                 sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
-            for t1 in range(t_m):
-                for t2 in range(t_m):
-                    pair = t1 * t_m + t2
-                    g1 = row[pair]
-                    g2 = row[t2 * t_m + t1]
-                    if not g1 or not g2:
-                        continue
-                    for region, sub_pair, sub_swapped in regions_of[pair]:
-                        checked += 1
-                        sub_row = sub_rows[region]
-                        if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
-                            violations.append(
-                                f"m={m} k={k} f={assign} X=({t1},{t2}) "
-                                f"A={_ps(m, region)}"
-                            )
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                g1 = row[pair]
+                g2 = row[swapped]
+                if not g1 or not g2:
+                    continue
+                for region, sub_pair, sub_swapped in regions_of[pair]:
+                    checked += 1
+                    sub_row = sub_rows[region]
+                    if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
+                        violations.append(
+                            f"m={m} k={k} f={assign} X=({t1},{t2}) "
+                            f"A={_ps(m, region)}"
+                        )
     kind = "sp-continuity" if semi else "precontinuity"
     return SuiteResult(
         name,
@@ -1206,9 +1168,7 @@ def _continuity_levels(mt, grids, f: int, t_m: int) -> list[tuple]:
     cont, sc, pc, spc = mt.cont[f], grids.sc[f], grids.pc[f], grids.spc[f]
     return [
         (cont[t1], cont[t2], sc[p], sc[q], pc[p], pc[q], spc[p], spc[q])
-        for t1 in range(t_m)
-        for t2 in range(t_m)
-        for p, q in ((t1 * t_m + t2, t2 * t_m + t1),)
+        for t1, t2, p, q in pair_rows(t_m)
     ]
 
 
@@ -1305,7 +1265,6 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
                             break
                 if not missing:
                     return found
-    return found
     return found
 
 

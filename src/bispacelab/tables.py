@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .finite import PointSet, _space_forms
+from .finite import _canonical_opens, _space_forms
 from .maps import enumerate_directed_sets
 
 
@@ -111,7 +111,7 @@ class BispaceTables:
 
     Pair index is t1 * count + t2; direction 1 masks at (t1,t2) equal
     direction 0 masks at (t2,t1), so only direction 0 is materialized and
-    `dir_bits` does the swap.
+    `pair_rows` names the row each direction of a pair reads.
 
     Every row is a definitional search: "some tau_1-open set lies between",
     taken over the opens of t1 and run bit-parallel over masksets; no row is
@@ -139,12 +139,15 @@ class BispaceTables:
     def pair_index(self, t1: int, t2: int) -> int:
         return t1 * self.top.count + t2
 
-    def swap(self, pair: int) -> int:
-        t = self.top.count
-        return (pair % t) * t + pair // t
 
-    def dir_bits(self, table, pair: int, direction: int):
-        return table[pair if direction == 0 else self.swap(pair)]
+def pair_rows(t_count: int):
+    """(t1, t2, pair, swapped) for every bispace pair over t_count
+    topologies, t1 then t2 ascending: `pair` is the row direction (1,2)
+    reads at (t1, t2), and `swapped`, the row of (t2, t1), is the one
+    direction (2,1) reads."""
+    for t1 in range(t_count):
+        for t2 in range(t_count):
+            yield t1, t2, t1 * t_count + t2, t2 * t_count + t1
 
 
 def interval_masksets(n: int) -> list[list[int]]:
@@ -257,6 +260,13 @@ def bispace_tables(n: int) -> BispaceTables:
 # Subspace (trace) tables
 # ---------------------------------------------------------------------------
 
+def subsets_of(y: int) -> list[int]:
+    """The subsets of y in ascending order. Relabelling the points of y
+    positionally (as finite.trace_space does) turns the i-th of them into
+    subset i of the |y|-point carrier."""
+    return [a for a in range(y + 1) if a & ~y == 0]
+
+
 @lru_cache(maxsize=None)
 def trace_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """trace_tables(n)[t][y] = (|y|, traced topology index at size |y|).
@@ -269,38 +279,12 @@ def trace_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     for t in range(top.count):
         row: list[tuple[int, int]] = [(0, -1)]  # y = 0 unused
         for y in range(1, 1 << n):
-            points = [p for p in range(n) if (y >> p) & 1]
-            sub_n = len(points)
-            relabel = {p: i for i, p in enumerate(points)}
-            traced = set()
-            for o in top.opens[t]:
-                m = 0
-                for p in points:
-                    if (o >> p) & 1:
-                        m |= 1 << relabel[p]
-                traced.add(m)
-            canon = tuple(
-                sorted(traced, key=lambda m: PointSet(sub_n, m).canonical_key())
-            )
-            row.append((sub_n, topology_tables(sub_n).index[canon]))
+            relabel = {a: i for i, a in enumerate(subsets_of(y))}
+            sub_n = y.bit_count()
+            traced = _canonical_opens(sub_n, [relabel[o & y] for o in top.opens[t]])
+            row.append((sub_n, topology_tables(sub_n).index[traced]))
         out.append(tuple(row))
     return tuple(out)
-
-
-def relabel_subset(a: int, y: int) -> int:
-    """Rewrite subset a of y into the positional labels of y."""
-    out = 0
-    i = 0
-    p = 0
-    yy = y
-    while yy:
-        if yy & 1:
-            if (a >> p) & 1:
-                out |= 1 << i
-            i += 1
-        yy >>= 1
-        p += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +302,6 @@ class MapTables:
     openmap: tuple[tuple[int, ...], ...]     # same for image-of-open openness
     pm: tuple[tuple[int, ...], ...]          # per map, per target topology: maskset of open preimages
     pm_closed: tuple[tuple[int, ...], ...]   # same via closed sets and complements
-    surjective: tuple[bool, ...]
     index: dict
 
 
@@ -330,7 +313,7 @@ def map_tables(m: int, k: int) -> MapTables:
     full_k = top_k.full
     maps = tuple(itertools.product(range(k), repeat=m))
     img_all, preim_all, cont_all, open_all = [], [], [], []
-    pm_all, pmc_all, surj = [], [], []
+    pm_all, pmc_all = [], []
     for assignment in maps:
         img_row = []
         for a in range(1 << m):
@@ -384,7 +367,6 @@ def map_tables(m: int, k: int) -> MapTables:
         open_all.append(tuple(open_row))
         pm_all.append(tuple(pm_masks))
         pmc_all.append(tuple(pmc_masks))
-        surj.append(len(set(assignment)) == k)
     return MapTables(
         m,
         k,
@@ -395,7 +377,6 @@ def map_tables(m: int, k: int) -> MapTables:
         tuple(open_all),
         tuple(pm_all),
         tuple(pmc_all),
-        tuple(surj),
         {a: i for i, a in enumerate(maps)},
     )
 
@@ -473,10 +454,14 @@ def continuity_grids(m: int, k: int) -> ContinuityGrids:
 # Net convergence tables
 # ---------------------------------------------------------------------------
 
+# nets run over the directed sets of up to this many elements
+MAX_DIRECTED = 3
+
+
 @lru_cache(maxsize=None)
-def net_catalog(size: int, max_directed: int = 3) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def net_catalog(size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All (directed-set index, valuation) nets into a `size`-point carrier."""
-    dsets = enumerate_directed_sets(max_directed)
+    dsets = enumerate_directed_sets(MAX_DIRECTED)
     out = []
     for d_idx, d in enumerate(dsets):
         for values in itertools.product(range(size), repeat=d.size):
@@ -485,7 +470,7 @@ def net_catalog(size: int, max_directed: int = 3) -> tuple[tuple[int, tuple[int,
 
 
 @lru_cache(maxsize=None)
-def convergence_bits(size: int, max_directed: int = 3) -> tuple[int, ...]:
+def convergence_bits(size: int) -> tuple[int, ...]:
     """Per topology on `size` points: bits over (net index, limit point).
 
     Bit net_idx * size + x is set iff the net is eventually inside every
@@ -500,10 +485,10 @@ def convergence_bits(size: int, max_directed: int = 3) -> tuple[int, ...]:
     the mask into each net's slot without carries.
     """
     top = topology_tables(size)
-    dsets = enumerate_directed_sets(max_directed)
+    dsets = enumerate_directed_sets(MAX_DIRECTED)
     full = (1 << size) - 1
     patterns: dict[tuple[int, ...], int] = {}
-    for n_idx, (d_idx, values) in enumerate(net_catalog(size, max_directed)):
+    for n_idx, (d_idx, values) in enumerate(net_catalog(size)):
         d = dsets[d_idx]
         tails = set()
         for a in range(d.size):

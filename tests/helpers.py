@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from unittest import mock
 
@@ -284,13 +285,13 @@ def reference_continuity_grids(m: int, k: int):
     )
 
 
-def reference_convergence_bits(size: int, max_directed: int = 3) -> tuple[int, ...]:
+def reference_convergence_bits(size: int) -> tuple[int, ...]:
     """Per topology, bit net_idx * size + x set iff the net is eventually
     inside every open around x; checked net by net and open by open. The
     oracle for tables.convergence_bits."""
     top = topology_tables(size)
-    dsets = enumerate_directed_sets(max_directed)
-    nets = net_catalog(size, max_directed)
+    dsets = enumerate_directed_sets(3)
+    nets = net_catalog(size)
     out = []
     for t in range(top.count):
         opens = top.opens[t]
@@ -316,9 +317,9 @@ def reference_convergence_bits(size: int, max_directed: int = 3) -> tuple[int, .
 
 
 def reference_consequence_failures(m: int, k: int, semi: bool):
-    """Per (map, source pair, direction), the topsets where the neighborhood,
-    image-hull and preimage-hull consequences fail, recomputed for every
-    row. The oracle for suites._consequence_failures."""
+    """Per (map, source pair, direction), the row read and the topsets where
+    the neighborhood, image-hull and preimage-hull consequences fail,
+    recomputed for every row. The oracle for suites._consequence_failures."""
     mt = map_tables(m, k)
     bt_m = bispace_tables(m)
     top_k = topology_tables(k)
@@ -359,10 +360,12 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
             ]
             for b in range(1 << k)
         ]
-        for pair in range(t_m * t_m):
-            for direction in (0, 1):
-                around = bt_m.dir_bits(around_table, pair, direction)
-                hull = bt_m.dir_bits(hull_table, pair, direction)
+        for t1, t2 in itertools.product(range(t_m), repeat=2):
+            for direction, row in (
+                (0, bt_m.pair_index(t1, t2)), (1, bt_m.pair_index(t2, t1))
+            ):
+                around = around_table[row]
+                hull = hull_table[row]
                 bad_i = 0
                 for x in range(m):
                     reach = 0
@@ -380,20 +383,20 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
                 bad_iii = 0
                 for b in range(1 << k):
                     bad_iii |= notsub_pre[b][hull[preim_row[b]]]
-                yield f, pair, direction, (bad_i, bad_ii, bad_iii)
+                yield f, t1, t2, direction, row, (bad_i, bad_ii, bad_iii)
 
 
 # ---------------------------------------------------------------------------
 # Fault injection: suites run on deliberately wrong tables
 # ---------------------------------------------------------------------------
 
-# every suite whose sweep reads rows through a per-row memo or the
-# per-element pair loop; their violation lists on wrong tables are frozen in
-# tests/data/fault_injection.json
+# every suite whose sweep reads bispace rows or grid rows by pair; their
+# violation lists on wrong tables are frozen in tests/data/fault_injection.json
 FAULT_SUITES = (
-    "C1-iff-C2", "open-implies-preopen", "thm-3.6", "thm-3.7", "thm-4.1",
-    "thm-4.2", "thm-4.4", "thm-4.5", "thm-4.6", "thm-5.2", "thm-5.3",
-    "note-4.2", "hierarchy",
+    "C1-iff-C2", "open-implies-preopen", "thm-3.1", "thm-3.2", "thm-3.3",
+    "thm-3.4", "thm-3.5", "thm-3.6", "thm-3.7", "thm-4.1", "thm-4.2",
+    "thm-4.3", "thm-4.4", "thm-4.5", "thm-4.6", "thm-5.1", "thm-5.2",
+    "thm-5.3", "note-4.2", "hierarchy",
 )
 
 
@@ -465,8 +468,8 @@ def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
     `case`.
 
     The suites read the corrupted tables through their module's
-    `bispace_tables` and `continuity_grids`; the per-k pairset cache starts
-    empty and is restored afterwards, so no corrupted row outlives the run.
+    `bispace_tables` and `continuity_grids`, so no corrupted row outlives
+    the run.
     """
     from bispacelab import suites
 
@@ -483,8 +486,7 @@ def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
         return grid_faults[(m, k)](grids) if (m, k) in grid_faults else grids
 
     with mock.patch.object(suites, "bispace_tables", corrupt_bt), \
-            mock.patch.object(suites, "continuity_grids", corrupt_grids), \
-            mock.patch.dict(suites._HAS_CACHE, clear=True):
+            mock.patch.object(suites, "continuity_grids", corrupt_grids):
         return suites.run_theorem_suite(suites.SuiteConfig(n=n, which=which))
 
 

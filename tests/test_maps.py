@@ -499,19 +499,20 @@ def _check_consequence_failures(m, k, semi, cases):
 
     mt = map_tables(m, k)
     bt = bispace_tables(m)
-    wanted = {(f, bt.pair_index(t1, t2)) for f, t1, t2, _, _ in cases}
+    wanted = {(f, t1, t2) for f, t1, t2, _, _ in cases}
     failures = {
-        (f, pair, direction): bads
-        for f, pair, direction, bads in _consequence_failures(m, k, semi)
-        if (f, pair) in wanted
+        (f, t1, t2, direction): bads
+        for f, t1, t2, direction, _, bads in _consequence_failures(m, k, semi)
+        if (f, t1, t2) in wanted
     }
     sources = list(enumerate_spaces(m))
     targets = list(enumerate_spaces(k))
     for f, t1, t2, s1, s2 in cases:
-        pair = bt.pair_index(t1, t2)
         expected = tuple(
             not ((bad12 >> s1) & 1 or (bad21 >> s2) & 1)
-            for bad12, bad21 in zip(failures[f, pair, 0], failures[f, pair, 1])
+            for bad12, bad21 in zip(
+                failures[f, t1, t2, 0], failures[f, t1, t2, 1]
+            )
         )
         report = precontinuity_consequences(
             FiniteMap(m, k, mt.maps[f]),
@@ -533,8 +534,10 @@ def _gated(m, k, semi, f, t1, t2, s1, s2):
     grids = continuity_grids(m, k)
     grid = grids.spc if semi else grids.pc
     bt = bispace_tables(m)
-    pair = bt.pair_index(t1, t2)
-    return bool((grid[f][pair] >> s1) & 1 and (grid[f][bt.swap(pair)] >> s2) & 1)
+    return bool(
+        (grid[f][bt.pair_index(t1, t2)] >> s1) & 1
+        and (grid[f][bt.pair_index(t2, t1)] >> s2) & 1
+    )
 
 
 @pytest.mark.parametrize("semi", [False, True])

@@ -181,24 +181,21 @@ def test_tables_match_reference_exhaustively(n):
     assert t_count == bt.top.count
     for t1, t2 in itertools.product(range(t_count), repeat=2):
         b = Bispace(spaces[t1], spaces[t2])
-        pair = bt.pair_index(t1, t2)
         for mask in range(1 << n):
             a = PointSet(n, mask)
-            for direction, pr in ((0, (1, 2)), (1, (2, 1))):
-                po = (bt.dir_bits(bt.po, pair, direction) >> mask) & 1
+            for row, pr in (
+                (bt.pair_index(t1, t2), (1, 2)), (bt.pair_index(t2, t1), (2, 1))
+            ):
+                po = (bt.po[row] >> mask) & 1
                 assert bool(po) == is_ij_preopen(b, pr, a).holds
-                wpo = (bt.dir_bits(bt.wpo, pair, direction) >> mask) & 1
+                wpo = (bt.wpo[row] >> mask) & 1
                 assert bool(wpo) == is_ij_weakly_preopen(b, pr, a)
-                so = (bt.dir_bits(bt.so, pair, direction) >> mask) & 1
+                so = (bt.so[row] >> mask) & 1
                 assert bool(so) == is_ij_semiopen(b, pr, a)
-                spo = (bt.dir_bits(bt.spo, pair, direction) >> mask) & 1
+                spo = (bt.spo[row] >> mask) & 1
                 assert bool(spo) == is_ij_semipreopen(b, pr, a).holds
-                assert PointSet(
-                    n, bt.dir_bits(bt.pcl, pair, direction)[mask]
-                ) == pcl(b, pr, a)
-                assert PointSet(
-                    n, bt.dir_bits(bt.spcl, pair, direction)[mask]
-                ) == spcl(b, pr, a)
+                assert PointSet(n, bt.pcl[row][mask]) == pcl(b, pr, a)
+                assert PointSet(n, bt.spcl[row][mask]) == spcl(b, pr, a)
 
 
 def test_trace_tables_match_trace_space():

@@ -1,8 +1,10 @@
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 
+from bispacelab import suites
 from bispacelab.finite import PointSet, enumerate_spaces
 from bispacelab.props import Bispace, is_ij_preopen
 from bispacelab.reports import machine_suite
@@ -140,6 +142,25 @@ def test_violation_lists_on_corrupted_tables_match_fixture(case):
     # order and wording); a sweep that skips a check, or a memo keyed too
     # coarsely, changes the list
     assert fault_injection_digests(case) == FAULT_FIXTURE[case]
+
+
+def test_target_pairsets_follow_patched_tables_after_a_clean_run():
+    # nothing derived from the bispace tables may outlive one suite call: a
+    # clean run first, then corrupted tables, in one process
+    which = ("thm-4.1", "thm-4.2")
+    run_theorem_suite(SuiteConfig(n=3, which=which))
+    true_bt = suites.bispace_tables
+    corrupt = FAULT_CASES["spo-pair257-bit5"][0][3]
+
+    def patched(size):
+        return corrupt(true_bt(size)) if size == 3 else true_bt(size)
+
+    with mock.patch.object(suites, "bispace_tables", patched):
+        results = run_theorem_suite(SuiteConfig(n=3, which=which))
+    expected = FAULT_FIXTURE["spo-pair257-bit5"]
+    assert [len(r.violations) for r in results] == [684, 26] == [
+        expected[name]["violations"] for name in which
+    ]
 
 
 def test_fault_fixture_fires_every_memoised_suite():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bispacelab.finite import PointSet, discrete_space, trace_space
 from bispacelab.suites import _consequence_failures
 from bispacelab.tables import (
     _pack_slots,
@@ -13,6 +14,8 @@ from bispacelab.tables import (
     continuity_grids,
     convergence_bits,
     interval_masksets,
+    pair_rows,
+    subsets_of,
     topology_tables,
 )
 from helpers import (
@@ -68,6 +71,32 @@ def test_bispace_tables_match_per_pair_build_on_every_pair(n):
             None,
         )
         assert bad is None, (field, divmod(bad, got.top.count))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_rows_name_both_rows_of_every_pair_in_sweep_order(n):
+    bt = bispace_tables(n)
+    t_count = bt.top.count
+    got = list(pair_rows(t_count))
+    assert [(t1, t2) for t1, t2, _, _ in got] == list(
+        itertools.product(range(t_count), repeat=2)
+    )
+    for t1, t2, pair, swapped in got:
+        assert pair == bt.pair_index(t1, t2)
+        assert swapped == bt.pair_index(t2, t1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subsets_of_follow_the_trace_relabelling(n):
+    space = discrete_space(n)
+    for y in range(1, 1 << n):
+        _, relabel = trace_space(space, PointSet(n, y))
+        subsets = subsets_of(y)
+        assert len(subsets) == 1 << y.bit_count()
+        for i, a in enumerate(subsets):
+            assert a & ~y == 0
+            points = (relabel[p] for p in PointSet(n, a))
+            assert PointSet.of(len(relabel), points).mask == i, (y, a)
 
 
 @pytest.mark.parametrize("byteorder", ["little", "big"])
