@@ -14,6 +14,7 @@ additionally runs a seeded sampled sweep with the reference predicates
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -140,6 +141,39 @@ def _row_reads(rows, t_count: int) -> list[tuple[int, int, int, int]]:
     return reads
 
 
+def _row_suite(config, keys, faults, sep: str) -> tuple[int, tuple[str, ...]]:
+    """(checked, violations) of a suite whose verdict on a read depends on
+    the read's row alone.
+
+    Per n, `keys(bt)` gives each row's key, laid out like `bt.po`, and
+    `faults(n, bt, key)` gives ``(checked, [(kind, where), ...])`` for one
+    read of a row with that key; it runs once per distinct key. Each row is
+    read twice (see `_row_reads`), so it counts twice, and a failing row is
+    reported at both reads as ``{kind} n=.. pair=(t1,{sep}t2) dir=.. {where}``.
+    """
+    violations = []
+    checked = 0
+    for n in range(1, config.n + 1):
+        bt = bispace_tables(n)
+        column = list(keys(bt))
+        found = {}
+        for key, count in collections.Counter(column).items():
+            key_checked, key_faults = faults(n, bt, key)
+            checked += 2 * count * key_checked
+            if key_faults:
+                found[key] = key_faults
+        if not found:
+            continue
+        failing = [row for row, key in enumerate(column) if key in found]
+        for t1, t2, direction, row in _row_reads(failing, bt.top.count):
+            for kind, where in found[column[row]]:
+                violations.append(
+                    f"{kind} n={n} pair=({t1},{sep}{t2}) "
+                    f"dir={_dir_name(direction)} {where}"
+                )
+    return checked, tuple(violations)
+
+
 def _suite_c1_iff_c2(config) -> SuiteResult:
     violations = []
     checked = 0
@@ -221,45 +255,40 @@ def _suite_open_implies_preopen(config) -> SuiteResult:
 
 
 def _suite_thm_3_1(config) -> SuiteResult:
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        for t1, t2, pair, swapped in pair_rows(bt.top.count):
-            for direction, row, t_j in ((0, pair, t2), (1, swapped, t1)):
-                po = bt.po[row]
-                spo = bt.spo[row]
-                cl_j = bt.top.cl[t_j]
-                for a in range(1 << n):
-                    target = cl_j[a]
-                    for u in range(1 << n):
-                        checked += 1
-                        if (
-                            (po >> u) & 1
-                            and a & ~u == 0
-                            and u & ~target == 0
-                            and not (po >> a) & 1
-                        ):
-                            violations.append(
-                                f"(a) n={n} pair=({t1},{t2}) dir={_dir_name(direction)} "
-                                f"A={_ps(n, a)} U={_ps(n, u)}"
-                            )
-                        if (
-                            (spo >> u) & 1
-                            and u & ~a == 0
-                            and a & ~cl_j[u] == 0
-                            and not (spo >> a) & 1
-                        ):
-                            violations.append(
-                                f"(b) n={n} pair=({t1},{t2}) dir={_dir_name(direction)} "
-                                f"A={_ps(n, a)} U={_ps(n, u)}"
-                            )
+    """Keyed on (po, spo, t_j); a row's t_j is its column, row % t_count."""
+
+    def faults(n, bt, key):
+        po, spo, t_j = key
+        cl_j = bt.top.cl[t_j]
+        found = []
+        for a in range(1 << n):
+            if (po & spo) >> a & 1:  # (a) needs a outside po, (b) outside spo
+                continue
+            for u in range(1 << n):
+                if (
+                    (po >> u) & 1
+                    and a & ~u == 0
+                    and u & ~cl_j[a] == 0
+                    and not (po >> a) & 1
+                ):
+                    found.append(("(a)", f"A={_ps(n, a)} U={_ps(n, u)}"))
+                if (
+                    (spo >> u) & 1
+                    and u & ~a == 0
+                    and a & ~cl_j[u] == 0
+                    and not (spo >> a) & 1
+                ):
+                    found.append(("(b)", f"A={_ps(n, a)} U={_ps(n, u)}"))
+        return 1 << 2 * n, found
+
+    def keys(bt):
+        return zip(bt.po, bt.spo, itertools.cycle(range(bt.top.count)))
+
     return SuiteResult(
         "thm-3.1",
         "a preopen squeeze below the closure forces preopenness; a "
         "semipreopen core with covering closure forces semipreopenness",
-        checked,
-        tuple(violations),
+        *_row_suite(config, keys, faults, ""),
     )
 
 
@@ -306,59 +335,53 @@ def _suite_thm_3_2(config) -> SuiteResult:
 
 
 def _suite_thm_3_3(config) -> SuiteResult:
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        for t1, t2, pair, swapped in pair_rows(bt.top.count):
-            for direction, row in ((0, pair), (1, swapped)):
-                for table, tag in ((bt.po, "preopen"), (bt.spo, "semipreopen")):
-                    bits = table[row]
-                    members = [a for a in range(1 << n) if (bits >> a) & 1]
-                    for a, b in itertools.combinations_with_replacement(members, 2):
-                        checked += 1
-                        if not (bits >> (a | b)) & 1:
-                            violations.append(
-                                f"{tag} n={n} pair=({t1}, {t2}) "
-                                f"dir={_dir_name(direction)} A={_ps(n, a)} B={_ps(n, b)}"
-                            )
+    def faults(n, bt, key):
+        checked = 0
+        found = []
+        for bits, tag in zip(key, ("preopen", "semipreopen")):
+            members = [a for a in range(1 << n) if (bits >> a) & 1]
+            checked += len(members) * (len(members) + 1) // 2
+            for a, b in itertools.combinations_with_replacement(members, 2):
+                if not (bits >> (a | b)) & 1:
+                    found.append((tag, f"A={_ps(n, a)} B={_ps(n, b)}"))
+        return checked, found
+
     return SuiteResult(
         "thm-3.3",
         "finite unions of (semi)preopen sets stay (semi)preopen (the "
         "pointwise witness-union mechanism behind countable unions)",
-        checked,
-        tuple(violations),
+        *_row_suite(config, lambda bt: zip(bt.po, bt.spo), faults, " "),
     )
 
 
 def _suite_thm_3_4(config) -> SuiteResult:
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        for t1, t2, pair, swapped in pair_rows(bt.top.count):
-            biopen = [
-                o for o in bt.top.opens[t1] if (bt.top.openbits[t2] >> o) & 1
-            ]
-            for direction, row in ((0, pair), (1, swapped)):
-                for table, tag in ((bt.po, "preopen"), (bt.spo, "semipreopen")):
-                    bits = table[row]
-                    for a in range(1 << n):
-                        if not (bits >> a) & 1:
-                            continue
-                        for b in biopen:
-                            checked += 1
-                            if not (bits >> (a & b)) & 1:
-                                violations.append(
-                                    f"{tag} n={n} pair=({t1},{t2}) "
-                                    f"dir={_dir_name(direction)} A={_ps(n, a)} B={_ps(n, b)}"
-                                )
+    """Keyed on (po, spo, the maskset of sets open in both structures). A
+    pair lists those sets in tau_1's open order, which is canonical order,
+    so both reads of a row list them alike."""
+
+    def faults(n, bt, key):
+        # the discrete topology, last in canonical order, opens every subset
+        biopen = [b for b in bt.top.opens[-1] if (key[2] >> b) & 1]
+        checked = 0
+        found = []
+        for bits, tag in zip(key[:2], ("preopen", "semipreopen")):
+            for a in range(1 << n):
+                if (bits >> a) & 1:
+                    checked += len(biopen)
+                    for b in biopen:
+                        if not (bits >> (a & b)) & 1:
+                            found.append((tag, f"A={_ps(n, a)} B={_ps(n, b)}"))
+        return checked, found
+
+    def keys(bt):
+        openbits = bt.top.openbits
+        return zip(bt.po, bt.spo, [i & j for i in openbits for j in openbits])
+
     return SuiteResult(
         "thm-3.4",
         "intersecting a (semi)preopen set with a set open in both "
         "structures keeps it (semi)preopen",
-        checked,
-        tuple(violations),
+        *_row_suite(config, keys, faults, ""),
     )
 
 
@@ -444,50 +467,27 @@ def _suite_note_3_4(config) -> SuiteResult:
 
 
 def _suite_thm_3_6(config, semi: bool = False) -> SuiteResult:
-    """The faults of a (pair, direction) are a function of its (semi)preopen
-    maskset and hull row alone, so per n they are computed once per distinct
-    (maskset, hull row) and formatted for every (pair, direction) that has
-    it. The key needs both: a wrong hull row beside a right maskset must
-    still fault."""
-    name = "thm-3.7" if semi else "thm-3.6"
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        t_count = bt.top.count
-        bits_table = bt.spo if semi else bt.po
-        hull_table = bt.spcl if semi else bt.pcl
-        size = 1 << n
-        # membership checks n per set; monotonicity one per nested (a, b)
-        per_row = n * size + 3 ** n
-        faults_of: dict[tuple, list[tuple[str, str]]] = {}
-        for t1, t2, pair, swapped in pair_rows(t_count):
-            for direction, row in ((0, pair), (1, swapped)):
-                checked += per_row
-                bits = bits_table[row]
-                hull = hull_table[row]
-                key = (bits, hull)
-                faults = faults_of.get(key)
-                if faults is None:
-                    faults = faults_of[key] = _hull_faults(n, bits, hull)
-                for kind, where in faults:
-                    violations.append(
-                        f"{kind} n={n} pair=({t1}, {t2}) "
-                        f"dir={_dir_name(direction)} {where}"
-                    )
+    """Keyed on the (semi)preopen maskset and the hull row: a wrong hull row
+    beside a right maskset must still fault."""
+
+    def keys(bt):
+        return zip(bt.spo, bt.spcl) if semi else zip(bt.po, bt.pcl)
+
     kind = "semipreclosure" if semi else "preclosure"
     return SuiteResult(
-        name,
+        "thm-3.7" if semi else "thm-3.6",
         f"{kind} membership is meeting every {'semi' if semi else ''}preopen "
         "neighborhood, and the hull is monotone",
-        checked,
-        tuple(violations),
+        *_row_suite(config, keys, _hull_faults, " "),
     )
 
 
-def _hull_faults(n: int, bits: int, hull) -> list[tuple[str, str]]:
-    """(kind, witness) faults of one hull row against its maskset: x is in
-    hull[a] iff every member containing x meets a, and the row is monotone."""
+def _hull_faults(n: int, bt, key) -> tuple[int, list[tuple[str, str]]]:
+    """(checked, faults) of one hull row against its maskset, key being
+    (maskset, hull row): x is in hull[a] iff every member containing x meets
+    a, checked n times per set, and the row is monotone, checked once per
+    nested (a, b)."""
+    bits, hull = key
     size = 1 << n
     members = [u for u in range(size) if (bits >> u) & 1]
     faults = []
@@ -501,7 +501,7 @@ def _hull_faults(n: int, bits: int, hull) -> list[tuple[str, str]]:
         for b in range(size):
             if a & ~b == 0 and hull[a] & ~hull[b]:
                 faults.append(("monotone", f"A={_ps(n, a)} B={_ps(n, b)}"))
-    return faults
+    return n * size + 3 ** n, faults
 
 
 def _suite_remark_3_1(config) -> SuiteResult:
@@ -1364,8 +1364,7 @@ class SuiteConfig:
     def __post_init__(self):
         if not 1 <= self.n <= 4:
             raise ValueError("carrier size must be between 1 and 4")
-        names = self.names()
-        unknown = [w for w in names if w not in ALL_SUITES]
+        unknown = [w for w in self.which if w != "all" and w not in ALL_SUITES]
         if unknown:
             raise ValueError(
                 f"unknown suite name(s) {unknown}; known: {', '.join(ALL_SUITES)}"
@@ -1378,7 +1377,7 @@ class SuiteConfig:
     def names(self) -> tuple[str, ...]:
         if "all" in self.which:
             return tuple(ALL_SUITES)
-        return self.which
+        return tuple(dict.fromkeys(self.which))  # first mention of each name
 
     @property
     def sampled(self) -> bool:

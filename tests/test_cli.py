@@ -73,6 +73,13 @@ def test_suite_rejects_unknown_name():
     assert result.returncode == 2
 
 
+def test_suite_rejects_unknown_name_beside_all():
+    # "all" must not swallow a misspelt name given with it
+    result = run_cli("suite", "--n", "2", "--which", "all,no-such-suite")
+    assert_input_error(result)
+    assert "no-such-suite" in result.stderr
+
+
 def test_suite_rejects_seed_for_exhaustive_run():
     result = run_cli("suite", "--n", "2", "--seed", "5")
     assert result.returncode == 2

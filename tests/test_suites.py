@@ -31,6 +31,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(n=2, which=("no-such-suite",))
     with pytest.raises(ValueError):
+        SuiteConfig(n=2, which=("all", "no-such-suite"))
+    # a repeated name runs once, at its first mention
+    config = SuiteConfig(n=2, which=("thm-3.3", "thm-3.1", "thm-3.3"))
+    assert config.names() == ("thm-3.3", "thm-3.1")
+    with pytest.raises(ValueError):
         SuiteConfig(n=4, which=("thm-4.1",))  # sampled sweep needs a seed
     with pytest.raises(ValueError):
         SuiteConfig(n=2, which=("thm-4.1",), seed=5)  # exhaustive: no seed
@@ -72,6 +77,20 @@ def test_suites_fire_their_hypotheses_at_n2():
     }
     for name, floor in floors.items():
         assert results[name] >= floor, (name, results[name])
+
+
+def test_row_suites_checked_counts_at_n4():
+    # the set-level counts at the exhaustive frontier: every (pair,
+    # direction) read of every row at n <= 4 is counted, with no violation
+    which = ("thm-3.1", "thm-3.3", "thm-3.4", "thm-3.6", "thm-3.7")
+    results = run_theorem_suite(SuiteConfig(n=4, which=which))
+    assert {r.name: (r.checked, len(r.violations)) for r in results} == {
+        "thm-3.1": (64_632_968, 0),
+        "thm-3.3": (36_389_970, 0),
+        "thm-3.4": (19_587_868, 0),
+        "thm-3.6": (36_633_586, 0),
+        "thm-3.7": (36_633_586, 0),
+    }
 
 
 def test_single_suite_selection():
