@@ -386,50 +386,50 @@ def _suite_thm_3_4(config) -> SuiteResult:
 
 
 def _suite_thm_3_5(config) -> SuiteResult:
+    """Each po or spo maskset is cut to each region y once: bit i of a cut
+    is subset i of y. Row (t_i, t_j) fails at y if its cut has a bit that its
+    traced row on y lacks, or, with y tau_i-open, differs from it at all."""
+    kinds = (
+        "preopen-restriction", "semipreopen-restriction",
+        "preopen-converse", "semipreopen-converse",
+    )
     violations = []
     checked = 0
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         tr = trace_tables(n)
-        # inside[y][i] is the subset of y relabelled to subset i of y
-        inside = [subsets_of(y) for y in range(1 << n)]
-        for t1, t2, pair, swapped in pair_rows(bt.top.count):
-            for y in range(1, 1 << n):
-                sub_n1, t1s = tr[t1][y]
-                _, t2s = tr[t2][y]
-                sub_bt = bispace_tables(sub_n1)
-                for direction, row, sub_row, t_i in (
-                    (0, pair, sub_bt.pair_index(t1s, t2s), t1),
-                    (1, swapped, sub_bt.pair_index(t2s, t1s), t2),
-                ):
-                    po = bt.po[row]
-                    spo = bt.spo[row]
-                    sub_po = sub_bt.po[sub_row]
-                    sub_spo = sub_bt.spo[sub_row]
-                    y_open_i = (bt.top.openbits[t_i] >> y) & 1
-                    for a_sub, a in enumerate(inside[y]):
-                        checked += 1
-                        if (po >> a) & 1 and not (sub_po >> a_sub) & 1:
-                            violations.append(
-                                f"preopen-restriction n={n} pair=({t1},{t2}) "
-                                f"dir={_dir_name(direction)} Y={_ps(n, y)} A={_ps(n, a)}"
-                            )
-                        if (spo >> a) & 1 and not (sub_spo >> a_sub) & 1:
-                            violations.append(
-                                f"semipreopen-restriction n={n} pair=({t1},{t2}) "
-                                f"dir={_dir_name(direction)} Y={_ps(n, y)} A={_ps(n, a)}"
-                            )
-                        if y_open_i:
-                            if (sub_po >> a_sub) & 1 and not (po >> a) & 1:
-                                violations.append(
-                                    f"preopen-converse n={n} pair=({t1},{t2}) "
-                                    f"dir={_dir_name(direction)} Y={_ps(n, y)} A={_ps(n, a)}"
-                                )
-                            if (sub_spo >> a_sub) & 1 and not (spo >> a) & 1:
-                                violations.append(
-                                    f"semipreopen-converse n={n} pair=({t1},{t2}) "
-                                    f"dir={_dir_name(direction)} Y={_ps(n, y)} A={_ps(n, a)}"
-                                )
+        t_count = bt.top.count
+        # each (pair, direction) reads each nonempty y over its 2^|y| subsets
+        checked += 2 * t_count * t_count * (3 ** n - 1)
+        failing = []
+        for y in range(1, 1 << n):
+            inside = subsets_of(y)
+            sub_bt = bispace_tables(y.bit_count())
+            cut = {
+                bits: sum(1 << i for i, a in enumerate(inside) if (bits >> a) & 1)
+                for bits in {*bt.po, *bt.spo}
+            }
+            for t_i, t_j, row, _ in pair_rows(t_count):
+                sub_row = sub_bt.pair_index(tr[t_i][y][1], tr[t_j][y][1])
+                # -1 if y is tau_i-open, else 0: masks the converse in or out
+                y_open = -((bt.top.openbits[t_i] >> y) & 1)
+                po, spo = cut[bt.po[row]], cut[bt.spo[row]]
+                sub_po, sub_spo = sub_bt.po[sub_row], sub_bt.spo[sub_row]
+                if (po ^ sub_po) & (po | y_open) or (spo ^ sub_spo) & (spo | y_open):
+                    lost = (
+                        po & ~sub_po, spo & ~sub_spo,
+                        sub_po & ~po & y_open, sub_spo & ~spo & y_open,
+                    )
+                    failing.append((t_i, t_j, y, 0, lost))
+                    failing.append((t_j, t_i, y, 1, lost))
+        for t1, t2, y, direction, lost in sorted(failing):
+            where = f"pair=({t1},{t2}) dir={_dir_name(direction)} Y={_ps(n, y)}"
+            violations.extend(
+                f"{kind} n={n} {where} A={_ps(n, a)}"
+                for i, a in enumerate(subsets_of(y))
+                for kind, bits in zip(kinds, lost)
+                if (bits >> i) & 1
+            )
     return SuiteResult(
         "thm-3.5",
         "(semi)preopenness passes to every subspace containing the set, and "

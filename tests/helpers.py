@@ -460,6 +460,20 @@ FAULT_CASES = {
             g, pc=_flip_grid(g.pc, 1, 5, 0), spc=_flip_grid(g.spc, 1, 5, 0)
         )},
     ),
+    # row 100 gains subset 1 in both po and spo: thm-3.5 reports
+    # preopen-restriction and semipreopen-restriction
+    "po-spo-pair100-bit1": (
+        {3: lambda bt: dataclasses.replace(
+            bt, po=_flip_row(bt.po, 100, 1), spo=_flip_row(bt.spo, 100, 1)
+        )},
+        {},
+    ),
+    # 2-point row 5 loses subset 1; thm-3.5 also reads it as the sub-carrier
+    # row of 2-point regions at n = 3: restriction and converse kinds
+    "po-n2-pair5-bit1": (
+        {2: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 5, 1))},
+        {},
+    ),
 }
 
 

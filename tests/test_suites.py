@@ -79,15 +79,17 @@ def test_suites_fire_their_hypotheses_at_n2():
         assert results[name] >= floor, (name, results[name])
 
 
-def test_row_suites_checked_counts_at_n4():
+def test_set_suites_checked_counts_at_n4():
     # the set-level counts at the exhaustive frontier: every (pair,
-    # direction) read of every row at n <= 4 is counted, with no violation
-    which = ("thm-3.1", "thm-3.3", "thm-3.4", "thm-3.6", "thm-3.7")
+    # direction) read of every row at n <= 4 is counted, for thm-3.5 once
+    # per nonempty region and subset of it, with no violation
+    which = ("thm-3.1", "thm-3.3", "thm-3.4", "thm-3.5", "thm-3.6", "thm-3.7")
     results = run_theorem_suite(SuiteConfig(n=4, which=which))
     assert {r.name: (r.checked, len(r.violations)) for r in results} == {
         "thm-3.1": (64_632_968, 0),
         "thm-3.3": (36_389_970, 0),
         "thm-3.4": (19_587_868, 0),
+        "thm-3.5": (20_207_992, 0),
         "thm-3.6": (36_633_586, 0),
         "thm-3.7": (36_633_586, 0),
     }
