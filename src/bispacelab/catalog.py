@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import maps as maps_mod
 from . import props
@@ -102,102 +102,116 @@ def _space(entry: CatalogEntry, claim: Claim):
     return bisp.space(claim.args.get("space", 1))
 
 
+def _open_between(space, a, b) -> props.Witnessed:
+    w = space.open_between(a, b)
+    return props.Witnessed(w is not None, w)
+
+
+def _witness_valid(bispace: Bispace, pair, a, u) -> props.Witnessed:
+    """Is `u` an (i,j)-preopen set with u <= a <= closure_j(u)?"""
+    ok = (
+        props.is_ij_preopen(bispace, pair, u).holds
+        and u.issubset(a)
+        and a.issubset(bispace.space(pair[1]).closure(u))
+    )
+    return props.Witnessed(ok, u)
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """One claim predicate: `run` takes the arguments named in `reads`, in
+    order ("space", "bispace", "pair", "map", "target", "target_space" or a
+    set argument "set"/"set2"/"witness"), and returns a value or a
+    Witnessed. `relative` marks a search over representable sets, which is
+    algebra-relative on a symbolic bispace."""
+
+    run: Callable
+    reads: tuple[str, ...]
+    set_valued: bool = False
+    relative: bool = False
+
+
+_ON_SPACE = ("space", "set")
+_ON_PAIR = ("bispace", "pair", "set")
+_ON_MAP = ("map", "bispace", "target")
+
+# The claim vocabulary, in the order user documents list it; the map
+# predicates come last since documents cannot describe a map.
+PREDICATES: dict[str, Predicate] = {
+    "is_open": Predicate(lambda sp, a: sp.is_open(a), _ON_SPACE),
+    "closure": Predicate(lambda sp, a: sp.closure(a), _ON_SPACE, set_valued=True),
+    "interior": Predicate(lambda sp, a: sp.interior(a), _ON_SPACE, set_valued=True),
+    "limit_points": Predicate(
+        lambda sp, a: sp.limit_points(a), _ON_SPACE, set_valued=True
+    ),
+    "open_between": Predicate(_open_between, ("space", "set", "set2")),
+    "is_countable": Predicate(is_countable, ("set",)),
+    "is_preopen": Predicate(props.is_preopen, _ON_SPACE),
+    "is_weakly_preopen": Predicate(props.is_weakly_preopen, _ON_SPACE),
+    "is_ij_preopen": Predicate(props.is_ij_preopen, _ON_PAIR),
+    "is_ij_weakly_preopen": Predicate(props.is_ij_weakly_preopen, _ON_PAIR),
+    "is_pairwise_preopen": Predicate(props.is_pairwise_preopen, ("bispace", "set")),
+    "is_ij_semiopen": Predicate(props.is_ij_semiopen, _ON_PAIR),
+    "is_ij_semipreopen": Predicate(props.is_ij_semipreopen, _ON_PAIR, relative=True),
+    "is_ij_preclosed": Predicate(props.is_ij_preclosed, _ON_PAIR),
+    "is_ij_semipreclosed": Predicate(
+        props.is_ij_semipreclosed, _ON_PAIR, relative=True
+    ),
+    "pcl": Predicate(props.pcl, _ON_PAIR, set_valued=True, relative=True),
+    "spcl": Predicate(props.spcl, _ON_PAIR, set_valued=True, relative=True),
+    "closed_supersets_interior": Predicate(props.closed_supersets_interior, _ON_PAIR),
+    "semipreopen_witness_valid": Predicate(
+        _witness_valid, ("bispace", "pair", "set", "witness")
+    ),
+    "image": Predicate(maps_mod.image, ("map", "set"), set_valued=True),
+    "preimage": Predicate(maps_mod.preimage, ("map", "set"), set_valued=True),
+    "is_pairwise_continuous": Predicate(maps_mod.is_pairwise_continuous, _ON_MAP),
+    "is_pairwise_precontinuous": Predicate(
+        maps_mod.is_pairwise_precontinuous, _ON_MAP
+    ),
+    "is_pairwise_semi_continuous": Predicate(
+        maps_mod.is_pairwise_semi_continuous, _ON_MAP
+    ),
+    "is_pairwise_sp_continuous": Predicate(
+        maps_mod.is_pairwise_sp_continuous, _ON_MAP, relative=True
+    ),
+    "check_closure_preservation": Predicate(
+        maps_mod.check_closure_preservation, ("map", "space", "target_space", "set")
+    ),
+}
+
+
+def _argument(entry: CatalogEntry, claim: Claim, name: str):
+    """One argument a predicate reads; "target_space" is the target
+    structure with the claim's space index."""
+    args = claim.args
+    if name == "space":
+        return _space(entry, claim)
+    if name == "bispace":
+        return entry.bispace
+    if name == "pair":
+        return args["pair"]
+    if name == "map":
+        return entry.map_
+    if name == "target":
+        return entry.target_bispace
+    if name == "target_space":
+        return entry.target_bispace.space(args.get("space", 1))
+    return _resolve_set(entry, args[name], args.get("on", "source"))
+
+
 def evaluate_claim(entry: CatalogEntry, claim: Claim):
     """Returns (computed, witness, algebra_relative)."""
-    args = claim.args
-    on = args.get("on", "source")
-    get = lambda key: _resolve_set(entry, args[key], on)
-    bisp = entry.bispace
-
-    p = claim.predicate
-    if p == "is_countable":
-        return is_countable(get("set")), None, False
-    if p == "is_open":
-        return _space(entry, claim).is_open(get("set")), None, False
-    if p == "closure":
-        return _space(entry, claim).closure(get("set")), None, False
-    if p == "interior":
-        return _space(entry, claim).interior(get("set")), None, False
-    if p == "limit_points":
-        return _space(entry, claim).limit_points(get("set")), None, False
-    if p == "open_between":
-        w = _space(entry, claim).open_between(get("set"), get("set2"))
-        return w is not None, w, False
-    if p == "is_preopen":
-        w = props.is_preopen(_space(entry, claim), get("set"))
-        return w.holds, w.witness, False
-    if p == "is_weakly_preopen":
-        return props.is_weakly_preopen(_space(entry, claim), get("set")), None, False
-    if p == "is_ij_preopen":
-        w = props.is_ij_preopen(bisp, args["pair"], get("set"))
-        return w.holds, w.witness, False
-    if p == "is_ij_weakly_preopen":
-        return props.is_ij_weakly_preopen(bisp, args["pair"], get("set")), None, False
-    if p == "is_pairwise_preopen":
-        return props.is_pairwise_preopen(bisp, get("set")), None, False
-    if p == "is_ij_semiopen":
-        return props.is_ij_semiopen(bisp, args["pair"], get("set")), None, False
-    if p == "is_ij_semipreopen":
-        w = props.is_ij_semipreopen(bisp, args["pair"], get("set"))
-        return w.holds, w.witness, bisp.is_symbolic
-    if p == "is_ij_preclosed":
-        return props.is_ij_preclosed(bisp, args["pair"], get("set")), None, False
-    if p == "is_ij_semipreclosed":
-        return props.is_ij_semipreclosed(bisp, args["pair"], get("set")), None, bisp.is_symbolic
-    if p == "pcl":
-        return props.pcl(bisp, args["pair"], get("set")), None, bisp.is_symbolic
-    if p == "spcl":
-        return props.spcl(bisp, args["pair"], get("set")), None, bisp.is_symbolic
-    if p == "closed_supersets_interior":
-        return props.closed_supersets_interior(bisp, args["pair"], get("set")), None, False
-    if p == "semipreopen_witness_valid":
-        pair = props.check_pair(args["pair"])
-        a, u = get("set"), get("witness")
-        cl_j = bisp.space(pair[1]).closure
-        ok = (
-            props.is_ij_preopen(bisp, pair, u).holds
-            and u.issubset(a)
-            and a.issubset(cl_j(u))
+    spec = PREDICATES.get(claim.predicate)
+    if spec is None:
+        raise ValueError(
+            f"{entry.entry_id}: unknown claim predicate {claim.predicate!r}"
         )
-        return ok, u, False
-    if p == "image":
-        return entry.map_.image(get("set")), None, False
-    if p == "preimage":
-        return entry.map_.preimage(get("set")), None, False
-    if p == "is_pairwise_continuous":
-        return (
-            maps_mod.is_pairwise_continuous(entry.map_, bisp, entry.target_bispace),
-            None,
-            False,
-        )
-    if p == "is_pairwise_precontinuous":
-        return (
-            maps_mod.is_pairwise_precontinuous(entry.map_, bisp, entry.target_bispace),
-            None,
-            False,
-        )
-    if p == "is_pairwise_semi_continuous":
-        return (
-            maps_mod.is_pairwise_semi_continuous(entry.map_, bisp, entry.target_bispace),
-            None,
-            False,
-        )
-    if p == "is_pairwise_sp_continuous":
-        return (
-            maps_mod.is_pairwise_sp_continuous(entry.map_, bisp, entry.target_bispace),
-            None,
-            bisp.is_symbolic,
-        )
-    if p == "check_closure_preservation":
-        i = args.get("space", 1)
-        return (
-            maps_mod.check_closure_preservation(
-                entry.map_, bisp.space(i), entry.target_bispace.space(i), get("set")
-            ),
-            None,
-            False,
-        )
-    raise ValueError(f"{entry.entry_id}: unknown claim predicate {p!r}")
+    result = spec.run(*(_argument(entry, claim, name) for name in spec.reads))
+    relative = spec.relative and entry.bispace.is_symbolic
+    if isinstance(result, props.Witnessed):
+        return result.holds, result.witness, relative
+    return result, None, relative
 
 
 def verify_entry(entry: CatalogEntry) -> Report:

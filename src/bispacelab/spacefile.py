@@ -3,9 +3,9 @@
 A document describes either a finite bispace (carrier size plus two open-set
 lists given as sorted point arrays) or a symbolic one (atom list with
 cardinality tags plus two region/mandatory family descriptions), optionally
-with named sets and claims. Claims reuse the catalog claim vocabulary; a
-document without claims gets the default battery (every set predicate on
-every named set, values recorded).
+with named sets and claims. Claims use the claim vocabulary of
+catalog.PREDICATES; a document without claims gets the default battery
+(every set predicate on every named set, values recorded).
 
 Grammar sketch (JSON subset):
 
@@ -25,11 +25,10 @@ Grammar sketch (JSON subset):
                   "expected"?: bool | [..], "note"?: string } ]
 
 Points are JSON integers (not true/false) and atom ids are strings. Each
-claim names the arguments its predicate reads: "set" always, "pair" for the
-(i,j) predicates, "set2" for open_between and "witness" for
-semipreopen_witness_valid; "expected" is a boolean, or for the set-valued
-predicates (closure, interior, limit_points, pcl, spcl) an array of
-members. A claim that could not be evaluated is rejected when parsed.
+claim names the set arguments its predicate reads ("set", and "set2" or
+"witness") and "pair" if it reads one; "expected" is a boolean, or for a
+set-valued predicate an array of members. A claim that could not be
+evaluated is rejected when parsed.
 
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
 symbolic universe at most MAX_ATOMS (12) atoms. The set predicates search
@@ -46,7 +45,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .catalog import CatalogEntry, Claim, verify_entry
+from .catalog import PREDICATES, CatalogEntry, Claim, verify_entry
 from .finite import FiniteSpace, PointSet, SpaceAxiomError
 from .props import Bispace
 from .reports import Report
@@ -61,47 +60,13 @@ _CARDINALITIES = {
     "uncountable": Cardinality.UNCOUNTABLE,
 }
 
-# Claims a user file may make (map predicates need a map, which files
-# cannot describe). pcl/spcl and semipreopen witnesses are algebra-relative
+# Claims a user file may make: the catalog predicates that read no map,
+# since files cannot describe one. Those marked `relative`
+# (is_ij_semipreopen, is_ij_semipreclosed, pcl, spcl) are algebra-relative
 # on symbolic documents and flagged as such in the report.
-FILE_PREDICATES = (
-    "is_open",
-    "closure",
-    "interior",
-    "limit_points",
-    "open_between",
-    "is_countable",
-    "is_preopen",
-    "is_weakly_preopen",
-    "is_ij_preopen",
-    "is_ij_weakly_preopen",
-    "is_pairwise_preopen",
-    "is_ij_semiopen",
-    "is_ij_semipreopen",
-    "is_ij_preclosed",
-    "is_ij_semipreclosed",
-    "pcl",
-    "spcl",
-    "closed_supersets_interior",
-    "semipreopen_witness_valid",
+FILE_PREDICATES = tuple(
+    name for name, spec in PREDICATES.items() if "map" not in spec.reads
 )
-
-# predicates whose value is a set (every other file predicate is boolean),
-# those that read an index pair, and the named-set arguments beyond "set"
-_SET_VALUED = ("closure", "interior", "limit_points", "pcl", "spcl")
-_PAIR_PREDICATES = (
-    "is_ij_preopen",
-    "is_ij_weakly_preopen",
-    "is_ij_semiopen",
-    "is_ij_semipreopen",
-    "is_ij_preclosed",
-    "is_ij_semipreclosed",
-    "pcl",
-    "spcl",
-    "closed_supersets_interior",
-    "semipreopen_witness_valid",
-)
-_EXTRA_SETS = {"open_between": "set2", "semipreopen_witness_valid": "witness"}
 
 _BATTERY = (
     ("is_open", {"space": 1}),
@@ -299,10 +264,9 @@ def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list
                 else:
                     _fail(f"{loc}.{key}", "must be a set name or an array of members")
                 args[key] = v
-        required = ["set"]
-        if predicate in _EXTRA_SETS:
-            required.append(_EXTRA_SETS[predicate])
-        if predicate in _PAIR_PREDICATES:
+        spec = PREDICATES[predicate]
+        required = [key for key in spec.reads if key in ("set", "set2", "witness")]
+        if "pair" in spec.reads:
             required.append("pair")
         for key in required:
             if key not in c:
@@ -325,7 +289,7 @@ def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list
         ):
             _fail(f"{loc}.set", "open_between needs set inside set2")
         expected = c.get("expected")
-        if predicate in _SET_VALUED:
+        if spec.set_valued:
             if expected is not None:
                 _members(bispace, expected, f"{loc}.expected")
                 expected = list(expected)

@@ -888,21 +888,26 @@ def _consequence_failures(m: int, k: int, semi: bool):
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
 
 
-def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
-    name = "thm-5.2" if semi else "thm-4.4"
+def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteResult:
+    """The three (sp-)precontinuity consequences, or with `converse` their
+    converses on finite models: a consequence that holds forces the
+    continuity factor. A converse read is the direct one with the gate and
+    the failure sets complemented, so both fault where the two meet."""
+    name = "note-4.2" if converse else "thm-5.2" if semi else "thm-4.4"
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         gate_grid = grids.spc if semi else grids.pc
+        flip = (1 << topology_tables(k).count) - 1 if converse else 0
         for f, t1, t2, direction, row, bads in _consequence_failures(m, k, semi):
             checked += 1
-            gate_i = gate_grid[f][row]
-            if not gate_i & (bads[0] | bads[1] | bads[2]):
+            gate_i = gate_grid[f][row] ^ flip
+            if not gate_i & ((bads[0] ^ flip) | (bads[1] ^ flip) | (bads[2] ^ flip)):
                 continue
             for tag, bad in zip(_CONSEQUENCES, bads):
-                hit = gate_i & bad
+                hit = gate_i & (bad ^ flip)
                 if hit:
                     s = (hit & -hit).bit_length() - 1
                     violations.append(
@@ -910,46 +915,19 @@ def _suite_thm_4_4(config, semi: bool = False) -> SuiteResult:
                         f"X=({t1}, {t2}) "
                         f"dir={_dir_name(direction)} s_i={s}"
                     )
-    kind = "sp-continuous" if semi else "precontinuous"
-    hull_name = "semipreclosure" if semi else "preclosure"
-    return SuiteResult(
-        name,
-        f"{kind} maps: witness neighborhoods map into open neighborhoods, "
-        f"and {hull_name} bounds transfer through images and preimages",
-        checked,
-        tuple(violations),
-    )
-
-
-def _suite_note_4_2(config) -> SuiteResult:
-    """Converses of the three precontinuity consequences on finite models."""
-    violations = []
-    checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        grids = continuity_grids(m, k)
-        all_s = (1 << topology_tables(k).count) - 1
-        for f, t1, t2, direction, row, bads in _consequence_failures(m, k, False):
-            checked += 1
-            gate_i = grids.pc[f][row]
-            if not all_s & ~gate_i & ~(bads[0] & bads[1] & bads[2]):
-                continue
-            for tag, bad in zip(_CONSEQUENCES, bads):
-                escaped = all_s & ~bad & ~gate_i
-                if escaped:
-                    s = (escaped & -escaped).bit_length() - 1
-                    violations.append(
-                        f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X=({t1}, {t2}) "
-                        f"dir={_dir_name(direction)} s_i={s}"
-                    )
-    return SuiteResult(
-        "note-4.2",
-        "on finite models, where both structures are full topologies, each "
-        "precontinuity consequence conversely forces the continuity factor",
-        checked,
-        tuple(violations),
-    )
+    if converse:
+        claim = (
+            "on finite models, where both structures are full topologies, each "
+            "precontinuity consequence conversely forces the continuity factor"
+        )
+    else:
+        kind = "sp-continuous" if semi else "precontinuous"
+        hull_name = "semipreclosure" if semi else "preclosure"
+        claim = (
+            f"{kind} maps: witness neighborhoods map into open neighborhoods, "
+            f"and {hull_name} bounds transfer through images and preimages"
+        )
+    return SuiteResult(name, claim, checked, tuple(violations))
 
 
 def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
@@ -1337,7 +1315,7 @@ MAP_SUITES: dict[str, Callable] = {
     "thm-4.5": _suite_thm_4_5,
     "thm-4.6": _suite_thm_4_6,
     "note-4.1": _suite_note_4_1,
-    "note-4.2": _suite_note_4_2,
+    "note-4.2": lambda c: _suite_thm_4_4(c, converse=True),
     "thm-5.1": lambda c: _suite_thm_4_3(c, semi=True),
     "thm-5.2": lambda c: _suite_thm_4_4(c, semi=True),
     "thm-5.3": lambda c: _suite_thm_4_5(c, semi=True),

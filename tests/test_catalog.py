@@ -1,13 +1,28 @@
 import pytest
 
+from bispacelab import maps, props
 from bispacelab.catalog import (
     CATALOG_IDS,
+    PREDICATES,
+    CatalogEntry,
+    Claim,
     build_example,
+    evaluate_claim,
     negative_control_entry,
     run_catalog,
     verify_entry,
 )
+from bispacelab.finite import PointSet
+from bispacelab.props import Bispace, finite_bispace
 from bispacelab.reports import machine_report, parse_machine
+from bispacelab.symbolic import (
+    AtomUniverse,
+    SchematicFamily,
+    countable,
+    is_countable,
+    singleton,
+    uncountable,
+)
 
 
 @pytest.mark.parametrize("entry_id", CATALOG_IDS)
@@ -109,3 +124,104 @@ def test_ex35_engine_witness_is_canonical_smallest():
     assert w.holds
     # {0} precedes {0,1} in canonical order and is a valid witness
     assert w.witness == entry.bispace.first.universe.subset("0")
+
+
+def _finite_mapped():
+    """Three points onto two, the set {1} and the target set {0}."""
+    bx = finite_bispace(3, [[], [0], [0, 1], [0, 1, 2]], [[], [2], [1, 2], [0, 1, 2]])
+    by = finite_bispace(2, [[], [0], [0, 1]], [[], [1], [0, 1]])
+    f = maps.FiniteMap(3, 2, (0, 0, 1))
+    entry = CatalogEntry("finite", "", "", bx, {}, (), f, by)
+    return entry, PointSet.of(3, [1]), PointSet.of(2, [0])
+
+
+def _symbolic_mapped():
+    """Three atoms onto two, the set {u} and the target set {q}."""
+    src = AtomUniverse([singleton("p"), countable("c"), uncountable("u")])
+    bx = Bispace(
+        SchematicFamily(src, src.subset("p", "u"), src.empty()),
+        SchematicFamily(src, src.subset("c", "u"), src.empty()),
+    )
+    tgt = AtomUniverse([singleton("q"), singleton("r"), uncountable("v")])
+    fam = SchematicFamily(tgt, tgt.subset("r", "v"), tgt.empty())
+    f = maps.AtomMap(src, tgt, {"p": "q", "c": "q", "u": "r"})
+    entry = CatalogEntry("symbolic", "", "", bx, {}, (), f, Bispace(fam, fam))
+    return entry, src.subset("u"), tgt.subset("q")
+
+
+def _direct(name, entry, a, b):
+    """(value, witness) of predicate `name` straight from props and maps, on
+    space 1, pair (1, 2), set `a`, set2 the whole carrier, witness `a`, and
+    target set `b` for preimage."""
+    bx, f, by = entry.bispace, entry.map_, entry.target_bispace
+    sp, pair = bx.first, (1, 2)
+    found = sp.open_between(a, sp.whole())
+    witnessed = {
+        "open_between": lambda: (found is not None, found),
+        "is_preopen": lambda: props.is_preopen(sp, a),
+        "is_ij_preopen": lambda: props.is_ij_preopen(bx, pair, a),
+        "is_ij_semipreopen": lambda: props.is_ij_semipreopen(bx, pair, a),
+        "semipreopen_witness_valid": lambda: (
+            props.is_ij_preopen(bx, pair, a).holds
+            and a.issubset(bx.second.closure(a)),
+            a,
+        ),
+    }
+    if name in witnessed:
+        return tuple(witnessed[name]())
+    plain = {
+        "is_open": lambda: sp.is_open(a),
+        "closure": lambda: sp.closure(a),
+        "interior": lambda: sp.interior(a),
+        "limit_points": lambda: sp.limit_points(a),
+        "is_countable": lambda: is_countable(a),
+        "is_weakly_preopen": lambda: props.is_weakly_preopen(sp, a),
+        "is_ij_weakly_preopen": lambda: props.is_ij_weakly_preopen(bx, pair, a),
+        "is_pairwise_preopen": lambda: props.is_pairwise_preopen(bx, a),
+        "is_ij_semiopen": lambda: props.is_ij_semiopen(bx, pair, a),
+        "is_ij_preclosed": lambda: props.is_ij_preclosed(bx, pair, a),
+        "is_ij_semipreclosed": lambda: props.is_ij_semipreclosed(bx, pair, a),
+        "pcl": lambda: props.pcl(bx, pair, a),
+        "spcl": lambda: props.spcl(bx, pair, a),
+        "closed_supersets_interior": lambda: props.closed_supersets_interior(bx, pair, a),
+        "image": lambda: f.image(a),
+        "preimage": lambda: f.preimage(b),
+        "is_pairwise_continuous": lambda: maps.is_pairwise_continuous(f, bx, by),
+        "is_pairwise_precontinuous": lambda: maps.is_pairwise_precontinuous(f, bx, by),
+        "is_pairwise_semi_continuous": lambda: maps.is_pairwise_semi_continuous(f, bx, by),
+        "is_pairwise_sp_continuous": lambda: maps.is_pairwise_sp_continuous(f, bx, by),
+        "check_closure_preservation": lambda: maps.check_closure_preservation(
+            f, sp, by.first, a
+        ),
+    }
+    return plain[name](), None
+
+
+_RELATIVE = {
+    "is_ij_semipreopen",
+    "is_ij_semipreclosed",
+    "pcl",
+    "spcl",
+    "is_pairwise_sp_continuous",
+}
+
+
+@pytest.mark.parametrize("build", [_finite_mapped, _symbolic_mapped])
+def test_every_predicate_matches_its_direct_call(build):
+    entry, a, b = build()
+    symbolic = entry.bispace.is_symbolic
+    # is_countable reads atom cardinalities, limit_points finite points
+    skip = "limit_points" if symbolic else "is_countable"
+    for name in PREDICATES:
+        if name == skip:
+            continue
+        args = {
+            "set": b if name == "preimage" else a,
+            "set2": entry.bispace.first.whole(),
+            "witness": a,
+            "pair": (1, 2),
+            "space": 1,
+        }
+        value, witness, relative = evaluate_claim(entry, Claim(name, args))
+        assert (value, witness) == _direct(name, entry, a, b), name
+        assert relative == (symbolic and name in _RELATIVE), name

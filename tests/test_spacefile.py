@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,13 @@ def test_unknown_named_set_in_claim(tmp_path):
     with pytest.raises(SpaceFileError) as exc:
         check_user_file(write(tmp_path, doc))
     assert "nope" in str(exc.value)
+
+
+def test_readme_lists_the_file_predicates_in_order():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Supported claim predicates:")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    assert tuple(re.findall(r"`(\w+)`", paragraph)) == FILE_PREDICATES
 
 
 def test_bad_kind(tmp_path):
