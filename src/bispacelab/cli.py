@@ -28,12 +28,10 @@ EXIT_INPUT = 2
 
 
 def _cmd_verify_catalog(args) -> int:
+    render = machine_report if args.format == "machine" else human_report
     failed = False
     for report in run_catalog():
-        if args.format == "machine":
-            sys.stdout.write(machine_report(report))
-        else:
-            sys.stdout.write(human_report(report))
+        sys.stdout.write(render(report))
         failed = failed or not report.passed
     return EXIT_VIOLATION if failed else EXIT_OK
 
@@ -70,12 +68,10 @@ def _cmd_suite(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    render = machine_suite if args.format == "machine" else human_suite
     failed = False
     for result in run_theorem_suite(config):
-        if args.format == "machine":
-            sys.stdout.write(machine_suite(result))
-        else:
-            sys.stdout.write(human_suite(result))
+        sys.stdout.write(render(result))
         failed = failed or not result.passed
     return EXIT_VIOLATION if failed else EXIT_OK
 
@@ -86,10 +82,8 @@ def _cmd_check(args) -> int:
     except SpaceFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if args.format == "machine":
-        sys.stdout.write(machine_report(report))
-    else:
-        sys.stdout.write(human_report(report))
+    render = machine_report if args.format == "machine" else human_report
+    sys.stdout.write(render(report))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

@@ -133,6 +133,8 @@ class AtomMap:
     def image_atom(self, src_id: str) -> str:
         return self.assignment[src_id]
 
+    __call__ = image_atom
+
     def image(self, s: SymSet) -> SymSet:
         return self.target.subset(*(self.assignment[i] for i in s.atom_ids()))
 
@@ -210,15 +212,19 @@ def _check_compatible(f: AnyMap, bx: Bispace, by: Bispace) -> None:
             raise ValueError("map target does not match the target bispace universe")
 
 
+def _every_preimage(f: AnyMap, bx: Bispace, by: Bispace, holds) -> bool:
+    """holds((i, j), preimage) for the preimage of every sigma_i-open."""
+    _check_compatible(f, bx, by)
+    return all(
+        holds((i, j), f.preimage(v))
+        for i, j in PAIRS
+        for v in preimage_test_sets(by.space(i), f)
+    )
+
+
 def is_pairwise_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Preimage of every i-th-structure open is i-th-structure open, i = 1, 2."""
-    _check_compatible(f, bx, by)
-    for i in (1, 2):
-        src, tgt = bx.space(i), by.space(i)
-        for v in preimage_test_sets(tgt, f):
-            if not src.is_open(f.preimage(v)):
-                return False
-    return True
+    return _every_preimage(f, bx, by, lambda pair, u: bx.space(pair[0]).is_open(u))
 
 
 def is_pairwise_open_map(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
@@ -234,32 +240,19 @@ def is_pairwise_open_map(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
 
 def is_pairwise_precontinuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Preimage of every sigma_i-open is (i,j)-preopen in the source bispace."""
-    _check_compatible(f, bx, by)
-    for i, j in PAIRS:
-        for v in preimage_test_sets(by.space(i), f):
-            if not is_ij_preopen(bx, (i, j), f.preimage(v)).holds:
-                return False
-    return True
+    return _every_preimage(f, bx, by, lambda pair, u: is_ij_preopen(bx, pair, u).holds)
 
 
 def is_pairwise_semi_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Preimage of every sigma_i-open is (i,j)-semiopen in the source bispace."""
-    _check_compatible(f, bx, by)
-    for i, j in PAIRS:
-        for v in preimage_test_sets(by.space(i), f):
-            if not is_ij_semiopen(bx, (i, j), f.preimage(v)):
-                return False
-    return True
+    return _every_preimage(f, bx, by, lambda pair, u: is_ij_semiopen(bx, pair, u))
 
 
 def is_pairwise_sp_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Preimage of every sigma_i-open is (i,j)-semipreopen in the source bispace."""
-    _check_compatible(f, bx, by)
-    for i, j in PAIRS:
-        for v in preimage_test_sets(by.space(i), f):
-            if not is_ij_semipreopen(bx, (i, j), f.preimage(v)).holds:
-                return False
-    return True
+    return _every_preimage(
+        f, bx, by, lambda pair, u: is_ij_semipreopen(bx, pair, u).holds
+    )
 
 
 def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
@@ -275,27 +268,19 @@ def closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> boo
     directly (complements of opens / of trace members). Returns whether the
     two verdicts agree.
     """
-    _check_compatible(f, bx, by)
     lhs = is_pairwise_precontinuous(f, bx, by)
-    rhs = True
-    for i, j in PAIRS:
-        tgt = by.space(i)
-        for v in preimage_test_sets(tgt, f):
-            closed_preimage = f.preimage(v).complement()
-            if not is_ij_preclosed(bx, (i, j), closed_preimage):
-                rhs = False
+    rhs = _every_preimage(
+        f, bx, by, lambda pair, u: is_ij_preclosed(bx, pair, u.complement())
+    )
     return lhs == rhs
 
 
 def sp_closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Semi-pre analogue of closed_preimage_characterization."""
-    _check_compatible(f, bx, by)
     lhs = is_pairwise_sp_continuous(f, bx, by)
-    rhs = True
-    for i, j in PAIRS:
-        for v in preimage_test_sets(by.space(i), f):
-            if not is_ij_semipreclosed(bx, (i, j), f.preimage(v).complement()):
-                rhs = False
+    rhs = _every_preimage(
+        f, bx, by, lambda pair, u: is_ij_semipreclosed(bx, pair, u.complement())
+    )
     return lhs == rhs
 
 
@@ -319,30 +304,6 @@ class ConsequenceReport:
         )
 
 
-def _carrier_points(space) -> list:
-    """Point handles: indices on finite carriers, atoms symbolically.
-
-    All points of one atom are indistinguishable to algebra sets and the map
-    is constant on atoms, so atom granularity is exact for the neighborhood
-    checks.
-    """
-    if isinstance(space, SchematicFamily):
-        return list(space.universe.atoms)
-    return list(range(space.size))
-
-
-def _point_in(space, point, s: AnySet) -> bool:
-    if isinstance(space, SchematicFamily):
-        return s.contains_atom(point.id)
-    return point in s
-
-
-def _point_singleton(space, point) -> AnySet:
-    if isinstance(space, SchematicFamily):
-        return space.universe.subset(point.id)
-    return PointSet.of(space.size, [point])
-
-
 def precontinuity_consequences(
     f: AnyMap, bx: Bispace, by: Bispace, sp_variant: bool = False
 ) -> ConsequenceReport:
@@ -350,7 +311,10 @@ def precontinuity_consequences(
 
     Requires the map to be pairwise precontinuous (semi-pre for the sp
     variant); raises ValueError otherwise, since the properties say nothing
-    about other maps.
+    about other maps. A point is a one-element algebra set: a point on a
+    finite carrier, an atom symbolically. All points of one atom are
+    indistinguishable to algebra sets and the map is constant on atoms, so
+    atom granularity is exact for the neighborhood checks.
     """
     _check_compatible(f, bx, by)
     if sp_variant:
@@ -365,48 +329,28 @@ def precontinuity_consequences(
         hull = pcl
 
     src_any = bx.space(1)
-    neighborhoods = True
-    for i, j in PAIRS:
-        tgt = by.space(i)
-        for x in _carrier_points(src_any):
-            fx = (
-                f.image_atom(x.id)
-                if isinstance(f, AtomMap)
-                else f(x)
-            )
-            for v in preimage_test_sets(tgt, f):
-                if isinstance(f, AtomMap):
-                    if not v.contains_atom(fx):
-                        continue
-                elif fx not in v:
-                    continue
-                found = False
-                for u in src_any.algebra_sets():
-                    if not _point_in(src_any, x, u):
-                        continue
-                    if not f.image(u).issubset(v):
-                        continue
-                    if around((i, j), u):
-                        found = True
-                        break
-                if not found:
-                    neighborhoods = False
-
-    image_bound = True
-    for i, j in PAIRS:
-        tgt = by.space(i)
-        for a in src_any.algebra_sets():
-            if not f.image(hull(bx, (i, j), a)).issubset(tgt.closure(f.image(a))):
-                image_bound = False
-
-    preimage_bound = True
-    for i, j in PAIRS:
-        tgt = by.space(i)
-        for b in tgt.algebra_sets():
-            lhs = hull(bx, (i, j), f.preimage(b))
-            if not lhs.issubset(f.preimage(tgt.closure(b))):
-                preimage_bound = False
-
+    sets = list(src_any.algebra_sets())
+    points = [x for x in sets if len(x) == 1]
+    neighborhoods = all(
+        any(
+            x.issubset(u) and f.image(u).issubset(v) and around((i, j), u)
+            for u in sets
+        )
+        for i, j in PAIRS
+        for v in preimage_test_sets(by.space(i), f)
+        for x in points
+        if f.image(x).issubset(v)
+    )
+    image_bound = all(
+        f.image(hull(bx, (i, j), a)).issubset(by.space(i).closure(f.image(a)))
+        for i, j in PAIRS
+        for a in sets
+    )
+    preimage_bound = all(
+        hull(bx, (i, j), f.preimage(b)).issubset(f.preimage(by.space(i).closure(b)))
+        for i, j in PAIRS
+        for b in by.space(i).algebra_sets()
+    )
     return ConsequenceReport(
         neighborhoods,
         image_bound,
@@ -512,7 +456,8 @@ def net_converges(space, net: Net, x) -> bool:
     points, which is exact.
     """
     if isinstance(space, SchematicFamily):
-        relevant = _value_set(space, net.values) | _point_singleton(space, space.universe.atom(x))
+        point = space.universe.subset(space.universe.atom(x).id)
+        relevant = _value_set(space, net.values) | point
         opens = open_traces_on_points(space, relevant)
         member = lambda value, u: u.contains_atom(value)
         x_in = lambda u: u.contains_atom(x)
@@ -532,8 +477,6 @@ def net_converges(space, net: Net, x) -> bool:
 
 
 def image_net(f: AnyMap, net: Net) -> Net:
-    if isinstance(f, AtomMap):
-        return Net(net.directed, tuple(f.image_atom(v) for v in net.values))
     return Net(net.directed, tuple(f(v) for v in net.values))
 
 
@@ -590,5 +533,4 @@ def check_theorem_4_6(
         return True
     if not net_converges(bx.space(i), net, x):
         return True
-    fx = f.image_atom(x) if isinstance(f, AtomMap) else f(x)
-    return net_converges(by.space(i), image_net(f, net), fx)
+    return net_converges(by.space(i), image_net(f, net), f(x))

@@ -4,8 +4,7 @@ Every "there is an open set squeezed between ..." predicate routes through
 the backends' open_between primitive, so the symbolic closed form is proved
 once. Witness searches that range over representable sets only
 (is_ij_semipreopen, pcl, spcl) are complete on finite backends and
-algebra-relative on symbolic ones; is_algebra_relative tells reports which
-case they are in.
+algebra-relative on symbolic ones.
 """
 
 from __future__ import annotations
@@ -62,18 +61,9 @@ class Bispace:
         return isinstance(self.first, SchematicFamily)
 
 
-def is_algebra_relative(backend) -> bool:
-    """True when representable-set searches on this backend may be incomplete."""
-    return isinstance(backend, SchematicFamily)
-
-
 # ---------------------------------------------------------------------------
 # Single-space predicates
 # ---------------------------------------------------------------------------
-
-def open_between(space, a: AnySet, b: AnySet) -> Optional[AnySet]:
-    return space.open_between(a, b)
-
 
 def is_preopen(space, a: AnySet) -> Witnessed:
     """Some open U with a <= U <= closure(a)."""

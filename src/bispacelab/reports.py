@@ -110,23 +110,11 @@ def machine_report(report: Report) -> str:
 
 
 def machine_suite(result: SuiteResult) -> str:
-    lines = []
-    for v in result.violations:
-        lines.append(
-            _dump(
-                {
-                    "entry": result.name,
-                    "claim": v,
-                    "predicate": "suite-violation",
-                    "expected": "no violation",
-                    "computed": v,
-                    "passed": False,
-                    "witness": "none",
-                    "algebra_relative": False,
-                    "duration_ms": None,
-                }
-            )
-        )
+    outcomes = (
+        ClaimOutcome(v, "suite-violation", "no violation", v, passed=False)
+        for v in result.violations
+    )
+    lines = [_dump(_machine_record(result.name, o)) for o in outcomes]
     lines.append(
         _dump(
             {

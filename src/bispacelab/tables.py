@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .finite import _canonical_opens, _space_forms
+from .finite import _space_forms
 from .maps import enumerate_directed_sets
 
 
@@ -61,7 +61,7 @@ class TopologyTables:
     openbits: tuple[int, ...]                # per topology, maskset of opens
     cl: tuple[tuple[int, ...], ...]          # per (topology, subset) closure mask
     intr: tuple[tuple[int, ...], ...]        # per (topology, subset) interior mask
-    index: dict                              # opens tuple -> topology index
+    index: dict                              # openbits -> topology index
 
     @property
     def count(self) -> int:
@@ -101,7 +101,7 @@ def topology_tables(n: int) -> TopologyTables:
         tuple(openbits),
         tuple(cl),
         tuple(intr),
-        {masks: i for i, masks in enumerate(forms)},
+        {bits: i for i, bits in enumerate(openbits)},
     )
 
 
@@ -274,15 +274,16 @@ def trace_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     y ranges over nonempty subsets; points of y are relabelled positionally,
     matching finite.trace_space.
     """
-    top = topology_tables(n)
+    # bit of subset o & y in the traced topology's openbits
+    bit = [{a: 1 << i for i, a in enumerate(subsets_of(y))} for y in range(1 << n)]
     out = []
-    for t in range(top.count):
+    for opens in topology_tables(n).opens:
         row: list[tuple[int, int]] = [(0, -1)]  # y = 0 unused
         for y in range(1, 1 << n):
-            relabel = {a: i for i, a in enumerate(subsets_of(y))}
-            sub_n = y.bit_count()
-            traced = _canonical_opens(sub_n, [relabel[o & y] for o in top.opens[t]])
-            row.append((sub_n, topology_tables(sub_n).index[traced]))
+            traced = 0
+            for o in opens:
+                traced |= bit[y][o & y]
+            row.append((y.bit_count(), topology_tables(y.bit_count()).index[traced]))
         out.append(tuple(row))
     return tuple(out)
 

@@ -468,6 +468,12 @@ FAULT_CASES = {
         )},
         {},
     ),
+    # the constant map 0 = (0, 0, 0) loses pc target 0 on row 0, a read whose
+    # three consequence failure sets are all empty, so note-4.2 flags it
+    "grid33-f0-pc0-bit0": (
+        {},
+        {(3, 3): lambda g: dataclasses.replace(g, pc=_flip_grid(g.pc, 0, 0, 0))},
+    ),
     # 2-point row 5 loses subset 1; thm-3.5 also reads it as the sub-carrier
     # row of 2-point regions at n = 3: restriction and converse kinds
     "po-n2-pair5-bit1": (

@@ -419,6 +419,52 @@ def test_precontinuity_consequences_sp_variant():
 
 
 # ---------------------------------------------------------------------------
+# The oracles can say no
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("characterization,closed", [
+    ("closed_preimage_characterization", "is_ij_preclosed"),
+    ("sp_closed_preimage_characterization", "is_ij_semipreclosed"),
+])
+def test_closed_characterizations_detect_a_wrong_right_side(
+    monkeypatch, characterization, closed
+):
+    # the identity on the discrete 2-point bispace is precontinuous and
+    # sp-continuous, so the left side holds; a closed-set predicate that
+    # rejects every preimage makes the two sides disagree
+    import bispacelab.maps as maps
+
+    f = FiniteMap(2, 2, (0, 1))
+    bx = by = bi(discrete_space(2))
+    check = getattr(maps, characterization)
+    assert check(f, bx, by)
+    monkeypatch.setattr(maps, closed, lambda bispace, pair, a: False)
+    assert not check(f, bx, by)
+
+
+@pytest.mark.parametrize("sp_variant,hull", [(False, "pcl"), (True, "spcl")])
+@pytest.mark.parametrize("backend", ["finite", "symbolic"])
+def test_precontinuity_consequences_detect_a_whole_hull(
+    monkeypatch, sp_variant, hull, backend
+):
+    # a hull that always returns the whole carrier breaks both hull bounds
+    # at the empty set and leaves the neighbourhood witnesses alone
+    import bispacelab.maps as maps
+
+    if backend == "finite":
+        f = FiniteMap(2, 2, (0, 1))
+        bx = by = bi(discrete_space(2))
+    else:
+        entry = build_example("ex-4.1")
+        f, bx, by = entry.map_, entry.bispace, entry.target_bispace
+    monkeypatch.setattr(maps, hull, lambda bispace, pair, a: bispace.space(1).whole())
+    report = precontinuity_consequences(f, bx, by, sp_variant=sp_variant)
+    assert report.neighborhood_witnesses
+    assert not report.image_preclosure_bound
+    assert not report.preimage_preclosure_bound
+
+
+# ---------------------------------------------------------------------------
 # The suite tables agree with the reference map predicates
 # ---------------------------------------------------------------------------
 
