@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from bispacelab.reports import parse_machine
 
@@ -246,3 +248,23 @@ def test_check_rejects_booleans_as_open_set_points(tmp_path):
     result = check_claims(tmp_path, [], doc)
     assert_input_error(result)
     assert "opens1[2]" in result.stderr
+
+
+# sha256 of `--format machine check` on the committed 8-point documents,
+# recorded before algebra_sets and the trace sets shared one cached subset
+# order; finite witnesses (smallest open, semipreopen witness) follow that
+# order, and no catalog entry is finite
+CHECK_DIGESTS = {
+    "check_finite_8.json":
+        "a8cb5ffe388cc835d240ce3d4d42f266fa0fb3ada43bae317e265e889e13f062",
+    "check_symbolic_8.json":
+        "82a8ef45ba63350ec74cd0983e56d879e3ac2093e6e4514aa4d62ce3d7268637",
+}
+
+
+def test_check_machine_output_is_pinned():
+    data = Path(__file__).parent / "data"
+    for name, digest in CHECK_DIGESTS.items():
+        result = run_cli("--format", "machine", "check", str(data / name))
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, name

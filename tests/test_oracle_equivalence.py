@@ -64,3 +64,49 @@ def test_open_between_complete_on_mixed_universes(seed):
             if witness is not None:
                 assert fam.is_open(witness)
                 assert a.issubset(witness) and witness.issubset(b)
+
+
+def _canonical_sorted(n, masks):
+    from bispacelab.finite import PointSet
+
+    return sorted(masks, key=lambda m: PointSet(n, m).canonical_key())
+
+
+def test_open_traces_on_points_vs_member_traces():
+    """The trace sets on singleton points, against the distinct point sets
+    the members' trace patterns contain, in canonical order."""
+    from bispacelab.symbolic import iter_open_traces, open_traces_on_points
+
+    cases = 0
+    for seed in range(300):
+        rng = random.Random(3000 + seed)
+        u = random_mixed_universe(rng)
+        fam = random_family(rng, u)
+        singles = [a.id for a in u.atoms if a.is_singleton]
+        if not singles:
+            continue
+        cases += 1
+        points = u.subset(*rng.sample(singles, rng.randint(1, len(singles))))
+        expected = {
+            u.subset(*(p for p in points.atom_ids() if tr.contains_point(p))).mask
+            for tr in iter_open_traces(fam)
+        }
+        got = open_traces_on_points(fam, points)
+        assert all(t.universe is u for t in got)
+        assert [t.mask for t in got] == _canonical_sorted(len(u), expected), seed
+    assert cases > 200
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_algebra_sets_list_every_subset_once_in_canonical_order(n):
+    from bispacelab.finite import indiscrete_space
+    from bispacelab.symbolic import AtomUniverse, SchematicFamily, singleton
+
+    u = AtomUniverse([singleton(f"a{i}") for i in range(n)])
+    expected = _canonical_sorted(n, range(1 << n))
+    for backend in (indiscrete_space(n), u, SchematicFamily(u, u.empty(), u.empty())):
+        sets = backend.algebra_sets()
+        assert iter(sets) is sets
+        first = [s.mask for s in sets]
+        assert first == expected
+        assert [s.mask for s in backend.algebra_sets()] == first

@@ -14,6 +14,7 @@ from bispacelab.tables import (
     continuity_grids,
     convergence_bits,
     interval_masksets,
+    map_tables,
     pair_rows,
     subsets_of,
     topology_tables,
@@ -130,6 +131,13 @@ def test_continuity_grids_match_per_pair_loop(m, k):
     assert dataclasses.astuple(continuity_grids(m, k)) == reference_continuity_grids(
         m, k
     )
+
+
+@pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
+def test_closed_route_preimages_equal_open_route(m, k):
+    # f^-1(Y - V) = X - f^-1(V), so the closed route reproduces pm exactly
+    mt = map_tables(m, k)
+    assert mt.pm_closed == mt.pm
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
