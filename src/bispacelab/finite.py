@@ -131,11 +131,19 @@ class SpaceAxiomError(ValueError):
         self.witnesses = witnesses
 
 
-def _canonical_opens(size: int, masks) -> tuple[int, ...]:
-    keyed = sorted(
-        set(masks), key=lambda m: PointSet(size, m).canonical_key()
-    )
-    return tuple(keyed)
+@lru_cache(maxsize=None)
+def canonical_masks(n: int) -> tuple[int, ...]:
+    """Every subset mask of an n-point carrier, in canonical order.
+
+    The one place the order is derived: PointSet.canonical_key, cardinality
+    first and then the sorted points. Witness searches scan in this order,
+    so the smallest witness is the one reported.
+    """
+    return tuple(sorted(range(1 << n), key=lambda m: PointSet(n, m).canonical_key()))
+
+
+def _canonical_opens(size: int, masks: set) -> tuple[int, ...]:
+    return tuple(m for m in canonical_masks(size) if m in masks)
 
 
 class FiniteSpace:
@@ -171,7 +179,9 @@ class FiniteSpace:
             raise SpaceAxiomError(
                 "whole-set-open", (), "the whole carrier must be open"
             )
-        for a, b in itertools.combinations(sorted(mask_set), 2):
+        # pairs in numeric mask order: the first offending pair is reported
+        numeric = [m for m in range(self._full + 1) if m in mask_set]
+        for a, b in itertools.combinations(numeric, 2):
             if a | b not in mask_set:
                 raise SpaceAxiomError(
                     "union-closed",
@@ -235,9 +245,7 @@ class FiniteSpace:
 
     def algebra_sets(self) -> Iterator[PointSet]:
         """Every subset of the carrier, in canonical order."""
-        sets = [PointSet(self.size, m) for m in range(1 << self.size)]
-        sets.sort(key=PointSet.canonical_key)
-        return iter(sets)
+        return (PointSet(self.size, m) for m in canonical_masks(self.size))
 
     def open_between(self, a: PointSet, b: PointSet) -> Optional[PointSet]:
         """Smallest canonical open U with a <= U <= b, or None.

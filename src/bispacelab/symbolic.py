@@ -40,6 +40,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .finite import FiniteSpace, PointSet, canonical_masks
+
 
 class Cardinality(enum.Enum):
     SINGLETON = "singleton"          # exactly one point
@@ -126,9 +128,7 @@ class AtomUniverse:
 
     def algebra_sets(self) -> Iterator["SymSet"]:
         """All atom unions, canonically ordered (atom count, then positions)."""
-        sets = [SymSet(self, m) for m in range(1 << len(self.atoms))]
-        sets.sort(key=SymSet.canonical_key)
-        return iter(sets)
+        return (SymSet(self, m) for m in canonical_masks(len(self.atoms)))
 
     def restrict(self, keep: "SymSet") -> "AtomUniverse":
         if keep.universe is not self:
@@ -214,10 +214,6 @@ class SymSet:
     def is_whole(self) -> bool:
         return self.mask == (1 << len(self.universe)) - 1
 
-    def canonical_key(self) -> tuple:
-        positions = tuple(i for i in range(len(self.universe)) if (self.mask >> i) & 1)
-        return (len(positions), positions)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymSet)
@@ -226,7 +222,8 @@ class SymSet:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.universe), self.mask))
+        # same_as compares atoms, so equal sets may hold distinct universes
+        return hash((len(self.universe), self.mask))
 
     def __repr__(self) -> str:
         return "{" + ",".join(self.atom_ids()) + "}"
@@ -506,20 +503,12 @@ def open_traces_on_points(family: SchematicFamily, points: SymSet) -> list[SymSe
         if not a.is_singleton:
             raise ValueError(f"trace points must be singleton atoms, got {a.id!r}")
     u = family.universe
-    base = family.mandatory & points
-    free = (family.region & points).atom_ids()
-    seen = set()
-    out = []
-    candidates = [u.empty(), SymSet(u, points.mask)]
-    for r in range(len(free) + 1):
-        for pick in itertools.combinations(free, r):
-            candidates.append(base | u.subset(*pick))
-    for c in candidates:
-        if c.mask not in seen:
-            seen.add(c.mask)
-            out.append(c)
-    out.sort(key=SymSet.canonical_key)
-    return out
+    base = (family.mandatory & points).mask
+    free = (family.region & points).mask
+    order = canonical_masks(len(u))
+    traces = {0, points.mask}
+    traces.update(base | s for s in order if s & ~free == 0)
+    return [SymSet(u, m) for m in order if m in traces]
 
 
 def forall_closed_supersets_interior_covers(
@@ -645,8 +634,6 @@ def materialize_finite(family: SchematicFamily):
     literally {X, empty} | {C | P : C <= R}. Used as the brute-force oracle
     for the closed forms.
     """
-    from .finite import FiniteSpace, PointSet
-
     atoms = family.universe.atoms
     if any(not a.is_singleton for a in atoms):
         raise ValueError("materialization needs an all-singleton universe")

@@ -332,8 +332,9 @@ def map_tables(m: int, k: int) -> MapTables:
             preim_row.append(v)
         # distinct preimages of the opens of each target topology, as
         # masksets; pm_closed reroutes through closed sets (preimage of the
-        # complement, then complement back) so the characterization suites
-        # have an independently computed right-hand side
+        # complement, then complement back). Since f^-1(Y - V) = X - f^-1(V)
+        # it equals pm for every map, so the characterization suites'
+        # right-hand side repeats the left and catches only corrupted grids
         pm_masks = []
         pmc_masks = []
         for s in range(top_k.count):
@@ -388,8 +389,11 @@ class ContinuityGrids:
 
     pc[f][pair]: s such that preimages of s-opens are (1,2)-preopen in pair;
     the (2,1) direction at (t1,t2) is pc at the swapped pair. sc and spc are
-    the semiopen / semipreopen analogues; rhs_closed recomputes pc through
-    closed sets for the characterization check.
+    the semiopen / semipreopen analogues. rhs_closed and sp_rhs_closed
+    recompute pc and spc from MapTables.pm_closed, which equals pm, so they
+    always equal pc and spc: thm-4.3, thm-5.1 and the sampled closed-preimage
+    check fail only on a corrupted grid or predicate, as the fault-injection
+    cases show.
     """
 
     pc: tuple[tuple[int, ...], ...]

@@ -287,6 +287,17 @@ def test_restrict_whole_is_same_family(anchored):
     assert sub.mandatory.atom_ids() == fam.mandatory.atom_ids()
 
 
+def test_equal_sets_of_equal_universes_hash_alike(anchored):
+    # two restrictions build two universe objects with the same atoms
+    u, fam = anchored
+    x = fam.restrict(u.whole()).region
+    y = fam.restrict(u.whole()).region
+    assert x.universe is not y.universe
+    assert x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
 # ---------------------------------------------------------------------------
 # All-singleton materialization agrees with the closed forms (spot checks;
 # the full seeded sweep lives in test_oracle_equivalence)
