@@ -152,7 +152,8 @@ class FiniteSpace:
     The constructor validates the axioms (empty and whole set present,
     closure under pairwise union and intersection) and stores the opens
     duplicate-free in canonical order, so construction is the same thing
-    as ``validate_space``.
+    as ``validate_space``. Both steps walk all 2^size masks, as
+    algebra_sets does, so carriers are meant to be small.
     """
 
     __slots__ = ("size", "opens", "_open_masks", "_full")
