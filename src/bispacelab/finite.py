@@ -301,28 +301,23 @@ def discrete_space(size: int) -> FiniteSpace:
 def _space_forms(n: int) -> tuple[tuple[int, ...], ...]:
     """All valid open families on n points, as sorted mask tuples.
 
-    Candidates are every choice of proper nonempty subsets joined with the
-    empty and whole set; a candidate survives iff closed under pairwise
-    union and intersection. Results are sorted by canonical opens key.
+    A finite topology is the family of up-sets of its specialisation
+    preorder (Alexandroff 1937, "Diskrete Räume"): each point x has a least
+    open set up[x], and a set is open iff it contains up[x] for each of its
+    points x. So every choice of up[x] containing x is a candidate, kept
+    iff it is transitive (y in up[x] implies up[y] <= up[x]); each topology
+    comes from exactly one such choice. Results are sorted by canonical opens
+    key.
     """
-    full = (1 << n) - 1
-    middle = list(range(1, full))
+    masks = range(1 << n)
+    members = [[x for x in range(n) if m >> x & 1] for m in masks]
+    choices = [[u for u in masks if x in members[u]] for x in range(n)]
     valid: list[tuple[int, ...]] = []
-    for chosen in range(1 << len(middle)):
-        fam = {0, full}
-        pick = chosen
-        while pick:
-            low = pick & -pick
-            fam.add(middle[low.bit_length() - 1])
-            pick ^= low
-        ok = True
-        members = sorted(fam)
-        for a, b in itertools.combinations(members, 2):
-            if a | b not in fam or a & b not in fam:
-                ok = False
-                break
-        if ok:
-            valid.append(_canonical_opens(n, fam))
+    for up in itertools.product(*choices):
+        if any(up[y] & ~u for u in up for y in members[u]):
+            continue
+        fam = {m for m in masks if all(up[x] & ~m == 0 for x in members[m])}
+        valid.append(_canonical_opens(n, fam))
 
     def family_key(masks: tuple[int, ...]) -> tuple:
         return (len(masks), tuple(PointSet(n, m).canonical_key() for m in masks))
@@ -331,17 +326,22 @@ def _space_forms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(valid)
 
 
-def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
-    """Yield every open-set structure on n points exactly once, canonically ordered."""
+def _check_enumeration_size(n: int) -> None:
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
         raise ValueError(
             f"enumeration supported for 1..{MAX_ENUMERATION_POINTS} points, got {n}"
         )
+
+
+def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
+    """Yield every open-set structure on n points exactly once, canonically ordered."""
+    _check_enumeration_size(n)
     for masks in _space_forms(n):
         yield FiniteSpace(n, [PointSet(n, m) for m in masks])
 
 
 def count_spaces(n: int) -> int:
+    _check_enumeration_size(n)
     return len(_space_forms(n))
 
 

@@ -779,7 +779,9 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
     return SuiteResult(
         name,
         f"{kind} via open preimages coincides with the closed-preimage "
-        "characterization, both sides computed independently",
+        "characterization; the closed route repeats the open one "
+        "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
+        "corrupted grids",
         checked,
         tuple(violations),
     )

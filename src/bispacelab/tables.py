@@ -403,52 +403,43 @@ class ContinuityGrids:
     sp_rhs_closed: tuple[tuple[int, ...], ...]
 
 
+def _covered_targets(preimages: tuple[int, ...], rows: tuple[int, ...]):
+    """Per row, the topset of targets s with preimages[s] inside that row.
+
+    Targets that share a preimage maskset are tested together, and each
+    distinct row value is tested once.
+    """
+    groups: dict[int, int] = {}
+    for s, bits in enumerate(preimages):
+        groups[bits] = groups.get(bits, 0) | 1 << s
+    covered = {}
+    for row in set(rows):
+        topset = 0
+        for bits, targets in groups.items():
+            if bits & ~row == 0:
+                topset |= targets
+        covered[row] = topset
+    return tuple(map(covered.__getitem__, rows))
+
+
 @lru_cache(maxsize=None)
 def continuity_grids(m: int, k: int) -> ContinuityGrids:
     """Grids for every map from m to k points; see ContinuityGrids.
 
-    Per map, the five topsets of a source pair depend only on that pair's
-    (po, so, spo) masksets: every test is a preimage maskset of the map
-    against one of the three. So they are computed once per distinct triple
-    (255 triples over the 841 pairs at m = 3) and shared by every pair that
-    has it; the dict lives for one map.
+    Each grid reads one row of the source pair (pc and rhs_closed read po,
+    sc reads so, spc and sp_rhs_closed read spo) against the map's preimage
+    masksets, so each is computed by _covered_targets once per distinct
+    value of that row.
     """
     mt = map_tables(m, k)
     bt = bispace_tables(m)
-    s_count = topology_tables(k).count
-    keys = tuple(zip(bt.po, bt.so, bt.spo))
     pc_all, sc_all, spc_all, rhs_all, sp_rhs_all = [], [], [], [], []
-    for f in range(len(mt.maps)):
-        pm = mt.pm[f]
-        pmc = mt.pm_closed[f]
-        seen: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
-        for key in keys:
-            if key in seen:
-                continue
-            not_po, not_so, not_spo = ~key[0], ~key[1], ~key[2]
-            pc_bits = sc_bits = spc_bits = rhs_bits = sp_rhs_bits = 0
-            for s in range(s_count):
-                bits = pm[s]
-                cbits = pmc[s]
-                if bits & not_po == 0:
-                    pc_bits |= 1 << s
-                if bits & not_so == 0:
-                    sc_bits |= 1 << s
-                if bits & not_spo == 0:
-                    spc_bits |= 1 << s
-                if cbits & not_po == 0:
-                    rhs_bits |= 1 << s
-                if cbits & not_spo == 0:
-                    sp_rhs_bits |= 1 << s
-            seen[key] = (pc_bits, sc_bits, spc_bits, rhs_bits, sp_rhs_bits)
-        pc_rows, sc_rows, spc_rows, rhs_rows, sp_rhs_rows = zip(
-            *(seen[key] for key in keys)
-        )
-        pc_all.append(pc_rows)
-        sc_all.append(sc_rows)
-        spc_all.append(spc_rows)
-        rhs_all.append(rhs_rows)
-        sp_rhs_all.append(sp_rhs_rows)
+    for pm, pmc in zip(mt.pm, mt.pm_closed):
+        pc_all.append(_covered_targets(pm, bt.po))
+        sc_all.append(_covered_targets(pm, bt.so))
+        spc_all.append(_covered_targets(pm, bt.spo))
+        rhs_all.append(_covered_targets(pmc, bt.po))
+        sp_rhs_all.append(_covered_targets(pmc, bt.spo))
     return ContinuityGrids(
         tuple(pc_all), tuple(sc_all), tuple(spc_all),
         tuple(rhs_all), tuple(sp_rhs_all),

@@ -6,7 +6,7 @@ import itertools
 import random
 from unittest import mock
 
-from bispacelab.finite import PointSet
+from bispacelab.finite import PointSet, _canonical_opens
 from bispacelab.props import (
     Bispace,
     is_ij_preopen,
@@ -140,6 +140,40 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
         if (a & p_j).is_empty and tr.contains_set(need):
             return True
     return False
+
+
+def reference_space_forms(n: int) -> tuple[tuple[int, ...], ...]:
+    """All open families on n points, by scanning every candidate family.
+
+    Candidates are every choice of proper nonempty subsets joined with the
+    empty and whole set; a candidate survives iff closed under pairwise
+    union and intersection. 2^(2^n - 2) candidates, so n <= 4. Sorted as
+    finite._space_forms sorts. The oracle for finite._space_forms.
+    """
+    full = (1 << n) - 1
+    middle = list(range(1, full))
+    valid: list[tuple[int, ...]] = []
+    for chosen in range(1 << len(middle)):
+        fam = {0, full}
+        pick = chosen
+        while pick:
+            low = pick & -pick
+            fam.add(middle[low.bit_length() - 1])
+            pick ^= low
+        ok = True
+        members = sorted(fam)
+        for a, b in itertools.combinations(members, 2):
+            if a | b not in fam or a & b not in fam:
+                ok = False
+                break
+        if ok:
+            valid.append(_canonical_opens(n, fam))
+
+    def family_key(masks: tuple[int, ...]) -> tuple:
+        return (len(masks), tuple(PointSet(n, m).canonical_key() for m in masks))
+
+    valid.sort(key=family_key)
+    return tuple(valid)
 
 
 def reference_bispace_rows(top: TopologyTables, t1: int, t2: int):

@@ -7,6 +7,7 @@ from bispacelab.finite import (
     FiniteSpace,
     PointSet,
     SpaceAxiomError,
+    _space_forms,
     count_spaces,
     discrete_space,
     enumerate_spaces,
@@ -14,6 +15,7 @@ from bispacelab.finite import (
     trace_space,
     validate_space,
 )
+from helpers import reference_space_forms
 
 
 def ps(n, *points):
@@ -228,10 +230,20 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_enumeration_range_check():
-    with pytest.raises(ValueError):
-        list(enumerate_spaces(0))
-    with pytest.raises(ValueError):
-        list(enumerate_spaces(5))
+    # count_spaces shares the check, so it never starts an out-of-range build
+    for n in (0, -1, 5):
+        message = f"enumeration supported for 1..4 points, got {n}"
+        with pytest.raises(ValueError) as enumerated:
+            list(enumerate_spaces(n))
+        with pytest.raises(ValueError) as counted:
+            count_spaces(n)
+        assert str(enumerated.value) == str(counted.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_space_forms_match_candidate_scan(n):
+    # same families in the same order: every table index follows this order
+    assert _space_forms(n) == reference_space_forms(n)
 
 
 # ---------------------------------------------------------------------------

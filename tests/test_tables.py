@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 
+import helpers
+from bispacelab import tables
 from bispacelab.finite import PointSet, discrete_space, trace_space
 from bispacelab.suites import _consequence_failures
 from bispacelab.tables import (
@@ -20,6 +23,7 @@ from bispacelab.tables import (
     topology_tables,
 )
 from helpers import (
+    _flip_row,
     reference_bispace_rows,
     reference_bispace_tables,
     reference_consequence_failures,
@@ -131,6 +135,24 @@ def test_continuity_grids_match_per_pair_loop(m, k):
     assert dataclasses.astuple(continuity_grids(m, k)) == reference_continuity_grids(
         m, k
     )
+
+
+def test_continuity_grids_follow_patched_rows():
+    # one po and one spo row gain a value no other row has, so grids keyed
+    # on a column other than the one each grid reads miss the change
+    true_bt = bispace_tables(3)
+    bt = dataclasses.replace(
+        true_bt,
+        po=_flip_row(true_bt.po, 303, 3),
+        spo=_flip_row(true_bt.spo, 304, 5),
+    )
+    assert bt.po[303] not in true_bt.po and bt.spo[304] not in true_bt.spo
+    with mock.patch.object(tables, "bispace_tables", lambda m: bt), \
+            mock.patch.object(helpers, "bispace_tables", lambda m: bt):
+        got = dataclasses.astuple(continuity_grids.__wrapped__(3, 3))
+        expected = reference_continuity_grids(3, 3)
+    assert got == expected
+    assert got != dataclasses.astuple(continuity_grids(3, 3))
 
 
 @pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
