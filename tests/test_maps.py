@@ -281,6 +281,20 @@ def test_open_map_symbolic_source():
     assert not is_pairwise_open_map(f, bx, Bispace(sigma_small, sigma_small))
 
 
+def test_open_map_sees_members_meeting_an_atom_properly():
+    # the members of tau are X, the empty set and every countable part of
+    # blob; a nonempty part swallows no atom but still maps onto {x}
+    u = AtomUniverse([singleton("a"), uncountable("blob")])
+    tau = SchematicFamily(u, u.subset("blob"), u.empty())
+    tgt = AtomUniverse([singleton("x"), singleton("y")])
+    f = AtomMap(u, tgt, {"a": "y", "blob": "x"})
+    bx = Bispace(tau, tau)
+    indiscrete = SchematicFamily(tgt, tgt.empty(), tgt.empty())
+    assert not is_pairwise_open_map(f, bx, Bispace(indiscrete, indiscrete))
+    sigma = SchematicFamily(tgt, tgt.subset("x"), tgt.empty())
+    assert is_pairwise_open_map(f, bx, Bispace(sigma, sigma))
+
+
 # ---------------------------------------------------------------------------
 # Nets and directed sets
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from bispacelab.symbolic import is_ij_semiopen_schematic
 
 from helpers import (
     compare_singleton_universe,
+    mirror,
     random_family,
     random_mixed_universe,
+    random_singleton_universe,
     trace_semiopen_oracle,
 )
 
@@ -95,6 +97,46 @@ def test_open_traces_on_points_vs_member_traces():
         assert all(t.universe is u for t in got)
         assert [t.mask for t in got] == _canonical_sorted(len(u), expected), seed
     assert cases > 200
+
+
+def test_trace_consumers_vs_finite_models():
+    """The three predicates that walk member traces, on schematic families
+    over 200 seeded all-singleton universe pairs, against the same
+    predicates on the materialized finite models and the matching map."""
+    from bispacelab.maps import (
+        AtomMap,
+        FiniteMap,
+        is_pairwise_open_map,
+        satisfies_condition_C,
+    )
+    from bispacelab.props import PAIRS, Bispace, closed_supersets_interior
+    from bispacelab.symbolic import materialize_finite
+
+    verdicts = {"closed": [], "open": [], "C": []}
+    for seed in range(200):
+        rng = random.Random(4000 + seed)
+        u = random_singleton_universe(rng)
+        v = random_singleton_universe(rng)
+        sym_x = Bispace(random_family(rng, u), random_family(rng, u))
+        sym_y = Bispace(random_family(rng, v), random_family(rng, v))
+        fin_x = Bispace(materialize_finite(sym_x.first), materialize_finite(sym_x.second))
+        fin_y = Bispace(materialize_finite(sym_y.first), materialize_finite(sym_y.second))
+        assignment = [rng.randrange(len(v)) for _ in u.atoms]
+        f = AtomMap(u, v, {a.id: v.atoms[t].id for a, t in zip(u.atoms, assignment)})
+        g = FiniteMap(len(u), len(v), assignment)
+        for pair in PAIRS:
+            for s in u.algebra_sets():
+                got = closed_supersets_interior(sym_x, pair, s)
+                assert got == closed_supersets_interior(fin_x, pair, mirror(u, s)), seed
+                verdicts["closed"].append(got)
+            got = satisfies_condition_C(f, pair, sym_x, sym_y)
+            assert got == satisfies_condition_C(g, pair, fin_x, fin_y), (seed, pair)
+            verdicts["C"].append(got)
+        got = is_pairwise_open_map(f, sym_x, sym_y)
+        assert got == is_pairwise_open_map(g, fin_x, fin_y), seed
+        verdicts["open"].append(got)
+    for name, seen in verdicts.items():
+        assert set(seen) == {False, True}, name
 
 
 @pytest.mark.parametrize("n", range(1, 9))
