@@ -189,7 +189,7 @@ def _forward_open_images(source_space, f: AnyMap) -> Iterator[AnySet]:
     """Images of every open of the source, one per trace pattern."""
     if isinstance(source_space, SchematicFamily):
         for tr in iter_open_traces(source_space):
-            yield f.image(tr.touched_atoms())
+            yield f.image(tr.touched)
     else:
         for o in source_space.opens:
             yield f.image(o)
@@ -500,16 +500,8 @@ def satisfies_condition_C(f: AnyMap, pair, bx: Bispace, by: Bispace) -> bool:
     tgt = by.space(i)
     if isinstance(tgt, SchematicFamily):
         for tr in iter_open_traces(tgt):
-            pre = f.preimage(
-                tgt.universe.subset(
-                    *(
-                        a.id
-                        for a in f.image_points().atoms()
-                        if tr.contains_point(a.id)
-                    )
-                )
-            )
-            if not tr.equals_algebra_set(f.image(cl_j(pre))):
+            pre = f.preimage(tr.inside & f.image_points())
+            if not tr.inside == tr.touched == f.image(cl_j(pre)):
                 return False
         return True
     for u in tgt.opens:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .finite import FiniteSpace, PointSet, canonical_masks
 
@@ -268,12 +268,8 @@ class SchematicFamily:
         return self.universe.algebra_sets()
 
     def is_open(self, s: SymSet) -> bool:
-        """Membership in the family; X and empty are checked first by design."""
-        self._own(s)
-        if s.is_whole or s.is_empty:
-            return True
-        core = s - self.mandatory
-        return self.mandatory.issubset(s) and core.issubset(self.region) and is_countable(core)
+        """Membership in the family: s is open iff an open fits between s and s."""
+        return self.open_between(s, s) is not None
 
     def closure(self, s: SymSet) -> SymSet:
         """Smallest intersection of closed supersets, in closed form.
@@ -366,129 +362,43 @@ class SchematicFamily:
 # Trace patterns: exact quantification over every member of a family.
 # ---------------------------------------------------------------------------
 
-EMPTY, PART, FULL = 0, 1, 2
-
-
-def _atom_states(atom: Atom) -> tuple[int, ...]:
+def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
+    """The (swallows, meets) pairs a countable C realizes on one region atom."""
     # A countable C can swallow an atom only if the atom is countable, and
     # can meet it properly only if the atom has at least two points.
     if atom.cardinality is Cardinality.SINGLETON:
-        return (EMPTY, FULL)
+        return ((False, False), (True, True))
     if atom.cardinality is Cardinality.COUNTABLE:
-        return (EMPTY, PART, FULL)
-    return (EMPTY, PART)
+        return ((False, False), (False, True), (True, True))
+    return ((False, False), (False, True))
 
 
-class OpenTrace:
+class OpenTrace(NamedTuple):
     """One member of a schematic family, seen at atom granularity.
 
-    kind 'whole' is X, kind 'empty' is the empty member, kind 'member' is
-    C|P with, per region atom, whether C misses / properly meets / swallows
-    it. Two members with the same trace are indistinguishable to every
-    atom-level predicate, and every trace is realizable, so iterating traces
-    quantifies over the family exactly.
+    `inside` is the union of the atoms the member contains and `touched`
+    the union of the atoms it meets; the two differ exactly on the atoms
+    the member meets properly, so the member equals an algebra set v iff
+    inside == touched == v. Two members with the same trace are
+    indistinguishable to every atom-level predicate, and every trace is
+    realizable, so iterating traces quantifies over the family exactly.
     """
 
-    __slots__ = ("family", "kind", "states")
-
-    def __init__(self, family: SchematicFamily, kind: str, states: Optional[dict[str, int]] = None):
-        self.family = family
-        self.kind = kind
-        self.states = states or {}
-
-    @property
-    def is_whole(self) -> bool:
-        return self.kind == "whole"
-
-    @property
-    def is_empty_member(self) -> bool:
-        return self.kind == "empty"
-
-    def state(self, atom_id: str) -> int:
-        return self.states.get(atom_id, EMPTY)
-
-    def contains_point(self, atom_id: str) -> bool:
-        """Membership of a singleton atom's point."""
-        if self.is_whole:
-            return True
-        if self.is_empty_member:
-            return False
-        if self.family.mandatory.contains_atom(atom_id):
-            return True
-        return self.state(atom_id) == FULL
-
-    def contains_set(self, s: SymSet) -> bool:
-        """s <= U (every atom of s swallowed)."""
-        if self.is_whole:
-            return True
-        if self.is_empty_member:
-            return s.is_empty
-        for a in s.atoms():
-            if self.family.mandatory.contains_atom(a.id):
-                continue
-            if self.state(a.id) != FULL:
-                return False
-        return True
-
-    def disjoint_from(self, s: SymSet) -> bool:
-        """s & U empty (no atom of s touched)."""
-        if self.is_whole:
-            return s.is_empty
-        if self.is_empty_member:
-            return True
-        for a in s.atoms():
-            if self.family.mandatory.contains_atom(a.id):
-                return False
-            if self.state(a.id) != EMPTY:
-                return False
-        return True
-
-    def touched_atoms(self) -> SymSet:
-        """Atoms the member meets: its image footprint."""
-        u = self.family.universe
-        if self.is_whole:
-            return u.whole()
-        if self.is_empty_member:
-            return u.empty()
-        ids = list(self.family.mandatory.atom_ids())
-        ids.extend(i for i, st in self.states.items() if st != EMPTY)
-        return u.subset(*ids)
-
-    def is_vacuous_member(self) -> bool:
-        """True for the member C|P with C empty and P empty (the empty set again)."""
-        return self.kind == "member" and self.family.mandatory.is_empty and all(
-            st == EMPTY for st in self.states.values()
-        )
-
-    def equals_algebra_set(self, v: SymSet) -> bool:
-        """Exact equality of this member with an algebra set."""
-        if self.is_whole:
-            return v.is_whole
-        if self.is_empty_member:
-            return v.is_empty
-        for a in self.family.universe.atoms:
-            inside_u: Optional[bool]
-            if self.family.mandatory.contains_atom(a.id):
-                inside_u = True
-            else:
-                st = self.state(a.id)
-                if st == PART:
-                    return False  # a proper part never equals an atom union's slice
-                inside_u = st == FULL
-            if inside_u != v.contains_atom(a.id):
-                return False
-        return True
+    inside: SymSet
+    touched: SymSet
 
 
 def iter_open_traces(family: SchematicFamily) -> Iterator[OpenTrace]:
-    """Every member of the family, once per trace pattern."""
-    yield OpenTrace(family, "whole")
-    yield OpenTrace(family, "empty")
-    region_atoms = family.region.atoms()
-    for combo in itertools.product(*(_atom_states(a) for a in region_atoms)):
-        yield OpenTrace(
-            family, "member", {a.id: st for a, st in zip(region_atoms, combo)}
-        )
+    """Every member of the family, once per trace pattern: X, the empty
+    member, then C|P for each choice of region atom states of C."""
+    u, p = family.universe, family.mandatory
+    yield OpenTrace(u.whole(), u.whole())
+    yield OpenTrace(u.empty(), u.empty())
+    region_ids = family.region.atom_ids()
+    for combo in itertools.product(*(_atom_states(a) for a in family.region.atoms())):
+        swallowed = (i for i, (swallows, _) in zip(region_ids, combo) if swallows)
+        met = (i for i, (_, meets) in zip(region_ids, combo) if meets)
+        yield OpenTrace(p | u.subset(*swallowed), p | u.subset(*met))
 
 
 def open_traces_on_points(family: SchematicFamily, points: SymSet) -> list[SymSet]:
@@ -519,23 +429,20 @@ def forall_closed_supersets_interior_covers(
     Closed sets are complements of members; G contains `a` iff the member
     avoids `a`. interior_i(G) is (R_i & G) | P_i when P_i <= G (else empty),
     so the cover test per closed trace needs only: G whole, P_i avoided by
-    the member, a - P_i inside R_i, and a - P_i avoided by the member.
+    the member, and a - P_i inside R_i.
     """
     if a.is_empty:
         return True
     p_i = fam_i.mandatory
-    core = a - p_i
-    core_in_region = core.issubset(fam_i.region)
+    core_in_region = (a - p_i).issubset(fam_i.region)
     for u in iter_open_traces(fam_j):
-        if not u.disjoint_from(a):
+        if not u.touched.disjoint(a):
             continue  # G = X - U does not contain a
-        if u.is_empty_member or u.is_vacuous_member():
+        if u.touched.is_empty:
             continue  # G = X, interior is X
-        if not u.disjoint_from(p_i):
+        if not u.touched.disjoint(p_i):
             return False  # P_i escapes G: interior_i(G) is empty
         if not core_in_region:
-            return False
-        if not u.disjoint_from(core):
             return False
     return True
 

@@ -131,13 +131,13 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
     p_j, r_j = fam_j.mandatory, fam_j.region
     need = a & r_j
     for tr in iter_open_traces(fam_i):
-        if tr.is_whole or tr.is_empty_member or tr.is_vacuous_member():
-            continue  # whole needs a = X; empty members close to empty
-        if not tr.touched_atoms().issubset(a):
-            continue
-        if not tr.disjoint_from(p_j):
+        if tr.touched.is_empty:
+            continue  # empty members close to empty
+        if not tr.touched.issubset(a):
+            continue  # this excludes X, as a is not X
+        if not tr.touched.disjoint(p_j):
             return True
-        if (a & p_j).is_empty and tr.contains_set(need):
+        if (a & p_j).is_empty and need.issubset(tr.inside):
             return True
     return False
 

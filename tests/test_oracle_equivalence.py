@@ -59,7 +59,7 @@ def test_open_between_complete_on_mixed_universes(seed):
                 continue
             witness = fam.open_between(a, b)
             trace_exists = any(
-                tr.contains_set(a) and tr.touched_atoms().issubset(b)
+                a.issubset(tr.inside) and tr.touched.issubset(b)
                 for tr in iter_open_traces(fam)
             )
             assert (witness is not None) == trace_exists, (a, b)
@@ -90,7 +90,7 @@ def test_open_traces_on_points_vs_member_traces():
         cases += 1
         points = u.subset(*rng.sample(singles, rng.randint(1, len(singles))))
         expected = {
-            u.subset(*(p for p in points.atom_ids() if tr.contains_point(p))).mask
+            (tr.inside & points).mask
             for tr in iter_open_traces(fam)
         }
         got = open_traces_on_points(fam, points)

@@ -211,27 +211,38 @@ def test_closure_laws_over_algebra(anchored):
 # ---------------------------------------------------------------------------
 
 def test_trace_count_respects_cardinalities(anchored):
-    _, fam = anchored
+    u, fam = anchored
     # region atoms: singleton 'a' (2 states) and uncountable 'blob' (2 states),
     # plus the whole and empty members
     traces = list(iter_open_traces(fam))
     assert len(traces) == 2 + 2 * 2
+    # C misses or swallows 'a', misses or properly meets 'blob'; P = {p}
+    s = u.subset
+    assert traces == [
+        (u.whole(), u.whole()),
+        (u.empty(), u.empty()),
+        (s("p"), s("p")),
+        (s("p"), s("p", "blob")),
+        (s("a", "p"), s("a", "p")),
+        (s("a", "p"), s("a", "p", "blob")),
+    ]
 
 
 def test_trace_membership_predicates(anchored):
     u, fam = anchored
+    # C swallows 'a' and meets 'blob' properly
     member = next(
         t
         for t in iter_open_traces(fam)
-        if t.kind == "member" and t.state("a") == 2 and t.state("blob") == 1
+        if t.inside.contains_atom("a")
+        and t.touched.contains_atom("blob")
+        and not t.inside.contains_atom("blob")
     )
-    assert member.contains_point("a")
-    assert member.contains_point("p")
-    assert not member.contains_set(u.subset("blob"))
-    assert not member.disjoint_from(u.subset("blob"))
-    assert member.disjoint_from(u.subset("sea"))
-    assert member.touched_atoms() == u.subset("a", "p", "blob")
-    assert not member.equals_algebra_set(u.subset("a", "p", "blob"))
+    assert member.inside.contains_atom("p")
+    assert not u.subset("blob").disjoint(member.touched)
+    assert u.subset("sea").disjoint(member.touched)
+    assert member.touched == u.subset("a", "p", "blob")
+    assert member.inside != member.touched  # equals no algebra set
 
 
 def test_trace_equals_algebra_set(anchored):
@@ -239,10 +250,10 @@ def test_trace_equals_algebra_set(anchored):
     exact = next(
         t
         for t in iter_open_traces(fam)
-        if t.kind == "member" and t.state("a") == 2 and t.state("blob") == 0
+        if t.inside.contains_atom("a") and not t.touched.contains_atom("blob")
     )
-    assert exact.equals_algebra_set(u.subset("a", "p"))
-    assert not exact.equals_algebra_set(u.subset("p"))
+    assert exact.inside == exact.touched == u.subset("a", "p")
+    assert exact.inside != u.subset("p")
 
 
 def test_open_traces_on_points(anchored):
@@ -262,7 +273,7 @@ def test_every_open_is_open_under_traces(halves):
     # exactly-equal trace member
     u, left, _ = halves
     for s in left.algebra_sets():
-        trace_open = any(t.equals_algebra_set(s) for t in iter_open_traces(left))
+        trace_open = any(t.inside == t.touched == s for t in iter_open_traces(left))
         assert trace_open == left.is_open(s)
 
 
