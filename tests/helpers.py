@@ -148,7 +148,8 @@ def reference_space_forms(n: int) -> tuple[tuple[int, ...], ...]:
     Candidates are every choice of proper nonempty subsets joined with the
     empty and whole set; a candidate survives iff closed under pairwise
     union and intersection. 2^(2^n - 2) candidates, so n <= 4. Sorted as
-    finite._space_forms sorts. The oracle for finite._space_forms.
+    finite._space_forms sorts. The oracle for finite._space_forms and
+    enumerate_spaces.
     """
     full = (1 << n) - 1
     middle = list(range(1, full))

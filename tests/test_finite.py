@@ -186,30 +186,12 @@ def test_lemma_closure_meets_open(n):
 # Enumeration counts, checked against an independent set-based oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_families(n):
-    """Brute-force filter written over frozensets, independent of bitmasks."""
-    points = frozenset(range(n))
-    proper = [
-        frozenset(c)
-        for r in range(1, n)
-        for c in itertools.combinations(range(n), r)
-    ]
-    valid = set()
-    for r in range(len(proper) + 1):
-        for chosen in itertools.combinations(proper, r):
-            family = set(chosen) | {frozenset(), points}
-            if all(
-                a | b in family and a & b in family
-                for a in family
-                for b in family
-            ):
-                valid.add(frozenset(family))
-    return valid
-
-
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 29)])
 def test_enumeration_count_against_oracle(n, expected):
-    oracle = _oracle_families(n)
+    oracle = {
+        frozenset(frozenset(PointSet(n, m)) for m in form)
+        for form in reference_space_forms(n)
+    }
     assert len(oracle) == expected  # frozen regression constant
     enumerated = {
         frozenset(frozenset(o) for o in space.opens)
