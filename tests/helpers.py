@@ -134,7 +134,7 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
         if tr.touched.is_empty:
             continue  # empty members close to empty
         if not tr.touched.issubset(a):
-            continue  # this excludes X, as a is not X
+            continue  # X lands here, as a is not X
         if not tr.touched.disjoint(p_j):
             return True
         if (a & p_j).is_empty and need.issubset(tr.inside):

@@ -183,7 +183,7 @@ def test_lemma_closure_meets_open(n):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration counts, checked against an independent set-based oracle
+# Enumeration counts, checked against the candidate-scan oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 29)])
