@@ -390,7 +390,7 @@ class OpenTrace(NamedTuple):
 
 def iter_open_traces(family: SchematicFamily) -> Iterator[OpenTrace]:
     """Every member of the family, once per trace pattern: X, the empty
-    member, then C|P for each choice of region atom states of C."""
+    member, then C|P for each way C can meet the region atoms."""
     u, p = family.universe, family.mandatory
     yield OpenTrace(u.whole(), u.whole())
     yield OpenTrace(u.empty(), u.empty())
