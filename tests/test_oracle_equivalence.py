@@ -100,19 +100,27 @@ def test_open_traces_on_points_vs_member_traces():
 
 
 def test_trace_consumers_vs_finite_models():
-    """The three predicates that walk member traces, on schematic families
-    over 200 seeded all-singleton universe pairs, against the same
+    """The predicates that walk member traces or trace sets, on schematic
+    families over 200 seeded all-singleton universe pairs, against the same
     predicates on the materialized finite models and the matching map."""
     from bispacelab.maps import (
         AtomMap,
         FiniteMap,
+        Net,
+        enumerate_directed_sets,
+        is_pairwise_continuous,
         is_pairwise_open_map,
+        is_pairwise_precontinuous,
+        net_converges,
         satisfies_condition_C,
     )
     from bispacelab.props import PAIRS, Bispace, closed_supersets_interior
     from bispacelab.symbolic import materialize_finite
 
-    verdicts = {"closed": [], "open": [], "C": []}
+    directed = enumerate_directed_sets(2)
+    verdicts = {
+        "closed": [], "open": [], "C": [], "cont": [], "precont": [], "net": []
+    }
     for seed in range(200):
         rng = random.Random(4000 + seed)
         u = random_singleton_universe(rng)
@@ -132,9 +140,20 @@ def test_trace_consumers_vs_finite_models():
             got = satisfies_condition_C(f, pair, sym_x, sym_y)
             assert got == satisfies_condition_C(g, pair, fin_x, fin_y), (seed, pair)
             verdicts["C"].append(got)
-        got = is_pairwise_open_map(f, sym_x, sym_y)
-        assert got == is_pairwise_open_map(g, fin_x, fin_y), seed
-        verdicts["open"].append(got)
+        for name, predicate in (
+            ("open", is_pairwise_open_map),
+            ("cont", is_pairwise_continuous),
+            ("precont", is_pairwise_precontinuous),
+        ):
+            got = predicate(f, sym_x, sym_y)
+            assert got == predicate(g, fin_x, fin_y), (seed, name)
+            verdicts[name].append(got)
+        d = rng.choice(directed)
+        points = [rng.randrange(len(u)) for _ in range(d.size + 1)]
+        sym_net = Net(d, tuple(u.atoms[p].id for p in points[1:]))
+        got = net_converges(sym_x.first, sym_net, u.atoms[points[0]].id)
+        assert got == net_converges(fin_x.first, Net(d, tuple(points[1:])), points[0])
+        verdicts["net"].append(got)
     for name, seen in verdicts.items():
         assert set(seen) == {False, True}, name
 
