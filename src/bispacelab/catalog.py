@@ -28,19 +28,6 @@ from .symbolic import (
     uncountable,
 )
 
-CATALOG_IDS = (
-    "ex-3.1",
-    "ex-3.2",
-    "ex-3.3",
-    "ex-3.4",
-    "ex-3.5",
-    "ex-3.6",
-    "ex-3.7",
-    "ex-3.8",
-    "ex-4.1",
-)
-
-
 @dataclass(frozen=True)
 class Claim:
     """One checkable statement about an entry's structures.
@@ -90,10 +77,7 @@ def _resolve_set(entry: CatalogEntry, value, on: str):
         except KeyError:
             raise ValueError(f"{entry.entry_id}: unknown named set {value!r}") from None
     bisp = entry.target_bispace if on == "target" else entry.bispace
-    backend = bisp.first
-    if isinstance(backend, SchematicFamily):
-        return backend.universe.subset(*value)
-    return PointSet.of(backend.size, value)
+    return bisp.first.set_of(value)
 
 
 def _space(entry: CatalogEntry, claim: Claim):
@@ -662,6 +646,8 @@ _BUILDERS = {
     "ex-3.8": _ex_3_8,
     "ex-4.1": _ex_4_1,
 }
+
+CATALOG_IDS = tuple(_BUILDERS)
 
 
 def build_example(entry_id: str) -> CatalogEntry:

@@ -248,6 +248,21 @@ class FiniteSpace:
         """Every subset of the carrier, in canonical order."""
         return (PointSet(self.size, m) for m in canonical_masks(self.size))
 
+    def set_of(self, members) -> PointSet:
+        return PointSet.of(self.size, members)
+
+    def open_traces(self) -> Iterator[tuple[PointSet, PointSet]]:
+        """(inside, touched) per open; an open contains every point it meets."""
+        return ((o, o) for o in self.opens)
+
+    def traces_on(self, points: PointSet) -> tuple[PointSet, ...]:
+        """Sets whose meets with `points` are the opens' meets: the opens."""
+        return self.opens
+
+    def restrict(self, region: PointSet) -> "FiniteSpace":
+        """Trace space on `region`, points relabelled positionally."""
+        return trace_space(self, region)[0]
+
     def open_between(self, a: PointSet, b: PointSet) -> Optional[PointSet]:
         """Smallest canonical open U with a <= U <= b, or None.
 

@@ -1,16 +1,17 @@
 """Functions between bispaces: the continuity hierarchy, nets, condition C.
 
-Quantifiers over the (possibly uncountable) open family of a symbolic
-structure reduce to finitely many cases in two ways:
+Every predicate here quantifies over opens through two backend methods, so
+one loop serves finite spaces and symbolic families alike:
 
-* backward questions (continuity-style) only see an open through its trace
-  on the finitely many image points, so the trace sets from
-  open_traces_on_points enumerate all possible preimages;
-* forward questions (open maps, condition C) see an open through its
-  atom-level trace pattern, so iter_open_traces enumerates them exactly.
+* backward questions (continuity-style, nets) only see an open through its
+  meets with finitely many points, so traces_on(points) lists every
+  possible meet (a finite space lists its opens);
+* forward questions (open maps, condition C) see an open through the atoms
+  it contains and meets, so open_traces() yields those (inside, touched)
+  pairs exactly (a finite space yields (o, o) per open).
 
-Both reductions are cross-checked against explicit finite models in the
-test suite.
+The symbolic reductions are cross-checked against explicit finite models
+in the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Sequence, Union
 
 from .finite import FiniteSpace, PointSet
 from .props import (
@@ -34,13 +35,7 @@ from .props import (
     spcl,
     subspace,
 )
-from .symbolic import (
-    AtomUniverse,
-    SchematicFamily,
-    SymSet,
-    iter_open_traces,
-    open_traces_on_points,
-)
+from .symbolic import AtomUniverse, SchematicFamily, SymSet
 
 AnySet = Union[PointSet, SymSet]
 
@@ -80,6 +75,9 @@ class FiniteMap:
             if v in s:
                 mask |= 1 << p
         return PointSet(self.source_size, mask)
+
+    def image_points(self) -> PointSet:
+        return PointSet.of(self.target_size, self.assignment)
 
     def is_surjective(self) -> bool:
         return len(set(self.assignment)) == self.target_size
@@ -173,26 +171,13 @@ def preimage(f: AnyMap, s: AnySet) -> AnySet:
 # Quantifying over the target's opens by what their preimages can be
 # ---------------------------------------------------------------------------
 
-def preimage_test_sets(target_space, f: AnyMap) -> list:
+def preimage_test_sets(target_space, f: AnyMap) -> Sequence[AnySet]:
     """Target sets whose preimages exhaust all preimages of open sets.
 
-    A preimage only depends on the open's trace on the image points, so for
-    a symbolic target the trace sets suffice (and are exact); for a finite
-    target the opens themselves are returned.
+    A preimage only depends on the open's meet with the image points, so
+    the backend's traces_on(f.image_points()) suffices and is exact.
     """
-    if isinstance(target_space, SchematicFamily):
-        return open_traces_on_points(target_space, f.image_points())
-    return list(target_space.opens)
-
-
-def _forward_open_images(source_space, f: AnyMap) -> Iterator[AnySet]:
-    """Images of every open of the source, one per trace pattern."""
-    if isinstance(source_space, SchematicFamily):
-        for tr in iter_open_traces(source_space):
-            yield f.image(tr.touched)
-    else:
-        for o in source_space.opens:
-            yield f.image(o)
+    return target_space.traces_on(f.image_points())
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +215,11 @@ def is_pairwise_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
 def is_pairwise_open_map(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Image of every i-th-structure open is i-th-structure open, i = 1, 2."""
     _check_compatible(f, bx, by)
-    for i in (1, 2):
-        src, tgt = bx.space(i), by.space(i)
-        for img in _forward_open_images(src, f):
-            if not tgt.is_open(img):
-                return False
-    return True
+    return all(
+        by.space(i).is_open(f.image(touched))
+        for i in (1, 2)
+        for _, touched in bx.space(i).open_traces()
+    )
 
 
 def is_pairwise_precontinuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
@@ -260,30 +244,33 @@ def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
     return f.image(space_x.closure(a)).issubset(space_y.closure(f.image(a)))
 
 
+def _every_closed_preimage(f: AnyMap, bx: Bispace, by: Bispace, closed) -> bool:
+    """closed(bx, (i, j), preimage) for the preimage of every sigma_i-closed set."""
+    return all(
+        closed(bx, (i, j), f.preimage(v.complement()))
+        for i, j in PAIRS
+        for v in preimage_test_sets(by.space(i), f)
+    )
+
+
 def closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Both sides of the closed-set characterization; whether they agree.
 
-    Left: pairwise precontinuity via open preimages. Right: preimages of
-    sigma_i-closed sets are (i,j)-preclosed. The sides are not independent:
-    f^-1(Y - V) = X - f^-1(V) and is_ij_preclosed(a) is is_ij_preopen of
-    X - a, so the right side re-tests the left side's sets and the two
-    agree for every map. A False answer means a corrupted predicate.
+    Left: pairwise precontinuity via open preimages. Right: the preimage
+    of each sigma_i-closed set Y - V, taken as a set in its own right, is
+    (i,j)-preclosed. The sides agree for every map whose preimage keeps
+    f^-1(Y - V) = X - f^-1(V); a False answer means a corrupted preimage
+    or predicate.
     """
     lhs = is_pairwise_precontinuous(f, bx, by)
-    rhs = _every_preimage(
-        f, bx, by, lambda pair, u: is_ij_preclosed(bx, pair, u.complement())
-    )
-    return lhs == rhs
+    return lhs == _every_closed_preimage(f, bx, by, is_ij_preclosed)
 
 
 def sp_closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
-    """Semi-pre analogue of closed_preimage_characterization, and like it
-    an identity: is_ij_semipreclosed(a) is is_ij_semipreopen of X - a."""
+    """Semi-pre analogue of closed_preimage_characterization: the preimage
+    of each sigma_i-closed set must be (i,j)-semipreclosed."""
     lhs = is_pairwise_sp_continuous(f, bx, by)
-    rhs = _every_preimage(
-        f, bx, by, lambda pair, u: is_ij_semipreclosed(bx, pair, u.complement())
-    )
-    return lhs == rhs
+    return lhs == _every_closed_preimage(f, bx, by, is_ij_semipreclosed)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +344,7 @@ def precontinuity_consequences(
         neighborhoods,
         image_bound,
         preimage_bound,
-        algebra_relative=isinstance(src_any, SchematicFamily),
+        algebra_relative=bx.is_symbolic,
     )
 
 
@@ -444,34 +431,17 @@ class Net:
             raise ValueError("net must value every element of the directed set")
 
 
-def _value_set(space, values) -> AnySet:
-    if isinstance(space, SchematicFamily):
-        return space.universe.subset(*values)
-    return PointSet.of(space.size, values)
-
-
 def net_converges(space, net: Net, x) -> bool:
     """Eventually inside every open around x.
 
-    On a symbolic carrier x and the net values must be singleton atoms; it
-    is enough to range over the traces of opens on those finitely many
-    points, which is exact.
+    It is enough to range over the opens' meets with x and the net values,
+    which is exact; on a symbolic carrier those must be singleton atoms.
+    A point outside the carrier raises ValueError (KeyError for an unknown
+    atom).
     """
-    if isinstance(space, SchematicFamily):
-        point = space.universe.subset(space.universe.atom(x).id)
-        relevant = _value_set(space, net.values) | point
-        opens = open_traces_on_points(space, relevant)
-        member = lambda value, u: u.contains_atom(value)
-        x_in = lambda u: u.contains_atom(x)
-    else:
-        opens = space.opens
-        member = lambda value, u: value in u
-        x_in = lambda u: x in u
-    for u in opens:
-        if not x_in(u):
-            continue
-        if not any(
-            all(member(net.values[b], u) for b in net.directed.above(a))
+    for u in space.traces_on(space.set_of((x, *net.values))):
+        if x in u and not any(
+            all(net.values[b] in u for b in net.directed.above(a))
             for a in range(net.directed.size)
         ):
             return False
@@ -491,23 +461,17 @@ def satisfies_condition_C(f: AnyMap, pair, bx: Bispace, by: Bispace) -> bool:
 
     Taking U* to be the whole target forces f to be surjective, so the check
     is False for every non-surjective map; that reading is deliberate.
-    Symbolic targets are quantified by trace patterns with exact
-    member-vs-algebra-set equality.
+    Opens are quantified by their (inside, touched) traces: an image is an
+    algebra set, so a member equals it iff inside == touched == image,
+    which decides each member exactly on its own.
     """
     _check_compatible(f, bx, by)
     i, j = check_pair(pair)
     cl_j = bx.space(j).closure
-    tgt = by.space(i)
-    if isinstance(tgt, SchematicFamily):
-        for tr in iter_open_traces(tgt):
-            pre = f.preimage(tr.inside & f.image_points())
-            if not tr.inside == tr.touched == f.image(cl_j(pre)):
-                return False
-        return True
-    for u in tgt.opens:
-        if f.image(cl_j(f.preimage(u))) != u:
-            return False
-    return True
+    return all(
+        inside == touched == f.image(cl_j(f.preimage(inside)))
+        for inside, touched in by.space(i).open_traces()
+    )
 
 
 def check_theorem_4_6(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .finite import FiniteSpace, PointSet, trace_space
+from .finite import FiniteSpace, PointSet
 from .symbolic import (
     SchematicFamily,
     SymSet,
@@ -190,11 +190,7 @@ def closed_supersets_interior(bispace: Bispace, pair, a: AnySet) -> bool:
 
 def subspace(bispace: Bispace, region: AnySet) -> Bispace:
     """Trace bispace on `region`; finite points are relabelled positionally."""
-    if isinstance(bispace.first, SchematicFamily):
-        return Bispace(bispace.first.restrict(region), bispace.second.restrict(region))
-    sub1, _ = trace_space(bispace.first, region)
-    sub2, _ = trace_space(bispace.second, region)
-    return Bispace(sub1, sub2)
+    return Bispace(bispace.first.restrict(region), bispace.second.restrict(region))
 
 
 def finite_bispace(size: int, opens1, opens2) -> Bispace:

@@ -125,18 +125,14 @@ def _string_list(raw, where: str) -> list:
 def _members(bispace: Bispace, members, where: str):
     """The set of `members` (points of a finite carrier, atom ids of a
     symbolic universe) on the document's carrier."""
-    backend = bispace.first
-    if isinstance(backend, SchematicFamily):
-        try:
-            return backend.universe.subset(*_string_list(members, where))
-        except KeyError as e:
-            _fail(where, str(e.args[0]))
-    if not isinstance(members, list) or any(not _is_int(p) for p in members):
+    if bispace.is_symbolic:
+        _string_list(members, where)
+    elif not isinstance(members, list) or any(not _is_int(p) for p in members):
         _fail(where, "must be an array of integers")
     try:
-        return PointSet.of(backend.size, members)
-    except ValueError as e:
-        _fail(where, str(e))
+        return bispace.first.set_of(members)
+    except (KeyError, ValueError) as e:
+        _fail(where, str(e.args[0]))
 
 
 def _parse_finite(doc: dict, where: str) -> Bispace:

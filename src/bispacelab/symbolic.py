@@ -194,6 +194,8 @@ class SymSet:
     def contains_atom(self, id: str) -> bool:
         return (self.mask >> self.universe.position(id)) & 1 == 1
 
+    __contains__ = contains_atom
+
     def atom_ids(self) -> tuple[str, ...]:
         return tuple(a.id for i, a in enumerate(self.universe.atoms) if (self.mask >> i) & 1)
 
@@ -234,6 +236,36 @@ def is_countable(s: SymSet) -> bool:
     return all(a.is_countable for a in s.atoms())
 
 
+# ---------------------------------------------------------------------------
+# Trace patterns: exact quantification over every member of a family.
+# ---------------------------------------------------------------------------
+
+def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
+    """The (swallows, meets) pairs a countable C realizes on one region atom."""
+    # A countable C can swallow an atom only if the atom is countable, and
+    # can meet it properly only if the atom has at least two points.
+    if atom.cardinality is Cardinality.SINGLETON:
+        return ((False, False), (True, True))
+    if atom.cardinality is Cardinality.COUNTABLE:
+        return ((False, False), (False, True), (True, True))
+    return ((False, False), (False, True))
+
+
+class OpenTrace(NamedTuple):
+    """One member of a schematic family, seen at atom granularity.
+
+    `inside` is the union of the atoms the member contains and `touched`
+    the union of the atoms it meets; the two differ exactly on the atoms
+    the member meets properly, so the member equals an algebra set v iff
+    inside == touched == v. Two members with the same trace are
+    indistinguishable to every atom-level predicate, and every trace is
+    realizable, so iterating traces quantifies over the family exactly.
+    """
+
+    inside: SymSet
+    touched: SymSet
+
+
 class SchematicFamily:
     """The open family {X, empty} | {C | P : C countable, C inside the region}."""
 
@@ -266,6 +298,39 @@ class SchematicFamily:
 
     def algebra_sets(self) -> Iterator[SymSet]:
         return self.universe.algebra_sets()
+
+    def set_of(self, members) -> SymSet:
+        return self.universe.subset(*members)
+
+    def open_traces(self) -> Iterator[OpenTrace]:
+        """Every member of the family, once per trace pattern: X, the empty
+        member, then C|P for each way C can meet the region atoms."""
+        u, p = self.universe, self.mandatory
+        yield OpenTrace(u.whole(), u.whole())
+        yield OpenTrace(u.empty(), u.empty())
+        region_ids = self.region.atom_ids()
+        for combo in itertools.product(*(_atom_states(a) for a in self.region.atoms())):
+            swallowed = (i for i, (swallows, _) in zip(region_ids, combo) if swallows)
+            met = (i for i, (_, meets) in zip(region_ids, combo) if meets)
+            yield OpenTrace(p | u.subset(*swallowed), p | u.subset(*met))
+
+    def traces_on(self, points: SymSet) -> list[SymSet]:
+        """Distinct intersections U & points over all opens U, for singleton-atom points.
+
+        A member meets a singleton p iff p is mandatory or p sits in the region
+        and its C swallows p, so the possible traces on `points` are the empty
+        set, all of `points` (from X), and (P & points) | S for S inside
+        R & points. Exact and finite.
+        """
+        for a in points.atoms():
+            if not a.is_singleton:
+                raise ValueError(f"trace points must be singleton atoms, got {a.id!r}")
+        base = (self.mandatory & points).mask
+        free = (self.region & points).mask
+        order = canonical_masks(len(self.universe))
+        traces = {0, points.mask}
+        traces.update(base | s for s in order if s & ~free == 0)
+        return [SymSet(self.universe, m) for m in order if m in traces]
 
     def is_open(self, s: SymSet) -> bool:
         """Membership in the family: s is open iff an open fits between s and s."""
@@ -358,69 +423,6 @@ class SchematicFamily:
         return f"SchematicFamily(region={self.region!r}, mandatory={self.mandatory!r})"
 
 
-# ---------------------------------------------------------------------------
-# Trace patterns: exact quantification over every member of a family.
-# ---------------------------------------------------------------------------
-
-def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
-    """The (swallows, meets) pairs a countable C realizes on one region atom."""
-    # A countable C can swallow an atom only if the atom is countable, and
-    # can meet it properly only if the atom has at least two points.
-    if atom.cardinality is Cardinality.SINGLETON:
-        return ((False, False), (True, True))
-    if atom.cardinality is Cardinality.COUNTABLE:
-        return ((False, False), (False, True), (True, True))
-    return ((False, False), (False, True))
-
-
-class OpenTrace(NamedTuple):
-    """One member of a schematic family, seen at atom granularity.
-
-    `inside` is the union of the atoms the member contains and `touched`
-    the union of the atoms it meets; the two differ exactly on the atoms
-    the member meets properly, so the member equals an algebra set v iff
-    inside == touched == v. Two members with the same trace are
-    indistinguishable to every atom-level predicate, and every trace is
-    realizable, so iterating traces quantifies over the family exactly.
-    """
-
-    inside: SymSet
-    touched: SymSet
-
-
-def iter_open_traces(family: SchematicFamily) -> Iterator[OpenTrace]:
-    """Every member of the family, once per trace pattern: X, the empty
-    member, then C|P for each way C can meet the region atoms."""
-    u, p = family.universe, family.mandatory
-    yield OpenTrace(u.whole(), u.whole())
-    yield OpenTrace(u.empty(), u.empty())
-    region_ids = family.region.atom_ids()
-    for combo in itertools.product(*(_atom_states(a) for a in family.region.atoms())):
-        swallowed = (i for i, (swallows, _) in zip(region_ids, combo) if swallows)
-        met = (i for i, (_, meets) in zip(region_ids, combo) if meets)
-        yield OpenTrace(p | u.subset(*swallowed), p | u.subset(*met))
-
-
-def open_traces_on_points(family: SchematicFamily, points: SymSet) -> list[SymSet]:
-    """Distinct intersections U & points over all opens U, for singleton-atom points.
-
-    A member meets a singleton p iff p is mandatory or p sits in the region
-    and its C swallows p, so the possible traces on `points` are the empty
-    set, all of `points` (from X), and (P & points) | S for S inside
-    R & points. Exact and finite.
-    """
-    for a in points.atoms():
-        if not a.is_singleton:
-            raise ValueError(f"trace points must be singleton atoms, got {a.id!r}")
-    u = family.universe
-    base = (family.mandatory & points).mask
-    free = (family.region & points).mask
-    order = canonical_masks(len(u))
-    traces = {0, points.mask}
-    traces.update(base | s for s in order if s & ~free == 0)
-    return [SymSet(u, m) for m in order if m in traces]
-
-
 def forall_closed_supersets_interior_covers(
     fam_j: SchematicFamily, fam_i: SchematicFamily, a: SymSet
 ) -> bool:
@@ -435,7 +437,7 @@ def forall_closed_supersets_interior_covers(
         return True
     p_i = fam_i.mandatory
     core_in_region = (a - p_i).issubset(fam_i.region)
-    for u in iter_open_traces(fam_j):
+    for u in fam_j.open_traces():
         if not u.touched.disjoint(a):
             continue  # G = X - U does not contain a
         if u.touched.is_empty:

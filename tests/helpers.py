@@ -124,13 +124,11 @@ def compare_singleton_universe(seed: int) -> int:
 def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: SymSet) -> bool:
     """Decide semiopenness by enumerating member traces, independently of the
     closed form: some member O inside `a` whose j-closure covers `a`."""
-    from bispacelab.symbolic import iter_open_traces
-
     if a.is_empty or a.is_whole:
         return True
     p_j, r_j = fam_j.mandatory, fam_j.region
     need = a & r_j
-    for tr in iter_open_traces(fam_i):
+    for tr in fam_i.open_traces():
         if tr.touched.is_empty:
             continue  # empty members close to empty
         if not tr.touched.issubset(a):

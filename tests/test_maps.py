@@ -350,6 +350,13 @@ def test_net_convergence_symbolic():
     assert net_converges(fam, net, "b")
 
 
+@pytest.mark.parametrize("x", [5, -1])
+def test_net_convergence_rejects_points_outside_the_carrier(x):
+    net = Net(FiniteDirectedSet(1, [(0, 0)]), (0,))
+    with pytest.raises(ValueError, match=f"point {x} outside carrier 0..1"):
+        net_converges(discrete_space(2), net, x)
+
+
 # ---------------------------------------------------------------------------
 # Condition C and the transfer theorem
 # ---------------------------------------------------------------------------
@@ -454,6 +461,28 @@ def test_closed_characterizations_detect_a_wrong_right_side(
     assert check(f, bx, by)
     monkeypatch.setattr(maps, closed, lambda bispace, pair, a: False)
     assert not check(f, bx, by)
+
+
+class _BlindPreimage(FiniteMap):
+    """A corrupted map: the preimage of any set missing point 0 is empty."""
+
+    def preimage(self, s):
+        return super().preimage(s) if 0 in s else PointSet(self.source_size)
+
+
+@pytest.mark.parametrize("characterization", [
+    "closed_preimage_characterization", "sp_closed_preimage_characterization",
+])
+def test_closed_characterizations_detect_a_wrong_preimage(characterization):
+    # the right side reads preimages of closed sets, so a preimage that
+    # breaks f^-1(Y - V) = X - f^-1(V) makes the two sides disagree
+    import bispacelab.maps as maps
+
+    check = getattr(maps, characterization)
+    bx = bi(validate_space(2, [ps(2), ps(2, 0), ps(2, 0, 1)]))
+    by = bi(discrete_space(2))
+    assert check(FiniteMap(2, 2, (0, 1)), bx, by)
+    assert not check(_BlindPreimage(2, 2, (0, 1)), bx, by)
 
 
 @pytest.mark.parametrize("sp_variant,hull", [(False, "pcl"), (True, "spcl")])

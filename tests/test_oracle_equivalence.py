@@ -51,8 +51,6 @@ def test_open_between_complete_on_mixed_universes(seed):
     rng = random.Random(2000 + seed)
     u = random_mixed_universe(rng)
     fam = random_family(rng, u)
-    from bispacelab.symbolic import iter_open_traces
-
     for a in u.algebra_sets():
         for b in u.algebra_sets():
             if not a.issubset(b):
@@ -60,7 +58,7 @@ def test_open_between_complete_on_mixed_universes(seed):
             witness = fam.open_between(a, b)
             trace_exists = any(
                 a.issubset(tr.inside) and tr.touched.issubset(b)
-                for tr in iter_open_traces(fam)
+                for tr in fam.open_traces()
             )
             assert (witness is not None) == trace_exists, (a, b)
             if witness is not None:
@@ -77,8 +75,6 @@ def _canonical_sorted(n, masks):
 def test_open_traces_on_points_vs_member_traces():
     """The trace sets on singleton points, against the distinct point sets
     the members' trace patterns contain, in canonical order."""
-    from bispacelab.symbolic import iter_open_traces, open_traces_on_points
-
     cases = 0
     for seed in range(300):
         rng = random.Random(3000 + seed)
@@ -91,9 +87,9 @@ def test_open_traces_on_points_vs_member_traces():
         points = u.subset(*rng.sample(singles, rng.randint(1, len(singles))))
         expected = {
             (tr.inside & points).mask
-            for tr in iter_open_traces(fam)
+            for tr in fam.open_traces()
         }
-        got = open_traces_on_points(fam, points)
+        got = fam.traces_on(points)
         assert all(t.universe is u for t in got)
         assert [t.mask for t in got] == _canonical_sorted(len(u), expected), seed
     assert cases > 200

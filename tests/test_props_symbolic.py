@@ -18,7 +18,6 @@ from bispacelab.props import (
     pcl,
     subspace,
 )
-from bispacelab.symbolic import iter_open_traces
 
 PAIRS = ((1, 2), (2, 1))
 
@@ -237,7 +236,7 @@ def test_trace_enumeration_sizes():
     # uncountable atoms have two realizable states, countable ones three)
     for entry_id in CATALOG_IDS:
         fam = build_example(entry_id).bispace.first
-        count = sum(1 for _ in iter_open_traces(fam))
+        count = sum(1 for _ in fam.open_traces())
         product = 1
         for a in fam.region.atoms():
             product *= 3 if (a.is_countable and not a.is_singleton) else 2

@@ -9,9 +9,7 @@ from bispacelab.symbolic import (
     countable,
     is_countable,
     is_ij_semiopen_schematic,
-    iter_open_traces,
     materialize_finite,
-    open_traces_on_points,
     singleton,
     uncountable,
     validate_universe_and_families,
@@ -214,7 +212,7 @@ def test_trace_count_respects_cardinalities(anchored):
     u, fam = anchored
     # region atoms: singleton 'a' (2 states) and uncountable 'blob' (2 states),
     # plus the whole and empty members
-    traces = list(iter_open_traces(fam))
+    traces = list(fam.open_traces())
     assert len(traces) == 2 + 2 * 2
     # C misses or swallows 'a', misses or properly meets 'blob'; P = {p}
     s = u.subset
@@ -233,7 +231,7 @@ def test_trace_membership_predicates(anchored):
     # C swallows 'a' and meets 'blob' properly
     member = next(
         t
-        for t in iter_open_traces(fam)
+        for t in fam.open_traces()
         if t.inside.contains_atom("a")
         and t.touched.contains_atom("blob")
         and not t.inside.contains_atom("blob")
@@ -249,7 +247,7 @@ def test_trace_equals_algebra_set(anchored):
     u, fam = anchored
     exact = next(
         t
-        for t in iter_open_traces(fam)
+        for t in fam.open_traces()
         if t.inside.contains_atom("a") and not t.touched.contains_atom("blob")
     )
     assert exact.inside == exact.touched == u.subset("a", "p")
@@ -259,13 +257,13 @@ def test_trace_equals_algebra_set(anchored):
 def test_open_traces_on_points(anchored):
     u, fam = anchored
     points = u.subset("a", "p")
-    traces = open_traces_on_points(fam, points)
+    traces = fam.traces_on(points)
     assert u.empty() in traces
     assert points in traces          # from the whole member
     assert u.subset("p") in traces   # mandatory only
     assert u.subset("a", "p") in traces
     with pytest.raises(ValueError):
-        open_traces_on_points(fam, u.subset("blob"))
+        fam.traces_on(u.subset("blob"))
 
 
 def test_every_open_is_open_under_traces(halves):
@@ -273,7 +271,7 @@ def test_every_open_is_open_under_traces(halves):
     # exactly-equal trace member
     u, left, _ = halves
     for s in left.algebra_sets():
-        trace_open = any(t.inside == t.touched == s for t in iter_open_traces(left))
+        trace_open = any(t.inside == t.touched == s for t in left.open_traces())
         assert trace_open == left.is_open(s)
 
 
