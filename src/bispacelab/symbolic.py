@@ -236,36 +236,6 @@ def is_countable(s: SymSet) -> bool:
     return all(a.is_countable for a in s.atoms())
 
 
-# ---------------------------------------------------------------------------
-# Trace patterns: exact quantification over every member of a family.
-# ---------------------------------------------------------------------------
-
-def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
-    """The (swallows, meets) pairs a countable C realizes on one region atom."""
-    # A countable C can swallow an atom only if the atom is countable, and
-    # can meet it properly only if the atom has at least two points.
-    if atom.cardinality is Cardinality.SINGLETON:
-        return ((False, False), (True, True))
-    if atom.cardinality is Cardinality.COUNTABLE:
-        return ((False, False), (False, True), (True, True))
-    return ((False, False), (False, True))
-
-
-class OpenTrace(NamedTuple):
-    """One member of a schematic family, seen at atom granularity.
-
-    `inside` is the union of the atoms the member contains and `touched`
-    the union of the atoms it meets; the two differ exactly on the atoms
-    the member meets properly, so the member equals an algebra set v iff
-    inside == touched == v. Two members with the same trace are
-    indistinguishable to every atom-level predicate, and every trace is
-    realizable, so iterating traces quantifies over the family exactly.
-    """
-
-    inside: SymSet
-    touched: SymSet
-
-
 class SchematicFamily:
     """The open family {X, empty} | {C | P : C countable, C inside the region}."""
 
@@ -421,6 +391,36 @@ class SchematicFamily:
 
     def __repr__(self) -> str:
         return f"SchematicFamily(region={self.region!r}, mandatory={self.mandatory!r})"
+
+
+# ---------------------------------------------------------------------------
+# Trace patterns: exact quantification over every member of a family.
+# ---------------------------------------------------------------------------
+
+def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
+    """The (swallows, meets) pairs a countable C realizes on one region atom."""
+    # A countable C can swallow an atom only if the atom is countable, and
+    # can meet it properly only if the atom has at least two points.
+    if atom.cardinality is Cardinality.SINGLETON:
+        return ((False, False), (True, True))
+    if atom.cardinality is Cardinality.COUNTABLE:
+        return ((False, False), (False, True), (True, True))
+    return ((False, False), (False, True))
+
+
+class OpenTrace(NamedTuple):
+    """One member of a schematic family, seen at atom granularity.
+
+    `inside` is the union of the atoms the member contains and `touched`
+    the union of the atoms it meets; the two differ exactly on the atoms
+    the member meets properly, so the member equals an algebra set v iff
+    inside == touched == v. Two members with the same trace are
+    indistinguishable to every atom-level predicate, and every trace is
+    realizable, so iterating traces quantifies over the family exactly.
+    """
+
+    inside: SymSet
+    touched: SymSet
 
 
 def forall_closed_supersets_interior_covers(
