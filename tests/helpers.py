@@ -1,11 +1,13 @@
 """Shared generators and cross-backend comparison drivers for the tests."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
 from unittest import mock
 
+from bispacelab import suites
 from bispacelab.finite import PointSet, _canonical_opens
 from bispacelab.props import (
     Bispace,
@@ -37,6 +39,7 @@ from bispacelab.tables import (
     interval_masksets,
     map_tables,
     net_catalog,
+    pair_rows,
     topology_tables,
 )
 
@@ -420,6 +423,529 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
 
 
 # ---------------------------------------------------------------------------
+# Reference map suites: one loop per (map, source pair, read)
+# ---------------------------------------------------------------------------
+#
+# The map-suite sweeps as they stood before the column checks, kept as the
+# oracle for suites.MAP_SUITES. They read every table through the suites
+# module's own names, so a mock.patch of suites.bispace_tables,
+# continuity_grids or map_tables reaches them as it reaches the suites.
+
+def _ref_has_pairsets(n: int) -> dict:
+    out = {}
+    for k in range(1, min(n, suites.MAX_EXHAUSTIVE_MAP_CARRIER) + 1):
+        bt = suites.bispace_tables(k)
+        size = 1 << k
+        has_po = [[0] * size, [0] * size]
+        has_spo = [[0] * size, [0] * size]
+        for _, _, pair, swapped in pair_rows(bt.top.count):
+            for direction, row in ((0, pair), (1, swapped)):
+                po = bt.po[row]
+                spo = bt.spo[row]
+                for a in range(size):
+                    if (po >> a) & 1:
+                        has_po[direction][a] |= 1 << pair
+                    if (spo >> a) & 1:
+                        has_spo[direction][a] |= 1 << pair
+        out[k] = has_po, has_spo
+    return out
+
+
+def _ref_thm_4_1(n: int):
+    violations = []
+    checked = 0
+    has = _ref_has_pairsets(n)
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        bt_m = suites.bispace_tables(m)
+        po_table, spo_table = bt_m.po, bt_m.spo
+        t_m = bt_m.top.count
+        t_k = suites.topology_tables(k).count
+        has_po, has_spo = has[k]
+        full_pairs = (1 << (t_k * t_k)) - 1
+        neg_po = [[full_pairs ^ h for h in has_po[d]] for d in (0, 1)]
+        neg_spo = [[full_pairs ^ h for h in has_spo[d]] for d in (0, 1)]
+        rect_cache: dict = {}
+        for f in range(len(mt.maps)):
+            co = [mt.cont[f][t] & mt.openmap[f][t] for t in range(t_m)]
+            img_row = mt.img[f]
+            # (maskset, direction) -> (member count, OR of failing pairsets)
+            po_seen: dict[tuple[int, int], tuple[int, int]] = {}
+            spo_seen: dict[tuple[int, int], tuple[int, int]] = {}
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                co1 = co[t1]
+                co2 = co[t2]
+                if not co1 or not co2:
+                    continue
+                key = (co1, co2)
+                r = rect_cache.get(key)
+                if r is None:
+                    r = rect_cache[key] = suites.rect(co1, co2, t_k)
+                for direction, row in ((0, pair), (1, swapped)):
+                    po = po_table[row]
+                    spo = spo_table[row]
+                    po_neg = neg_po[direction]
+                    spo_neg = neg_spo[direction]
+                    po_sum = po_seen.get((po, direction))
+                    if po_sum is None:
+                        po_sum = po_seen[(po, direction)] = _ref_member_summary(
+                            po, img_row, po_neg
+                        )
+                    spo_sum = spo_seen.get((spo, direction))
+                    if spo_sum is None:
+                        spo_sum = spo_seen[(spo, direction)] = _ref_member_summary(
+                            spo, img_row, spo_neg
+                        )
+                    checked += po_sum[0] + spo_sum[0]
+                    if not (r & po_sum[1] or r & spo_sum[1]):
+                        continue
+                    for a in range(1 << m):
+                        if (po >> a) & 1:
+                            bad = r & po_neg[img_row[a]]
+                            if bad:
+                                s1, s2 = suites.decode_pair(bad, t_k)
+                                violations.append(
+                                    f"preopen m={m} k={k} f={mt.maps[f]} "
+                                    f"X=({t1},{t2}) Y=({s1},{s2}) "
+                                    f"dir={suites._dir_name(direction)} "
+                                    f"A={suites._ps(m, a)}"
+                                )
+                        if (spo >> a) & 1:
+                            bad = r & spo_neg[img_row[a]]
+                            if bad:
+                                s1, s2 = suites.decode_pair(bad, t_k)
+                                violations.append(
+                                    f"semipreopen m={m} k={k} f={mt.maps[f]} "
+                                    f"X=({t1},{t2}) Y=({s1},{s2}) "
+                                    f"dir={suites._dir_name(direction)} "
+                                    f"A={suites._ps(m, a)}"
+                                )
+    return checked, violations
+
+
+def _ref_member_summary(bits: int, img_row, neg) -> tuple[int, int]:
+    count = 0
+    fail = 0
+    rem = bits
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        count += 1
+        fail |= neg[img_row[low.bit_length() - 1]]
+    return count, fail
+
+
+def _ref_thm_4_2(n: int):
+    violations = []
+    checked = 0
+    has = _ref_has_pairsets(n)
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        grids = suites.continuity_grids(m, k)
+        bt_m = suites.bispace_tables(m)
+        po_table, spo_table = bt_m.po, bt_m.spo
+        t_m = bt_m.top.count
+        t_k = suites.topology_tables(k).count
+        has_po, has_spo = has[k]
+        size_k = 1 << k
+        rect_cache: dict = {}
+        for f in range(len(mt.maps)):
+            preim_row = mt.preim[f]
+            pc_row = grids.pc[f]
+            open_row = mt.openmap[f]
+            po_seen: dict[tuple[int, int], int] = {}
+            spo_seen: dict[tuple[int, int], int] = {}
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                h1 = pc_row[pair] & open_row[t1]
+                h2 = pc_row[swapped] & open_row[t2]
+                if not h1 or not h2:
+                    continue
+                key = (h1, h2)
+                r = rect_cache.get(key)
+                if r is None:
+                    r = rect_cache[key] = suites.rect(h1, h2, t_k)
+                for direction, row in ((0, pair), (1, swapped)):
+                    po_x = po_table[row]
+                    spo_x = spo_table[row]
+                    checked += size_k
+                    bad_po = po_seen.get((po_x, direction))
+                    if bad_po is None:
+                        bad_po = po_seen[(po_x, direction)] = _ref_escape_pairs(
+                            po_x, preim_row, has_po[direction]
+                        )
+                    bad_spo = spo_seen.get((spo_x, direction))
+                    if bad_spo is None:
+                        bad_spo = spo_seen[(spo_x, direction)] = _ref_escape_pairs(
+                            spo_x, preim_row, has_spo[direction]
+                        )
+                    hit = r & bad_po
+                    if hit:
+                        s1, s2 = suites.decode_pair(hit, t_k)
+                        violations.append(
+                            f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                            f"Y=({s1},{s2}) dir={suites._dir_name(direction)}"
+                        )
+                    hit = r & bad_spo
+                    if hit:
+                        s1, s2 = suites.decode_pair(hit, t_k)
+                        violations.append(
+                            f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                            f"Y=({s1},{s2}) dir={suites._dir_name(direction)}"
+                        )
+    return checked, violations
+
+
+def _ref_escape_pairs(bits: int, preim_row, has) -> int:
+    bad = 0
+    for a, pre in enumerate(preim_row):
+        if not (bits >> pre) & 1:
+            bad |= has[a]
+    return bad
+
+
+def _ref_thm_4_3(n: int, semi: bool = False):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        grids = suites.continuity_grids(m, k)
+        t_m = suites.bispace_tables(m).top.count
+        lhs_grid = grids.spc if semi else grids.pc
+        rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
+        for f in range(len(mt.maps)):
+            lhs = lhs_grid[f]
+            rhs = rhs_grid[f]
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                checked += 1
+                l1 = lhs[pair]
+                l2 = lhs[swapped]
+                r1 = rhs[pair]
+                r2 = rhs[swapped]
+                if not suites.rect_equal(l1, l2, r1, r2):
+                    violations.append(
+                        f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                        f"open-route={l1:x},{l2:x} closed-route={r1:x},{r2:x}"
+                    )
+    return checked, violations
+
+
+def _ref_consequence_failures(m: int, k: int, semi: bool):
+    mt = suites.map_tables(m, k)
+    bt_m = suites.bispace_tables(m)
+    top_k = suites.topology_tables(k)
+    t_m = bt_m.top.count
+    t_k = top_k.count
+    size_k = 1 << k
+    # supersets[b]: maskset of the supersets of b; containing[p] is that
+    # of the singleton {p}
+    supersets = [row[-1] for row in interval_masksets(k)]
+    containing = [supersets[1 << p] for p in range(k)]
+    # escapes_cl[v][src]: topset of s where src escapes cl_s(v)
+    escapes_cl = [
+        [
+            sum(1 << s for s in range(t_k) if src & ~top_k.cl[s][v])
+            for src in range(size_k)
+        ]
+        for v in range(size_k)
+    ]
+    # closures_of[b]: (c, topset of s with cl_s(b) = c) per distinct c
+    closures_of = []
+    for b in range(size_k):
+        groups: dict[int, int] = {}
+        for s in range(t_k):
+            c = top_k.cl[s][b]
+            groups[c] = groups.get(c, 0) | 1 << s
+        closures_of.append(tuple(groups.items()))
+    around_table = bt_m.spo if semi else bt_m.po
+    hull_table = bt_m.spcl if semi else bt_m.pcl
+    # (t1, t2, direction, row, key number) in stream order, and each key
+    # number's (around, hull)
+    key_ids: dict[tuple, int] = {}
+    reads = []
+    for t1, t2, pair, swapped in pair_rows(t_m):
+        for direction, row in ((0, pair), (1, swapped)):
+            key = (around_table[row], hull_table[row])
+            key_id = key_ids.setdefault(key, len(key_ids))
+            reads.append((t1, t2, direction, row, key_id))
+    keys = list(key_ids)
+    for f in range(len(mt.maps)):
+        img_row = mt.img[f]
+        preim_row = mt.preim[f]
+        assign = mt.maps[f]
+        # not-subset rows: for each set and candidate hull image (preimage),
+        # the topset of s where the candidate escapes cl_s(img a)
+        # (f^-1(cl_s b)); lifted out of the pair loop, which only indexes them
+        notsub_cl = [escapes_cl[v] for v in img_row]
+        notsub_pre = [
+            [
+                sum(topset for c, topset in groups if lhs & ~preim_row[c])
+                for lhs in range(1 << m)
+            ]
+            for groups in closures_of
+        ]
+        seen: list = [None] * len(keys)
+        for t1, t2, direction, row, key_id in reads:
+            bads = seen[key_id]
+            if bads is None:
+                around, hull = keys[key_id]
+                bad_i = 0
+                for x in range(m):
+                    reach = 0
+                    for u in range(1 << m):
+                        if (u >> x) & 1 and (around >> u) & 1:
+                            reach |= supersets[img_row[u]]
+                    need = containing[assign[x]] & ~reach
+                    if need:
+                        for s in range(t_k):
+                            if top_k.openbits[s] & need:
+                                bad_i |= 1 << s
+                bad_ii = 0
+                for a in range(1 << m):
+                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
+                bad_iii = 0
+                for b in range(size_k):
+                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
+                bads = seen[key_id] = (bad_i, bad_ii, bad_iii)
+            yield f, t1, t2, direction, row, bads
+
+
+def _ref_thm_4_4(n: int, semi: bool = False, converse: bool = False):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        grids = suites.continuity_grids(m, k)
+        gate_grid = grids.spc if semi else grids.pc
+        flip = (1 << suites.topology_tables(k).count) - 1 if converse else 0
+        for f, t1, t2, direction, row, bads in _ref_consequence_failures(m, k, semi):
+            checked += 1
+            gate_i = gate_grid[f][row] ^ flip
+            if not gate_i & ((bads[0] ^ flip) | (bads[1] ^ flip) | (bads[2] ^ flip)):
+                continue
+            for tag, bad in zip(("neighborhood", "image-hull", "preimage-hull"), bads):
+                hit = gate_i & (bad ^ flip)
+                if hit:
+                    s = (hit & -hit).bit_length() - 1
+                    violations.append(
+                        f"{tag} m={m} k={k} f={mt.maps[f]} "
+                        f"X=({t1}, {t2}) "
+                        f"dir={suites._dir_name(direction)} s_i={s}"
+                    )
+    return checked, violations
+
+
+def _ref_thm_4_5(n: int, semi: bool = False):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        bt_m = suites.bispace_tables(m)
+        tr = suites.trace_tables(m)
+        t_m = bt_m.top.count
+        opens = bt_m.top.opens
+        openbits = bt_m.top.openbits
+        # per sub-size j: map tables, grid and bispace pair index of the
+        # restrictions to j points
+        subs = [None]
+        for j in range(1, m + 1):
+            grids_j = suites.continuity_grids(j, k)
+            subs.append((
+                suites.map_tables(j, k),
+                grids_j.spc if semi else grids_j.pc,
+                suites.bispace_tables(j).pair_index,
+            ))
+        grid = subs[m][1]
+        # per source pair: (region, sub-pair, swapped sub-pair) for every
+        # nonempty region open in both structures, in tau_1's open order
+        regions_of = []
+        for t1, t2, _, _ in pair_rows(t_m):
+            regions = []
+            for region in opens[t1]:
+                if region and (openbits[t2] >> region) & 1:
+                    sub_m, t1s = tr[t1][region]
+                    _, t2s = tr[t2][region]
+                    sub_index = subs[sub_m][2]
+                    regions.append(
+                        (region, sub_index(t1s, t2s), sub_index(t2s, t1s))
+                    )
+            regions_of.append(regions)
+        for f in range(len(mt.maps)):
+            assign = mt.maps[f]
+            row = grid[f]
+            sub_rows = [()]
+            for region in range(1, 1 << m):
+                sub_assign = tuple(assign[p] for p in range(m) if (region >> p) & 1)
+                mt_sub, grid_sub, _ = subs[len(sub_assign)]
+                sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
+            for t1, t2, pair, swapped in pair_rows(t_m):
+                g1 = row[pair]
+                g2 = row[swapped]
+                if not g1 or not g2:
+                    continue
+                for region, sub_pair, sub_swapped in regions_of[pair]:
+                    checked += 1
+                    sub_row = sub_rows[region]
+                    if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
+                        violations.append(
+                            f"m={m} k={k} f={assign} X=({t1},{t2}) "
+                            f"A={suites._ps(m, region)}"
+                        )
+    return checked, violations
+
+
+def _ref_thm_4_6(n: int):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        grids = suites.continuity_grids(m, k)
+        top_m = suites.topology_tables(m)
+        top_k = suites.topology_tables(k)
+        t_m = top_m.count
+        t_k = top_k.count
+        full_k = top_k.full
+        conv_m = suites.convergence_bits(m)
+        conv_k = suites.convergence_bits(k)
+        nets_m = suites.net_catalog(m)
+        nets_k_index = {net: i for i, net in enumerate(suites.net_catalog(k))}
+        # Directions are symmetric under swapping both structure pairs, and
+        # all ordered pairs are enumerated, so checking (1,2) covers (2,1).
+        for f in range(len(mt.maps)):
+            assign = mt.maps[f]
+            preim_row = mt.preim[f]
+            img_row = mt.img[f]
+            pc_row = grids.pc[f]
+            # per source net: (its slot shift in a source row, its image
+            # net's slot offset in a target row)
+            slots = [
+                (
+                    n_idx * m,
+                    nets_k_index[(d_idx, tuple(assign[v] for v in values))] * k,
+                )
+                for n_idx, (d_idx, values) in enumerate(nets_m)
+            ]
+            mapped: dict[int, int] = {}
+            for t_j in range(t_m):
+                cl_j = top_m.cl[t_j]
+                # target sets v equal to the image of cl_j of their preimage
+                fixed = 0
+                for v in range(1 << k):
+                    if img_row[cl_j[preim_row[v]]] == v:
+                        fixed |= 1 << v
+                cond_c = 0
+                for s in range(t_k):
+                    if top_k.openbits[s] & ~fixed == 0:
+                        cond_c |= 1 << s
+                rem = cond_c
+                while rem:
+                    low = rem & -rem
+                    s_i = low.bit_length() - 1
+                    rem ^= low
+                    mc = mapped.get(s_i)
+                    if mc is None:
+                        target_bits = conv_k[s_i]
+                        mc = 0
+                        for shift, offset in slots:
+                            mc |= preim_row[(target_bits >> offset) & full_k] << shift
+                        mapped[s_i] = mc
+                    for t_i in range(t_m):
+                        if not (pc_row[t_i * t_m + t_j] >> s_i) & 1:
+                            continue
+                        checked += 1
+                        escape = conv_m[t_i] & ~mc
+                        if escape:
+                            idx = (escape & -escape).bit_length() - 1
+                            violations.append(
+                                f"m={m} k={k} f={assign} t_i={t_i} t_j={t_j} "
+                                f"s_i={s_i} net={nets_m[idx // m]} x={idx % m}"
+                            )
+    return checked, violations
+
+
+def _ref_note_4_1(n: int):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        top_m = suites.topology_tables(m)
+        top_k = suites.topology_tables(k)
+        for f in range(len(mt.maps)):
+            img_row = mt.img[f]
+            for t in range(top_m.count):
+                cont_bits = mt.cont[f][t]
+                if not cont_bits:
+                    continue
+                cl_t = top_m.cl[t]
+                for s in range(top_k.count):
+                    if not (cont_bits >> s) & 1:
+                        continue
+                    cl_s = top_k.cl[s]
+                    for a in range(1 << m):
+                        checked += 1
+                        if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
+                            violations.append(
+                                f"m={m} k={k} f={mt.maps[f]} t={t} s={s} "
+                                f"A={suites._ps(m, a)}"
+                            )
+    return checked, violations
+
+
+def _ref_continuity_levels(mt, grids, f: int, t_m: int) -> list[tuple]:
+    """Per source pair (t1, t2), in pair order: for each level in _LEVELS
+    order, the target topsets (direction (1,2), direction (2,1)) where map f
+    is continuous, semi-, pre- or sp-continuous, flattened into one tuple."""
+    cont, sc, pc, spc = mt.cont[f], grids.sc[f], grids.pc[f], grids.spc[f]
+    return [
+        (cont[t1], cont[t2], sc[p], sc[q], pc[p], pc[q], spc[p], spc[q])
+        for t1, t2, p, q in pair_rows(t_m)
+    ]
+
+
+def _ref_hierarchy(n: int):
+    violations = []
+    checked = 0
+    for m, k in suites._map_size_combos(n):
+        mt = suites.map_tables(m, k)
+        grids = suites.continuity_grids(m, k)
+        t_m = suites.bispace_tables(m).top.count
+        for f in range(len(mt.maps)):
+            checked += t_m * t_m
+            for pair, levels in enumerate(_ref_continuity_levels(mt, grids, f, t_m)):
+                for _, label, low, high in suites._EDGE_SLOTS:
+                    l1 = levels[low]
+                    l2 = levels[low + 1]
+                    if l1 and l2 and (l1 & ~levels[high] or l2 & ~levels[high + 1]):
+                        t1, t2 = divmod(pair, t_m)
+                        violations.append(
+                            f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
+                        )
+    return checked, violations
+
+
+REFERENCE_MAP_SUITES = {
+    "thm-4.1": _ref_thm_4_1,
+    "thm-4.2": _ref_thm_4_2,
+    "thm-4.3": _ref_thm_4_3,
+    "thm-4.4": _ref_thm_4_4,
+    "thm-4.5": _ref_thm_4_5,
+    "thm-4.6": _ref_thm_4_6,
+    "note-4.1": _ref_note_4_1,
+    "note-4.2": lambda n: _ref_thm_4_4(n, converse=True),
+    "thm-5.1": lambda n: _ref_thm_4_3(n, semi=True),
+    "thm-5.2": lambda n: _ref_thm_4_4(n, semi=True),
+    "thm-5.3": lambda n: _ref_thm_4_5(n, semi=True),
+    "hierarchy": _ref_hierarchy,
+}
+
+
+def reference_map_suite(name: str, config) -> tuple[int, tuple[str, ...]]:
+    """(checked, violations) of map suite `name` at config.n by the
+    per-pair reference sweep."""
+    checked, violations = REFERENCE_MAP_SUITES[name](config.n)
+    return checked, tuple(violations)
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: suites run on deliberately wrong tables
 # ---------------------------------------------------------------------------
 
@@ -524,8 +1050,6 @@ def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
     `bispace_tables` and `continuity_grids`, so no corrupted row outlives
     the run.
     """
-    from bispacelab import suites
-
     bt_faults, grid_faults = FAULT_CASES[case]
     true_bt = suites.bispace_tables
     true_grids = suites.continuity_grids
@@ -541,6 +1065,64 @@ def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
     with mock.patch.object(suites, "bispace_tables", corrupt_bt), \
             mock.patch.object(suites, "continuity_grids", corrupt_grids):
         return suites.run_theorem_suite(suites.SuiteConfig(n=n, which=which))
+
+
+def seeded_table_flips(count: int, seed: int) -> list[tuple[str, str, tuple, object]]:
+    """`count` single-bit corruptions of the tables the map suites read, as
+    (label, suites attribute, arguments of the corrupted table, corruption).
+
+    They cycle through a continuity-grid row at (m, k) <= 3, a po/spo/pcl
+    row of bispace_tables(n <= 3) and a cont/openmap row of map_tables.
+    """
+    rng = random.Random(seed)
+    flips = []
+    for i in range(count):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        t_m, t_k = topology_tables(m).count, topology_tables(k).count
+        f = rng.randrange(k ** m)
+        if i % 3 == 0:
+            field = rng.choice(("pc", "sc", "spc", "rhs_closed", "sp_rhs_closed"))
+            pair, bit = rng.randrange(t_m * t_m), rng.randrange(t_k)
+            label = f"grid{m}{k}-{field}-f{f}-pair{pair}-bit{bit}"
+            attr, args = "continuity_grids", (m, k)
+            flip = functools.partial(_flip_grid, f=f, pair=pair, bit=bit)
+        elif i % 3 == 1:
+            field = rng.choice(("po", "spo", "pcl"))
+            pair = rng.randrange(t_m * t_m)
+            if field == "pcl":
+                subset, bit = rng.randrange(1 << m), rng.randrange(m)
+                flip = functools.partial(_flip_hull, pair=pair, subset=subset, bit=bit)
+                label = f"n{m}-pcl-pair{pair}-entry{subset}-bit{bit}"
+            else:
+                bit = rng.randrange(1 << m)
+                flip = functools.partial(_flip_row, index=pair, bit=bit)
+                label = f"n{m}-{field}-pair{pair}-bit{bit}"
+            attr, args = "bispace_tables", (m,)
+        else:
+            field = rng.choice(("cont", "openmap"))
+            t, bit = rng.randrange(t_m), rng.randrange(t_k)
+            label = f"map{m}{k}-{field}-f{f}-t{t}-bit{bit}"
+            attr, args = "map_tables", (m, k)
+            flip = functools.partial(_flip_grid, f=f, pair=t, bit=bit)
+        flips.append((label, attr, args, _replace_field(field, flip)))
+    return flips
+
+
+def _replace_field(field: str, flip):
+    return lambda table: dataclasses.replace(
+        table, **{field: flip(getattr(table, field))}
+    )
+
+
+def flipped_table(attr: str, args: tuple, corrupt):
+    """Patch suites.<attr> so that the call with `args` returns the
+    corrupted table and every other call the true one."""
+    true = getattr(suites, attr)
+
+    def patched(*call):
+        return corrupt(true(*call)) if call == args else true(*call)
+
+    return mock.patch.object(suites, attr, patched)
 
 
 def fault_injection_digests(case: str, n: int = 3) -> dict:

@@ -20,6 +20,9 @@ from helpers import (
     FAULT_SUITES,
     fault_injection_digests,
     fault_injection_results,
+    flipped_table,
+    reference_map_suite,
+    seeded_table_flips,
 )
 
 
@@ -210,3 +213,27 @@ def test_fault_cases_fire_every_row_comparison_kind():
         "open-not-semiopen",
         "not-semipreopen",
     }
+
+
+def test_map_suites_match_reference_sweeps_on_flipped_tables():
+    # every map suite against its per-pair reference sweep on 16 seeded
+    # single-bit table flips: the same `checked` and the same violation
+    # lines in order. The flips are not vacuous: 12 of them make some map
+    # suite report, and between them every map suite but note-4.1 and
+    # thm-4.6 reports (FAULT_CASES and the note-4.1 case cover those two)
+    config = SuiteConfig(n=3)
+    firing = 0
+    fired = set()
+    for label, attr, args, corrupt in seeded_table_flips(16, seed=4):
+        names = set()
+        with flipped_table(attr, args, corrupt):
+            for name, run in MAP_SUITES.items():
+                result = run(config)
+                expected = reference_map_suite(name, config)
+                assert (result.checked, result.violations) == expected, (label, name)
+                if expected[1]:
+                    names.add(name)
+        firing += bool(names)
+        fired |= names
+    assert firing == 12
+    assert set(MAP_SUITES) - fired == {"note-4.1", "thm-4.6"}
