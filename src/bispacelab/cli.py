@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import run_catalog
@@ -130,7 +131,16 @@ def main(argv=None) -> int:
         "suite": _cmd_suite,
         "check": _cmd_check,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`); point it at devnull so the
+        # flush at exit cannot raise again ("Note on SIGPIPE" in the Python
+        # signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VIOLATION
+    return code
 
 
 if __name__ == "__main__":

@@ -484,6 +484,7 @@ def check_theorem_4_6(
     to x in the i-th source structure.
     """
     i, j = check_pair(pair)
+    _check_compatible(f, bx, by)
     for v in preimage_test_sets(by.space(i), f):
         if not is_ij_preopen(bx, (i, j), f.preimage(v)).holds:
             return True

@@ -27,6 +27,23 @@ def test_verify_catalog_passes():
     assert result.stdout.count("[PASS]") == 9
 
 
+def test_closed_stdout_ends_without_a_traceback():
+    # as in `bispace-lab --format machine suite --n 3 | head -1`: the reader
+    # takes the first line and closes the pipe while the suites still run
+    child = subprocess.Popen(
+        [sys.executable, "-m", "bispacelab", "--format", "machine", "suite", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert json.loads(first)["entry"] == "closure-laws"
+    assert child.returncode == 1
+    assert stderr == b""
+
+
 def test_verify_catalog_machine_round_trip():
     result = run_cli("--format", "machine", "verify-catalog")
     assert result.returncode == 0

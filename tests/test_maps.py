@@ -402,6 +402,19 @@ def test_theorem_4_6_transfer_and_vacuity():
     assert check_theorem_4_6(f, (1, 2), bx, finer, net, 0)
 
 
+def test_theorem_4_6_rejects_a_map_into_another_carrier():
+    # a map onto 3 points does not fit a 2-point target bispace; the check
+    # raises before it can call the hypotheses failed and return True
+    d = FiniteDirectedSet(2, [(0, 0), (1, 1), (0, 1)])
+    f = FiniteMap(2, 3, (0, 2))
+    bx = Bispace(indiscrete_space(2), discrete_space(2))
+    by = bi(discrete_space(2))
+    with pytest.raises(ValueError):
+        satisfies_condition_C(f, (1, 2), bx, by)
+    with pytest.raises(ValueError):
+        check_theorem_4_6(f, (1, 2), bx, by, Net(d, (0, 1)), 0)
+
+
 def test_image_net():
     d = FiniteDirectedSet(2, [(0, 0), (1, 1), (0, 1)])
     f = FiniteMap(2, 3, (2, 1))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 from unittest import mock
@@ -18,6 +19,8 @@ from bispacelab.suites import (
 from helpers import (
     FAULT_CASES,
     FAULT_SUITES,
+    _flip_grid,
+    _replace_field,
     fault_injection_digests,
     fault_injection_results,
     flipped_table,
@@ -213,6 +216,20 @@ def test_fault_cases_fire_every_row_comparison_kind():
         "open-not-semiopen",
         "not-semipreopen",
     }
+
+
+def test_note_4_1_fires_on_a_flipped_continuity_bit():
+    # note-4.1 reads only map_tables and topology_tables, which no case of
+    # FAULT_CASES corrupts: map (1, 0, 1) from 3 to 2 points is marked
+    # continuous from structure 7 into target 3, where it is not, and the
+    # frozen lines name the sets whose closure it does not preserve
+    corrupt = _replace_field("cont", lambda rows: _flip_grid(rows, 5, 7, 3))
+    with flipped_table("map_tables", (3, 2), corrupt):
+        (result,) = run_theorem_suite(SuiteConfig(n=3, which=("note-4.1",)))
+    digest = hashlib.sha256("\n".join(result.violations).encode()).hexdigest()
+    assert (result.checked, len(result.violations), digest) == (
+        86_936, 3, "0d0e4ac31136401078cdd8e742f44271824f5dd2a3dd0880911c2986fd104f2d"
+    )
 
 
 def test_map_suites_match_reference_sweeps_on_flipped_tables():
