@@ -545,105 +545,147 @@ def _suite_remark_3_1(config) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # Map-level suites
 # ---------------------------------------------------------------------------
+#
+# A map suite decides every read of one map at once: it lays the map's rows
+# out in pair order, through index columns built once per (m, k), and tests
+# them with C-level map/any/compress/sum. Only a map whose column check fires
+# is walked read by read, in sweep order, and the walk is the per-read check
+# that writes the violation lines, so lines and `checked` counts are those of
+# the per-pair sweeps (kept in the tests as the reference).
 
 def _map_size_combos(n: int) -> list[tuple[int, int]]:
     limit = min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
     return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
 
 
+def _gather(index: list[int]) -> Callable:
+    """row -> tuple(row[i] for i in index), in one C-level call."""
+    if len(index) == 1:
+        return lambda row: (row[index[0]],)
+    return operator.itemgetter(*index)
+
+
+def _pair_columns(t_count: int) -> tuple[Callable, ...]:
+    """Gathers into pair order (see pair_rows): a per-structure row at t1
+    and at t2, and a per-pair row at the swapped pair, the row that
+    direction (2,1) reads."""
+    reads = list(pair_rows(t_count))
+    return tuple(_gather([read[i] for read in reads]) for i in (0, 1, 3))
+
+
+def _or_table(values) -> list[int]:
+    """table[mask] is the OR of values[i] over the bits i of mask."""
+    table = [0]
+    for value in values:
+        table += [t | value for t in table]
+    return table
+
+
+def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
+    """rect(a, b, t_count) per pair of entries, as b * rect(a, 1, t_count):
+    no carries, as b < 2^t_count. rect(a, 1, t_count) puts bit s of a at
+    bit s * t_count, so it is a's binary digits joined by t_count - 1
+    zeros."""
+    topsets1 = list(topsets1)
+    gap = "0" * (t_count - 1)
+    spread = {a: int(gap.join(format(a, "b")), 2) for a in set(topsets1)}
+    return list(map(operator.mul, map(spread.__getitem__, topsets1), topsets2))
+
+
+def _keyed_reads(bt) -> tuple[list, tuple[Callable, Callable]]:
+    """The distinct (po, spo) rows of `bt`, and two gathers that lay a list
+    over them out in pair order as direction (1,2) reads it (the pair's own
+    row) and as direction (2,1) does (the swapped row)."""
+    ids: dict[tuple[int, int], int] = {}
+    key_of = [ids.setdefault(key, len(ids)) for key in zip(bt.po, bt.spo)]
+    swap = _pair_columns(bt.top.count)[2]
+    return list(ids), (_gather(key_of), _gather(list(swap(key_of))))
+
+
+def _reads_hit(rects, key, tables, keyed) -> bool:
+    """Whether some read's failing target pairs meet its pair's rectangle.
+
+    A (po, spo) row read in direction d fails on tables[0][d][key[po]] |
+    tables[1][d][key[spo]], computed once per distinct row.
+    """
+    rows, reads = keyed
+    return any(
+        any(map(operator.and_, rects, reads[d](
+            [tables[0][d][key[po]] | tables[1][d][key[spo]] for po, spo in rows]
+        )))
+        for d in (0, 1)
+    )
+
+
+def _bit_columns(rows, width: int) -> list[int]:
+    """Per bit position a < width, the int whose bit i is bit a of rows[i]
+    (rows[i] < 2^width): the rows' binary digits laid end to end, each row
+    lowest digit first and the last row first, read every width-th digit."""
+    digits = "".join(map(f"{{:0{width}b}}".format, rows))[::-1]
+    return [int(digits[a::width], 2) for a in range(width)]
+
+
 def _has_pairsets(n: int) -> dict:
-    """Per target size k up to the map sweeps' limit, per direction and
-    subset mask: pairset of target bispaces where it is preopen /
-    semipreopen."""
+    """Per target size k up to the map sweeps' limit: per kind (preopen,
+    semipreopen), direction and subset mask, the pairset of target bispaces
+    where the subset is of that kind."""
     out = {}
     for k in range(1, min(n, MAX_EXHAUSTIVE_MAP_CARRIER) + 1):
         bt = bispace_tables(k)
-        size = 1 << k
-        has_po = [[0] * size, [0] * size]
-        has_spo = [[0] * size, [0] * size]
-        for _, _, pair, swapped in pair_rows(bt.top.count):
-            for direction, row in ((0, pair), (1, swapped)):
-                po = bt.po[row]
-                spo = bt.spo[row]
-                for a in range(size):
-                    if (po >> a) & 1:
-                        has_po[direction][a] |= 1 << pair
-                    if (spo >> a) & 1:
-                        has_spo[direction][a] |= 1 << pair
-        out[k] = has_po, has_spo
+        swap = _pair_columns(bt.top.count)[2]
+        out[k] = [
+            [_bit_columns(rows, 1 << k) for rows in (table, swap(table))]
+            for table in (bt.po, bt.spo)
+        ]
     return out
 
 
 def _suite_thm_4_1(config) -> SuiteResult:
-    """Per map, the members of a source row and the pairsets where their
-    images fail are a function of the row's maskset and direction alone
-    (the map's image row and the target pairsets are fixed), so the count
-    and OR of those pairsets are memoised per (maskset, direction) for one
-    map. The rectangle of continuous-open target pairs decides pass or fail;
-    only a failing (pair, direction) walks its members again to name them."""
+    """A read fails where the rectangle of target pairs into which the map
+    is continuous and open meets the target pairs where the image of one of
+    the row's (semi)preopen sets is not (semi)preopen. For one map those
+    pairs are an OR over the images of the row's members: one entry of an
+    OR-table over image masksets. The column check ANDs them with the
+    rectangle column in both directions; only a map where that is nonzero
+    walks its reads, member by member, to name them."""
     violations = []
     checked = 0
     has = _has_pairsets(config.n)
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         bt_m = bispace_tables(m)
-        po_table, spo_table = bt_m.po, bt_m.spo
-        t_m = bt_m.top.count
         t_k = topology_tables(k).count
-        has_po, has_spo = has[k]
+        by_t1, by_t2, _ = _pair_columns(bt_m.top.count)
+        keyed = _keyed_reads(bt_m)
         full_pairs = (1 << (t_k * t_k)) - 1
-        neg_po = [[full_pairs ^ h for h in has_po[d]] for d in (0, 1)]
-        neg_spo = [[full_pairs ^ h for h in has_spo[d]] for d in (0, 1)]
-        rect_cache: dict = {}
+        # neg[kind][direction][V]: target pairs where some set in maskset V
+        # is not preopen (kind 0) or not semipreopen (kind 1)
+        neg = [
+            [_or_table([full_pairs ^ h for h in has_kind[d]]) for d in (0, 1)]
+            for has_kind in has[k]
+        ]
+        members = [po.bit_count() + spo.bit_count() for po, spo in zip(bt_m.po, bt_m.spo)]
         for f in range(len(mt.maps)):
-            co = [mt.cont[f][t] & mt.openmap[f][t] for t in range(t_m)]
+            co = list(map(operator.and_, mt.cont[f], mt.openmap[f]))
+            rects = _rect_column(by_t1(co), by_t2(co), t_k)
+            # a rectangle is nonempty iff both topsets are, so the pairs with
+            # one are closed under swapping and each counts both reads
+            checked += 2 * sum(itertools.compress(members, rects))
             img_row = mt.img[f]
-            # (maskset, direction) -> (member count, OR of failing pairsets)
-            po_seen: dict[tuple[int, int], tuple[int, int]] = {}
-            spo_seen: dict[tuple[int, int], tuple[int, int]] = {}
-            for t1, t2, pair, swapped in pair_rows(t_m):
-                co1 = co[t1]
-                co2 = co[t2]
-                if not co1 or not co2:
-                    continue
-                key = (co1, co2)
-                r = rect_cache.get(key)
-                if r is None:
-                    r = rect_cache[key] = rect(co1, co2, t_k)
-                for direction, row in ((0, pair), (1, swapped)):
-                    po = po_table[row]
-                    spo = spo_table[row]
-                    po_neg = neg_po[direction]
-                    spo_neg = neg_spo[direction]
-                    po_sum = po_seen.get((po, direction))
-                    if po_sum is None:
-                        po_sum = po_seen[(po, direction)] = _member_summary(
-                            po, img_row, po_neg
-                        )
-                    spo_sum = spo_seen.get((spo, direction))
-                    if spo_sum is None:
-                        spo_sum = spo_seen[(spo, direction)] = _member_summary(
-                            spo, img_row, spo_neg
-                        )
-                    checked += po_sum[0] + spo_sum[0]
-                    if not (r & po_sum[1] or r & spo_sum[1]):
-                        continue
+            images = _or_table([1 << v for v in img_row])
+            if not _reads_hit(rects, images, neg, keyed):
+                continue
+            for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
+                for direction, row in ((0, pair), (1, swapped)) if rects[pair] else ():
                     for a in range(1 << m):
-                        if (po >> a) & 1:
-                            bad = r & po_neg[img_row[a]]
-                            if bad:
+                        for tag, bits, kind in (
+                            ("preopen", bt_m.po[row], 0), ("semipreopen", bt_m.spo[row], 1)
+                        ):
+                            bad = rects[pair] & neg[kind][direction][1 << img_row[a]]
+                            if (bits >> a) & 1 and bad:
                                 s1, s2 = decode_pair(bad, t_k)
                                 violations.append(
-                                    f"preopen m={m} k={k} f={mt.maps[f]} "
-                                    f"X=({t1},{t2}) Y=({s1},{s2}) "
-                                    f"dir={_dir_name(direction)} A={_ps(m, a)}"
-                                )
-                        if (spo >> a) & 1:
-                            bad = r & spo_neg[img_row[a]]
-                            if bad:
-                                s1, s2 = decode_pair(bad, t_k)
-                                violations.append(
-                                    f"semipreopen m={m} k={k} f={mt.maps[f]} "
+                                    f"{tag} m={m} k={k} f={mt.maps[f]} "
                                     f"X=({t1},{t2}) Y=({s1},{s2}) "
                                     f"dir={_dir_name(direction)} A={_ps(m, a)}"
                                 )
@@ -656,26 +698,13 @@ def _suite_thm_4_1(config) -> SuiteResult:
     )
 
 
-def _member_summary(bits: int, img_row, neg) -> tuple[int, int]:
-    """Number of members of maskset `bits`, and the OR of neg[img_row[a]]
-    over its members a."""
-    count = 0
-    fail = 0
-    rem = bits
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        count += 1
-        fail |= neg[img_row[low.bit_length() - 1]]
-    return count, fail
-
-
 def _suite_thm_4_2(config) -> SuiteResult:
-    """Per map, the pairset of targets whose preimage leaves a source row is
-    a function of the row's maskset and direction alone (the map's preimage
-    row and the target pairsets are fixed), so it is memoised per
-    (maskset, direction) for one map; each (pair, direction) still counts
-    its 2^k target sets."""
+    """A read fails where the rectangle of target pairs at which the map is
+    precontinuous and open meets the target pairs where a set whose preimage
+    is outside the row's (semi)preopen maskset is itself (semi)preopen. For
+    one map the sets outside a maskset are one mask, and those pairs one
+    OR-table entry, so the column check is thm-4.1's; each (pair, direction)
+    with a nonempty rectangle counts its 2^k target sets."""
     violations = []
     checked = 0
     has = _has_pairsets(config.n)
@@ -683,55 +712,42 @@ def _suite_thm_4_2(config) -> SuiteResult:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         bt_m = bispace_tables(m)
-        po_table, spo_table = bt_m.po, bt_m.spo
-        t_m = bt_m.top.count
         t_k = topology_tables(k).count
-        has_po, has_spo = has[k]
-        size_k = 1 << k
-        rect_cache: dict = {}
+        by_t1, by_t2, swap = _pair_columns(bt_m.top.count)
+        keyed = _keyed_reads(bt_m)
+        # escape[kind][direction][A]: target pairs where some set in A is
+        # preopen (kind 0) or semipreopen (kind 1)
+        escape = [[_or_table(has_kind[d]) for d in (0, 1)] for has_kind in has[k]]
+        every = (1 << (1 << k)) - 1
         for f in range(len(mt.maps)):
-            preim_row = mt.preim[f]
             pc_row = grids.pc[f]
             open_row = mt.openmap[f]
-            po_seen: dict[tuple[int, int], int] = {}
-            spo_seen: dict[tuple[int, int], int] = {}
-            for t1, t2, pair, swapped in pair_rows(t_m):
-                h1 = pc_row[pair] & open_row[t1]
-                h2 = pc_row[swapped] & open_row[t2]
-                if not h1 or not h2:
-                    continue
-                key = (h1, h2)
-                r = rect_cache.get(key)
-                if r is None:
-                    r = rect_cache[key] = rect(h1, h2, t_k)
-                for direction, row in ((0, pair), (1, swapped)):
-                    po_x = po_table[row]
-                    spo_x = spo_table[row]
-                    checked += size_k
-                    bad_po = po_seen.get((po_x, direction))
-                    if bad_po is None:
-                        bad_po = po_seen[(po_x, direction)] = _escape_pairs(
-                            po_x, preim_row, has_po[direction]
-                        )
-                    bad_spo = spo_seen.get((spo_x, direction))
-                    if bad_spo is None:
-                        bad_spo = spo_seen[(spo_x, direction)] = _escape_pairs(
-                            spo_x, preim_row, has_spo[direction]
-                        )
-                    hit = r & bad_po
-                    if hit:
-                        s1, s2 = decode_pair(hit, t_k)
-                        violations.append(
-                            f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                        )
-                    hit = r & bad_spo
-                    if hit:
-                        s1, s2 = decode_pair(hit, t_k)
-                        violations.append(
-                            f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                            f"Y=({s1},{s2}) dir={_dir_name(direction)}"
-                        )
+            rects = _rect_column(
+                map(operator.and_, pc_row, by_t1(open_row)),
+                map(operator.and_, swap(pc_row), by_t2(open_row)),
+                t_k,
+            )
+            checked += (len(rects) - rects.count(0)) << (k + 1)
+            # fibres[u]: the target sets whose preimage is u; outside[bits]:
+            # those whose preimage is not in maskset bits
+            fibres = [0] * (1 << m)
+            for a, u in enumerate(mt.preim[f]):
+                fibres[u] |= 1 << a
+            outside = [every ^ inside for inside in _or_table(fibres)]
+            if not _reads_hit(rects, outside, escape, keyed):
+                continue
+            for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
+                for direction, row in ((0, pair), (1, swapped)) if rects[pair] else ():
+                    for tag, bits, kind in (
+                        ("preopen", bt_m.po[row], 0), ("semipreopen", bt_m.spo[row], 1)
+                    ):
+                        hit = rects[pair] & escape[kind][direction][outside[bits]]
+                        if hit:
+                            s1, s2 = decode_pair(hit, t_k)
+                            violations.append(
+                                f"{tag} m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                                f"Y=({s1},{s2}) dir={_dir_name(direction)}"
+                            )
     return SuiteResult(
         "thm-4.2",
         "precontinuous open maps pull (semi)preopen sets back to "
@@ -741,17 +757,9 @@ def _suite_thm_4_2(config) -> SuiteResult:
     )
 
 
-def _escape_pairs(bits: int, preim_row, has) -> int:
-    """OR of has[a] over the target sets a whose preimage is not in maskset
-    `bits`."""
-    bad = 0
-    for a, pre in enumerate(preim_row):
-        if not (bits >> pre) & 1:
-            bad |= has[a]
-    return bad
-
-
 def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
+    """rect_equal holds on equal sides, so only a map whose two grid rows
+    differ is walked pair by pair."""
     name = "thm-5.1" if semi else "thm-4.3"
     violations = []
     checked = 0
@@ -761,11 +769,13 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
         t_m = bispace_tables(m).top.count
         lhs_grid = grids.spc if semi else grids.pc
         rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
+        checked += len(mt.maps) * t_m * t_m
         for f in range(len(mt.maps)):
             lhs = lhs_grid[f]
             rhs = rhs_grid[f]
+            if lhs == rhs:
+                continue
             for t1, t2, pair, swapped in pair_rows(t_m):
-                checked += 1
                 l1 = lhs[pair]
                 l2 = lhs[swapped]
                 r1 = rhs[pair]
@@ -787,104 +797,91 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
     )
 
 
+def _or_columns(columns) -> list[int]:
+    """The entrywise OR of equal-length columns."""
+    return list(functools.reduce(
+        lambda acc, column: map(operator.or_, acc, column), columns
+    ))
+
+
 def _consequence_failures(m: int, k: int, semi: bool):
-    """Where each (sp-)precontinuity consequence fails, per map, source
-    bispace pair and direction.
+    """Where each (sp-)precontinuity consequence fails, per map and source
+    bispace row.
 
-    Yields ``(f, t1, t2, direction, row, (bad_neighborhood, bad_image_hull,
-    bad_preimage_hull))``, `row` being the bispace row the direction reads
-    (see tables.pair_rows). Each ``bad_*`` is a topset: bit s is set when the
-    consequence fails with s as the witness-side target structure. The
-    neighborhood consequence asks every open neighborhood of f(x) to contain
-    the image of a (semi)preopen neighborhood of x; the hull consequences
-    are ``f(hull A) <= cl_s f(A)`` and ``hull f^-1(B) <= f^-1(cl_s B)``.
+    Returns ``(keys, failures)``. `keys[row]` numbers the distinct
+    ``(around, hull)`` of the bispace rows: a row's (semi)preopen maskset
+    and hull row, all the consequences read of it. Both reads of a row
+    (direction (1,2) at its own pair, (2,1) at the swapped one; see
+    tables.pair_rows) therefore fail alike. `failures` yields, per map in
+    map order, three columns over the key numbers: the topsets where the
+    neighborhood, image-hull and preimage-hull consequences fail. Bit s is
+    set when the consequence fails with s as the witness-side target
+    structure. The neighborhood consequence asks every open neighborhood of
+    f(x) to contain the image of a (semi)preopen neighborhood of x; the
+    hull consequences are ``f(hull A) <= cl_s f(A)`` and
+    ``hull f^-1(B) <= f^-1(cl_s B)``, tested as ``f(hull f^-1(B)) <=
+    cl_s B``.
 
-    For a fixed map the triple reads nothing of the row but its (semi)preopen
-    maskset ``around`` and its hull row, so it is computed once per distinct
-    ``(around, hull)`` and reused for every (pair, direction) that has it
-    (44 distinct rows over the 1,682 at m = 3). Rows are numbered by their
-    distinct key once per call and the per-map memo is a list over those
-    numbers; the stream stays in (f, t1, t2, direction) order. Streamed, not
-    cached: materialising the 3x3 grid costs more memory than recomputing it
-    per consumer costs time.
+    Each column is built over the keys (44 at m = 3, for 841 rows) with
+    C-level maps; nothing outlives the call.
     """
     mt = map_tables(m, k)
     bt_m = bispace_tables(m)
     top_k = topology_tables(k)
-    t_m = bt_m.top.count
     t_k = top_k.count
-    size_k = 1 << k
     # supersets[b]: maskset of the supersets of b; containing[p] is that
-    # of the singleton {p}
+    # of the singleton {p}, and holding[x] that of {x} among source sets
     supersets = [row[-1] for row in interval_masksets(k)]
     containing = [supersets[1 << p] for p in range(k)]
-    # escapes_cl[v][src]: topset of s where src escapes cl_s(v)
-    escapes_cl = [
-        [
-            sum(1 << s for s in range(t_k) if src & ~top_k.cl[s][v])
-            for src in range(size_k)
-        ]
-        for v in range(size_k)
+    holding = [interval_masksets(m)[1 << x][-1] for x in range(m)]
+    # meets[N]: topset of s with an open set in maskset N
+    meets = _or_table([
+        sum(1 << s for s in range(t_k) if (top_k.openbits[s] >> v) & 1)
+        for v in range(1 << k)
+    ])
+    # escapes[v][src]: topset of s where src escapes cl_s(v)
+    escapes = [
+        _or_table([
+            sum(1 << s for s in range(t_k) if not (top_k.cl[s][v] >> p) & 1)
+            for p in range(k)
+        ])
+        for v in range(1 << k)
     ]
-    # closures_of[b]: (c, topset of s with cl_s(b) = c) per distinct c
-    closures_of = []
-    for b in range(size_k):
-        groups: dict[int, int] = {}
-        for s in range(t_k):
-            c = top_k.cl[s][b]
-            groups[c] = groups.get(c, 0) | 1 << s
-        closures_of.append(tuple(groups.items()))
-    around_table = bt_m.spo if semi else bt_m.po
-    hull_table = bt_m.spcl if semi else bt_m.pcl
-    # (t1, t2, direction, row, key number) in stream order, and each key
-    # number's (around, hull)
-    key_ids: dict[tuple, int] = {}
-    reads = []
-    for t1, t2, pair, swapped in pair_rows(t_m):
-        for direction, row in ((0, pair), (1, swapped)):
-            key = (around_table[row], hull_table[row])
-            key_id = key_ids.setdefault(key, len(key_ids))
-            reads.append((t1, t2, direction, row, key_id))
-    keys = list(key_ids)
-    for f in range(len(mt.maps)):
-        img_row = mt.img[f]
-        preim_row = mt.preim[f]
-        assign = mt.maps[f]
-        # not-subset rows: for each set and candidate hull image (preimage),
-        # the topset of s where the candidate escapes cl_s(img a)
-        # (f^-1(cl_s b)); lifted out of the pair loop, which only indexes them
-        notsub_cl = [escapes_cl[v] for v in img_row]
-        notsub_pre = [
-            [
-                sum(topset for c, topset in groups if lhs & ~preim_row[c])
-                for lhs in range(1 << m)
-            ]
-            for groups in closures_of
-        ]
-        seen: list = [None] * len(keys)
-        for t1, t2, direction, row, key_id in reads:
-            bads = seen[key_id]
-            if bads is None:
-                around, hull = keys[key_id]
-                bad_i = 0
-                for x in range(m):
-                    reach = 0
-                    for u in range(1 << m):
-                        if (u >> x) & 1 and (around >> u) & 1:
-                            reach |= supersets[img_row[u]]
-                    need = containing[assign[x]] & ~reach
-                    if need:
-                        for s in range(t_k):
-                            if top_k.openbits[s] & need:
-                                bad_i |= 1 << s
-                bad_ii = 0
-                for a in range(1 << m):
-                    bad_ii |= notsub_cl[a][img_row[hull[a]]]
-                bad_iii = 0
-                for b in range(size_k):
-                    bad_iii |= notsub_pre[b][hull[preim_row[b]]]
-                bads = seen[key_id] = (bad_i, bad_ii, bad_iii)
-            yield f, t1, t2, direction, row, bads
+    rows = zip(bt_m.spo, bt_m.spcl) if semi else zip(bt_m.po, bt_m.pcl)
+    ids: dict[tuple, int] = {}
+    keys = [ids.setdefault(key, len(ids)) for key in rows]
+    around = [bits for bits, _ in ids]
+    # hull_at[a]: per key, the hull of a
+    hull_at = list(zip(*(hull for _, hull in ids)))
+
+    def failures():
+        for f in range(len(mt.maps)):
+            img_row = mt.img[f]
+            # missed[M]: the target sets holding no image of a set in M
+            missed = [~r for r in _or_table([supersets[v] for v in img_row])]
+            bad_i = _or_columns(
+                map(meets.__getitem__, map(
+                    operator.and_,
+                    itertools.repeat(containing[y]),
+                    map(missed.__getitem__, map(
+                        operator.and_, around, itertools.repeat(holding[x])
+                    )),
+                ))
+                for x, y in enumerate(mt.maps[f])
+            )
+            # hull_images[a]: per key, the image of the hull of a
+            hull_images = [list(map(img_row.__getitem__, hulls)) for hulls in hull_at]
+            bad_ii = _or_columns(
+                map(escapes[v].__getitem__, hull_images[a])
+                for a, v in enumerate(img_row)
+            )
+            bad_iii = _or_columns(
+                map(escapes[b].__getitem__, hull_images[u])
+                for b, u in enumerate(mt.preim[f])
+            )
+            yield bad_i, bad_ii, bad_iii
+
+    return keys, failures()
 
 
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
@@ -894,7 +891,9 @@ def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteR
     """The three (sp-)precontinuity consequences, or with `converse` their
     converses on finite models: a consequence that holds forces the
     continuity factor. A converse read is the direct one with the gate and
-    the failure sets complemented, so both fault where the two meet."""
+    the failure sets complemented, so both fault where the two meet. Per
+    map, the ORed failure sets are gathered into row order and ANDed with
+    the gate row; only a map where that fires is walked read by read."""
     name = "note-4.2" if converse else "thm-5.2" if semi else "thm-4.4"
     violations = []
     checked = 0
@@ -903,20 +902,28 @@ def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteR
         grids = continuity_grids(m, k)
         gate_grid = grids.spc if semi else grids.pc
         flip = (1 << topology_tables(k).count) - 1 if converse else 0
-        for f, t1, t2, direction, row, bads in _consequence_failures(m, k, semi):
-            checked += 1
-            gate_i = gate_grid[f][row] ^ flip
-            if not gate_i & ((bads[0] ^ flip) | (bads[1] ^ flip) | (bads[2] ^ flip)):
+        keys, failures = _consequence_failures(m, k, semi)
+        by_row = _gather(keys)
+        for f, bads in enumerate(failures):
+            checked += 2 * len(keys)
+            gates = map(operator.xor, gate_grid[f], itertools.repeat(flip))
+            failed = _or_columns(
+                map(operator.xor, bad, itertools.repeat(flip)) for bad in bads
+            )
+            if not any(map(operator.and_, gates, by_row(failed))):
                 continue
-            for tag, bad in zip(_CONSEQUENCES, bads):
-                hit = gate_i & (bad ^ flip)
-                if hit:
-                    s = (hit & -hit).bit_length() - 1
-                    violations.append(
-                        f"{tag} m={m} k={k} f={mt.maps[f]} "
-                        f"X=({t1}, {t2}) "
-                        f"dir={_dir_name(direction)} s_i={s}"
-                    )
+            for t1, t2, pair, swapped in pair_rows(bispace_tables(m).top.count):
+                for direction, row in ((0, pair), (1, swapped)):
+                    gate_i = gate_grid[f][row] ^ flip
+                    for tag, bad in zip(_CONSEQUENCES, bads):
+                        hit = gate_i & (bad[keys[row]] ^ flip)
+                        if hit:
+                            s = (hit & -hit).bit_length() - 1
+                            violations.append(
+                                f"{tag} m={m} k={k} f={mt.maps[f]} "
+                                f"X=({t1}, {t2}) "
+                                f"dir={_dir_name(direction)} s_i={s}"
+                            )
     if converse:
         claim = (
             "on finite models, where both structures are full topologies, each "
@@ -933,66 +940,89 @@ def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteR
 
 
 def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
-    """Per map, the restricted map on a region, and so its whole grid row,
-    depends on the region alone: each of the 2^m - 1 rows is looked up once
-    per map, and the traced sub-pair indices of a region depend only on the
-    source pair, so they are computed once per (m, k)."""
+    """At a source pair whose two grid entries are nonempty, each region
+    open in both structures is checked: each entry must lie in the
+    restricted map's entry at the traced pair. A pair's (2,1) check is the
+    (1,2) check of the swapped pair, so one column of (1,2) checks over
+    every (pair, region), read from the map's row and from its restrictions'
+    rows laid end to end, covers both. Restriction keeps (semi)precontinuity
+    direction by direction, so the column check leaves out the gate on
+    nonempty entries; a map it flags is walked with the gate. The columns
+    depend on m alone and are built once per source size."""
     name = "thm-5.3" if semi else "thm-4.5"
     violations = []
     checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        bt_m = bispace_tables(m)
+    limit = min(config.n, MAX_EXHAUSTIVE_MAP_CARRIER)
+    for m in range(1, limit + 1):
         tr = trace_tables(m)
-        t_m = bt_m.top.count
-        opens = bt_m.top.opens
-        openbits = bt_m.top.openbits
-        # per sub-size j: map tables, grid and bispace pair index of the
-        # restrictions to j points
-        subs = [None]
-        for j in range(1, m + 1):
-            grids_j = continuity_grids(j, k)
-            subs.append((
-                map_tables(j, k),
-                grids_j.spc if semi else grids_j.pc,
-                bispace_tables(j).pair_index,
-            ))
-        grid = subs[m][1]
+        top_m = topology_tables(m)
+        t_m = top_m.count
+        pair_index = [None] + [bispace_tables(j).pair_index for j in range(1, m + 1)]
         # per source pair: (region, sub-pair, swapped sub-pair) for every
         # nonempty region open in both structures, in tau_1's open order
         regions_of = []
         for t1, t2, _, _ in pair_rows(t_m):
             regions = []
-            for region in opens[t1]:
-                if region and (openbits[t2] >> region) & 1:
+            for region in top_m.opens[t1]:
+                if region and (top_m.openbits[t2] >> region) & 1:
                     sub_m, t1s = tr[t1][region]
                     _, t2s = tr[t2][region]
-                    sub_index = subs[sub_m][2]
+                    sub_index = pair_index[sub_m]
                     regions.append(
                         (region, sub_index(t1s, t2s), sub_index(t2s, t1s))
                     )
             regions_of.append(regions)
-        for f in range(len(mt.maps)):
-            assign = mt.maps[f]
-            row = grid[f]
-            sub_rows = [()]
-            for region in range(1, 1 << m):
-                sub_assign = tuple(assign[p] for p in range(m) if (region >> p) & 1)
-                mt_sub, grid_sub, _ = subs[len(sub_assign)]
-                sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
-            for t1, t2, pair, swapped in pair_rows(t_m):
-                g1 = row[pair]
-                g2 = row[swapped]
-                if not g1 or not g2:
+        # start[region]: where the region's restricted row begins when the
+        # rows of regions 1, 2, ... are laid end to end
+        start = [0]
+        for region in range(1, 1 << m):
+            start.append(start[-1] + topology_tables(region.bit_count()).count ** 2)
+        checks = [
+            (pair, start[region - 1] + sub_pair)
+            for pair, regions in enumerate(regions_of)
+            for region, sub_pair, _ in regions
+        ]
+        entries = _gather([pair for pair, _ in checks])
+        sub_entries = _gather([at for _, at in checks])
+        region_counts = list(map(len, regions_of))
+        swap = _pair_columns(t_m)[2]
+        for k in range(1, limit + 1):
+            mt = map_tables(m, k)
+            # per sub-size j: map tables and grid of the restrictions to j points
+            subs = [None]
+            for j in range(1, m + 1):
+                grids_j = continuity_grids(j, k)
+                subs.append((map_tables(j, k), grids_j.spc if semi else grids_j.pc))
+            grid = subs[m][1]
+            for f in range(len(mt.maps)):
+                assign = mt.maps[f]
+                row = grid[f]
+                sub_rows = [()]
+                for region in range(1, 1 << m):
+                    sub_assign = tuple(assign[p] for p in range(m) if (region >> p) & 1)
+                    mt_sub, grid_sub = subs[len(sub_assign)]
+                    sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
+                # a product of topsets is nonzero iff both are
+                checked += sum(itertools.compress(
+                    region_counts, map(operator.mul, row, swap(row))
+                ))
+                inside = sub_entries(tuple(itertools.chain.from_iterable(sub_rows)))
+                if not any(map(
+                    operator.ne, map(operator.or_, entries(row), inside), inside
+                )):
                     continue
-                for region, sub_pair, sub_swapped in regions_of[pair]:
-                    checked += 1
-                    sub_row = sub_rows[region]
-                    if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
-                        violations.append(
-                            f"m={m} k={k} f={assign} X=({t1},{t2}) "
-                            f"A={_ps(m, region)}"
-                        )
+                for t1, t2, pair, swapped in pair_rows(t_m):
+                    g1 = row[pair]
+                    g2 = row[swapped]
+                    if not g1 or not g2:
+                        continue
+                    for region, sub_pair, sub_swapped in regions_of[pair]:
+                        sub_row = sub_rows[region]
+                        if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
+                            violations.append(
+                                f"m={m} k={k} f={assign} X=({t1},{t2}) "
+                                f"A={_ps(m, region)}"
+                            )
     kind = "sp-continuity" if semi else "precontinuity"
     return SuiteResult(
         name,
@@ -1004,12 +1034,23 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
 
 
 def _suite_thm_4_6(config) -> SuiteResult:
-    """Per map, a source net's image net, and so its slot offset in the
-    target convergence row, depends on the net alone, so the offsets are
-    computed once per map; a mapped convergence row depends on the map and
-    the target topology alone, so it is memoised per topology for one map.
-    The limit points of a source net in the mapped row are the preimage of
-    its image net's limit set."""
+    """Where condition C holds at t_j for target s_i and the map is
+    precontinuous at (t_i, t_j) into s_i, every net converging in t_i must
+    have an image converging in s_i: conv_m[t_i] must lie in `mapped`, the
+    row whose slot for a source net is the preimage of its image net's limit
+    set. That test depends on (t_i, s_i) alone, so per map and s_i the rows
+    of every t_i that needs it are ORed and tested once; only a map with a
+    failing test walks (t_j, s_i, t_i) in order. Directions are symmetric
+    under swapping both structure pairs, and all ordered pairs are
+    enumerated, so checking (1,2) covers (2,1).
+
+    net_catalog lists each directed set's valuations in product order, so an
+    image net's index is its directed set's first index plus the rank of the
+    mapped valuation, one entry of a per-map list of ranks. `mapped` is read
+    off digit strings: per s_i and target point y, every k-th binary digit
+    of conv_k[s_i] from y marks the target nets converging to y; gathered by
+    image net and laid every m-th digit from x for each source point x with
+    f(x) = y, they are the row's digits."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -1018,56 +1059,83 @@ def _suite_thm_4_6(config) -> SuiteResult:
         top_m = topology_tables(m)
         top_k = topology_tables(k)
         t_m = top_m.count
-        t_k = top_k.count
-        full_k = top_k.full
         conv_m = convergence_bits(m)
         conv_k = convergence_bits(k)
         nets_m = net_catalog(m)
-        nets_k_index = {net: i for i, net in enumerate(net_catalog(k))}
-        # Directions are symmetric under swapping both structure pairs, and
-        # all ordered pairs are enumerated, so checking (1,2) covers (2,1).
+        by_t2 = _pair_columns(t_m)[1]
+        first: dict[int, int] = {}
+        for i, (d_idx, _) in enumerate(net_catalog(k)):
+            first.setdefault(d_idx, i)
+        # a source net's valuation, ranked in product order among those of
+        # its size, and offset past the smaller sizes
+        sizes = sorted({len(values) for _, values in nets_m})
+        offset = dict(zip(sizes, itertools.accumulate((m ** z for z in sizes), initial=0)))
+        ranks = _gather([
+            offset[len(values)] + functools.reduce(lambda r, v: r * m + v, values, 0)
+            for _, values in nets_m
+        ])
+        bases = [first[d_idx] for d_idx, _ in nets_m]
+        width = len(net_catalog(k)) * k
+        limits = [
+            [digits[y::k].encode() for y in range(k)]
+            for digits in (format(bits, "b").zfill(width)[::-1] for bits in conv_k)
+        ]
+        cond_of: dict[int, int] = {}
         for f in range(len(mt.maps)):
             assign = mt.maps[f]
             preim_row = mt.preim[f]
             img_row = mt.img[f]
             pc_row = grids.pc[f]
-            # per source net: (its slot shift in a source row, its image
-            # net's slot offset in a target row)
-            slots = [
-                (
-                    n_idx * m,
-                    nets_k_index[(d_idx, tuple(assign[v] for v in values))] * k,
-                )
-                for n_idx, (d_idx, values) in enumerate(nets_m)
-            ]
-            mapped: dict[int, int] = {}
-            for t_j in range(t_m):
-                cl_j = top_m.cl[t_j]
+            image_ranks = list(itertools.chain.from_iterable(
+                map(sum, itertools.product(
+                    *([y * k ** (z - 1 - i) for y in assign] for i in range(z))
+                ))
+                for z in sizes
+            ))
+            image_of = _gather(list(map(operator.add, bases, ranks(image_ranks))))
+
+            def mapped(s_i):
+                digits = bytearray(len(nets_m) * m)
+                for x, y in enumerate(assign):
+                    digits[x::m] = image_of(limits[s_i][y])
+                return int(digits[::-1], 2)
+
+            cond_c = []
+            for cl_j in top_m.cl:
                 # target sets v equal to the image of cl_j of their preimage
-                fixed = 0
-                for v in range(1 << k):
-                    if img_row[cl_j[preim_row[v]]] == v:
-                        fixed |= 1 << v
-                cond_c = 0
-                for s in range(t_k):
-                    if top_k.openbits[s] & ~fixed == 0:
-                        cond_c |= 1 << s
-                rem = cond_c
+                fixed = sum(
+                    1 << v for v, u in enumerate(preim_row) if img_row[cl_j[u]] == v
+                )
+                if fixed not in cond_of:
+                    cond_of[fixed] = sum(
+                        1 << s for s, bits in enumerate(top_k.openbits)
+                        if bits & ~fixed == 0
+                    )
+                cond_c.append(cond_of[fixed])
+            gated = list(map(operator.and_, pc_row, by_t2(cond_c)))
+            checked += sum(map(int.bit_count, gated))
+            # need[s_i]: OR of conv_m[t_i] over the t_i gated into s_i
+            need: dict[int, int] = {}
+            for t_i in range(t_m):
+                rem = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    need[low] = need.get(low, 0) | conv_m[t_i]
+            if not any(
+                rows & ~mapped(low.bit_length() - 1) for low, rows in need.items()
+            ):
+                continue
+            for t_j in range(t_m):
+                rem = cond_c[t_j]
                 while rem:
                     low = rem & -rem
                     s_i = low.bit_length() - 1
                     rem ^= low
-                    mc = mapped.get(s_i)
-                    if mc is None:
-                        target_bits = conv_k[s_i]
-                        mc = 0
-                        for shift, offset in slots:
-                            mc |= preim_row[(target_bits >> offset) & full_k] << shift
-                        mapped[s_i] = mc
+                    mc = mapped(s_i)
                     for t_i in range(t_m):
                         if not (pc_row[t_i * t_m + t_j] >> s_i) & 1:
                             continue
-                        checked += 1
                         escape = conv_m[t_i] & ~mc
                         if escape:
                             idx = (escape & -escape).bit_length() - 1
@@ -1086,6 +1154,11 @@ def _suite_thm_4_6(config) -> SuiteResult:
 
 
 def _suite_note_4_1(config) -> SuiteResult:
+    """f(cl_t A) <= cl_s f(A) for every set A and every s into which f is
+    continuous from t. With both sides laid out one byte per A, the bound
+    for all those s at once is the AND of their right sides, one per
+    distinct topset, so each t is one big-int test; only a map where a test
+    fails is walked."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -1094,17 +1167,31 @@ def _suite_note_4_1(config) -> SuiteResult:
         top_k = topology_tables(k)
         for f in range(len(mt.maps)):
             img_row = mt.img[f]
+            cont_row = mt.cont[f]
+            checked += sum(map(int.bit_count, cont_row)) << m
+            right = [
+                int.from_bytes(bytes(map(cl_s.__getitem__, img_row)), "little")
+                for cl_s in top_k.cl
+            ]
+            bound = {
+                bits: functools.reduce(operator.and_, itertools.compress(
+                    right, [(bits >> s) & 1 for s in range(top_k.count)]
+                ), -1)
+                for bits in set(cont_row)
+            }
+            if not any(
+                int.from_bytes(bytes(map(img_row.__getitem__, cl_t)), "little")
+                & ~bound[bits]
+                for cl_t, bits in zip(top_m.cl, cont_row)
+            ):
+                continue
             for t in range(top_m.count):
-                cont_bits = mt.cont[f][t]
-                if not cont_bits:
-                    continue
                 cl_t = top_m.cl[t]
                 for s in range(top_k.count):
-                    if not (cont_bits >> s) & 1:
+                    if not (cont_row[t] >> s) & 1:
                         continue
                     cl_s = top_k.cl[s]
                     for a in range(1 << m):
-                        checked += 1
                         if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
                             violations.append(
                                 f"m={m} k={k} f={mt.maps[f]} t={t} s={s} A={_ps(m, a)}"
@@ -1141,35 +1228,60 @@ _EDGE_SLOTS = tuple(
 )
 
 
-def _continuity_levels(mt, grids, f: int, t_m: int) -> list[tuple]:
-    """Per source pair (t1, t2), in pair order: for each level in _LEVELS
-    order, the target topsets (direction (1,2), direction (2,1)) where map f
-    is continuous, semi-, pre- or sp-continuous, flattened into one tuple."""
+def _continuity_levels(mt, grids, f: int, columns) -> list[tuple]:
+    """Per source pair, in pair order: for each level in _LEVELS order, the
+    target topsets (direction (1,2), direction (2,1)) where map f is
+    continuous, semi-, pre- or sp-continuous, flattened into one tuple;
+    `columns` are _pair_columns of the source size."""
+    by_t1, by_t2, swap = columns
     cont, sc, pc, spc = mt.cont[f], grids.sc[f], grids.pc[f], grids.spc[f]
+    return list(zip(
+        by_t1(cont), by_t2(cont), sc, swap(sc), pc, swap(pc), spc, swap(spc)
+    ))
+
+
+def _hierarchy_breaks(levels: tuple) -> list[str]:
+    """Labels of the edges a _continuity_levels tuple breaks, in edge
+    order: the low level holds in both directions and the high one does
+    not contain it."""
     return [
-        (cont[t1], cont[t2], sc[p], sc[q], pc[p], pc[q], spc[p], spc[q])
-        for t1, t2, p, q in pair_rows(t_m)
+        label
+        for _, label, low, high in _EDGE_SLOTS
+        if levels[low] and levels[low + 1]
+        and (levels[low] & ~levels[high] or levels[low + 1] & ~levels[high + 1])
     ]
 
 
 def _suite_hierarchy(config) -> SuiteResult:
+    """Direction by direction, continuity gives semi- and precontinuity and
+    each of those gives sp-continuity, so one column test per map checks
+    cont <= sc & pc and sc | pc <= spc at every pair's (1,2) read (a (2,1)
+    read is the (1,2) read of the swapped pair). It leaves out the edges'
+    gate on both directions, so a map it flags is walked pair by pair with
+    the edges' own test."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         t_m = bispace_tables(m).top.count
+        columns = _pair_columns(t_m)
+        checked += len(mt.maps) * t_m * t_m
         for f in range(len(mt.maps)):
-            checked += t_m * t_m
-            for pair, levels in enumerate(_continuity_levels(mt, grids, f, t_m)):
-                for _, label, low, high in _EDGE_SLOTS:
-                    l1 = levels[low]
-                    l2 = levels[low + 1]
-                    if l1 and l2 and (l1 & ~levels[high] or l2 & ~levels[high + 1]):
-                        t1, t2 = divmod(pair, t_m)
-                        violations.append(
-                            f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
-                        )
+            sc, pc, spc = grids.sc[f], grids.pc[f], grids.spc[f]
+            both = list(map(operator.and_, sc, pc))
+            joined = map(operator.or_, map(operator.or_, sc, pc), spc)
+            if not (
+                any(map(operator.ne, map(operator.or_, columns[0](mt.cont[f]), both), both))
+                or any(map(operator.ne, joined, spc))
+            ):
+                continue
+            for pair, levels in enumerate(_continuity_levels(mt, grids, f, columns)):
+                t1, t2 = divmod(pair, t_m)
+                violations.extend(
+                    f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
+                    for label in _hierarchy_breaks(levels)
+                )
     notes = []
     for gap, witness in find_hierarchy_witnesses(min(config.n, 3)).items():
         if witness is None:
@@ -1219,8 +1331,9 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
         mt = map_tables(m, k)
         grids = continuity_grids(m, k)
         t_m = bispace_tables(m).top.count
+        columns = _pair_columns(t_m)
         for f in range(len(mt.maps)):
-            for pair, levels in enumerate(_continuity_levels(mt, grids, f, t_m)):
+            for pair, levels in enumerate(_continuity_levels(mt, grids, f, columns)):
                 for name, _, low, high in _EDGE_SLOTS:
                     if found[name]:
                         continue

@@ -352,6 +352,18 @@ def reference_convergence_bits(size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def consequence_stream(m: int, k: int, semi: bool):
+    """suites._consequence_failures as one ``(f, t1, t2, direction, row,
+    (bad_i, bad_ii, bad_iii))`` per read, in (f, t1, t2, direction)
+    order."""
+    keys, failures = suites._consequence_failures(m, k, semi)
+    for f, columns in enumerate(failures):
+        for t1, t2, pair, swapped in pair_rows(topology_tables(m).count):
+            for direction, row in ((0, pair), (1, swapped)):
+                bads = tuple(column[keys[row]] for column in columns)
+                yield f, t1, t2, direction, row, bads
+
+
 def reference_consequence_failures(m: int, k: int, semi: bool):
     """Per (map, source pair, direction), the row read and the topsets where
     the neighborhood, image-hull and preimage-hull consequences fail,

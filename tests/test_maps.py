@@ -596,15 +596,15 @@ def _check_consequence_failures(m, k, semi, cases):
     Each case (f, t1, t2, s1, s2) must be gated, since the reference only
     accepts (sp-)precontinuous maps; note-4.2 covers the ungated side.
     """
-    from bispacelab.suites import _consequence_failures
     from bispacelab.tables import bispace_tables, map_tables
+    from helpers import consequence_stream
 
     mt = map_tables(m, k)
     bt = bispace_tables(m)
     wanted = {(f, t1, t2) for f, t1, t2, _, _ in cases}
     failures = {
         (f, t1, t2, direction): bads
-        for f, t1, t2, direction, _, bads in _consequence_failures(m, k, semi)
+        for f, t1, t2, direction, _, bads in consequence_stream(m, k, semi)
         if (f, t1, t2) in wanted
     }
     sources = list(enumerate_spaces(m))

@@ -9,7 +9,6 @@ import pytest
 import helpers
 from bispacelab import tables
 from bispacelab.finite import PointSet, discrete_space, trace_space
-from bispacelab.suites import _consequence_failures
 from bispacelab.tables import (
     _pack_slots,
     _split_slots,
@@ -24,6 +23,7 @@ from bispacelab.tables import (
 )
 from helpers import (
     _flip_row,
+    consequence_stream,
     reference_bispace_rows,
     reference_bispace_tables,
     reference_consequence_failures,
@@ -169,7 +169,7 @@ def test_convergence_bits_match_per_net_loop(size):
 
 @pytest.mark.parametrize("semi", [False, True])
 def test_consequence_failures_match_unmemoised_3x3(semi):
-    got = _consequence_failures(3, 3, semi)
+    got = consequence_stream(3, 3, semi)
     expected = reference_consequence_failures(3, 3, semi)
     for got_row, expected_row in itertools.zip_longest(got, expected):
         assert got_row == expected_row
