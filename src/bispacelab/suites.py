@@ -36,7 +36,6 @@ from .tables import (
     map_tables,
     net_catalog,
     pair_rows,
-    rect,
     rect_equal,
     subsets_of,
     topology_tables,
@@ -546,12 +545,9 @@ def _suite_remark_3_1(config) -> SuiteResult:
 # Map-level suites
 # ---------------------------------------------------------------------------
 #
-# A map suite decides every read of one map at once: it lays the map's rows
-# out in pair order, through index columns built once per (m, k), and tests
-# them with C-level map/any/compress/sum. Only a map whose column check fires
-# is walked read by read, in sweep order, and the walk is the per-read check
-# that writes the violation lines, so lines and `checked` counts are those of
-# the per-pair sweeps (kept in the tests as the reference).
+# A map suite checks all reads of one map at once with C-level map/any/sum
+# over rows laid out by index columns; only a map whose check fires is walked
+# read by read, in sweep order, by the check that writes violation lines.
 
 def _map_size_combos(n: int) -> list[tuple[int, int]]:
     limit = min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
@@ -566,9 +562,8 @@ def _gather(index: list[int]) -> Callable:
 
 
 def _pair_columns(t_count: int) -> tuple[Callable, ...]:
-    """Gathers into pair order (see pair_rows): a per-structure row at t1
-    and at t2, and a per-pair row at the swapped pair, the row that
-    direction (2,1) reads."""
+    """Gathers into pair order (see pair_rows): a per-structure row at t1,
+    at t2, and a per-pair row at the swapped pair, which (2,1) reads."""
     reads = list(pair_rows(t_count))
     return tuple(_gather([read[i] for read in reads]) for i in (0, 1, 3))
 
@@ -581,11 +576,30 @@ def _or_table(values) -> list[int]:
     return table
 
 
+def _or_columns(columns) -> list[int]:
+    """The entrywise OR of equal-length columns."""
+    return list(functools.reduce(
+        lambda acc, column: map(operator.or_, acc, column), columns
+    ))
+
+
+def _byte_row(values) -> int:
+    """The int with values[i] < 256 in byte i."""
+    return int.from_bytes(bytes(values), "little")
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
-    """rect(a, b, t_count) per pair of entries, as b * rect(a, 1, t_count):
-    no carries, as b < 2^t_count. rect(a, 1, t_count) puts bit s of a at
-    bit s * t_count, so it is a's binary digits joined by t_count - 1
-    zeros."""
+    """tables.rect(a, b, t_count) per pair of entries: b times a's binary
+    digits joined by t_count - 1 zeros (bit s of a moved to s * t_count),
+    with no carries, as b < 2^t_count."""
     topsets1 = list(topsets1)
     gap = "0" * (t_count - 1)
     spread = {a: int(gap.join(format(a, "b")), 2) for a in set(topsets1)}
@@ -593,9 +607,8 @@ def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
 
 
 def _keyed_reads(bt) -> tuple[list, tuple[Callable, Callable]]:
-    """The distinct (po, spo) rows of `bt`, and two gathers that lay a list
-    over them out in pair order as direction (1,2) reads it (the pair's own
-    row) and as direction (2,1) does (the swapped row)."""
+    """The distinct (po, spo) rows of `bt`, and gathers laying a list over
+    them out in pair order as direction (1,2) and (2,1) read them."""
     ids: dict[tuple[int, int], int] = {}
     key_of = [ids.setdefault(key, len(ids)) for key in zip(bt.po, bt.spo)]
     swap = _pair_columns(bt.top.count)[2]
@@ -603,11 +616,9 @@ def _keyed_reads(bt) -> tuple[list, tuple[Callable, Callable]]:
 
 
 def _reads_hit(rects, key, tables, keyed) -> bool:
-    """Whether some read's failing target pairs meet its pair's rectangle.
-
-    A (po, spo) row read in direction d fails on tables[0][d][key[po]] |
-    tables[1][d][key[spo]], computed once per distinct row.
-    """
+    """Whether some read's failing target pairs meet its pair's rectangle:
+    a (po, spo) row read in direction d fails on tables[0][d][key[po]] |
+    tables[1][d][key[spo]], computed once per distinct row."""
     rows, reads = keyed
     return any(
         any(map(operator.and_, rects, reads[d](
@@ -618,17 +629,16 @@ def _reads_hit(rects, key, tables, keyed) -> bool:
 
 
 def _bit_columns(rows, width: int) -> list[int]:
-    """Per bit position a < width, the int whose bit i is bit a of rows[i]
-    (rows[i] < 2^width): the rows' binary digits laid end to end, each row
-    lowest digit first and the last row first, read every width-th digit."""
+    """Per a < width, the int whose bit i is bit a of rows[i] < 2^width: the
+    rows' digits laid end to end, reversed, read every width-th digit."""
     digits = "".join(map(f"{{:0{width}b}}".format, rows))[::-1]
     return [int(digits[a::width], 2) for a in range(width)]
 
 
 def _has_pairsets(n: int) -> dict:
-    """Per target size k up to the map sweeps' limit: per kind (preopen,
-    semipreopen), direction and subset mask, the pairset of target bispaces
-    where the subset is of that kind."""
+    """Per target size k up to the map sweeps' limit, per kind (preopen,
+    semipreopen), direction and subset: the pairset of target bispaces where
+    the subset is of that kind."""
     out = {}
     for k in range(1, min(n, MAX_EXHAUSTIVE_MAP_CARRIER) + 1):
         bt = bispace_tables(k)
@@ -642,12 +652,10 @@ def _has_pairsets(n: int) -> dict:
 
 def _suite_thm_4_1(config) -> SuiteResult:
     """A read fails where the rectangle of target pairs into which the map
-    is continuous and open meets the target pairs where the image of one of
-    the row's (semi)preopen sets is not (semi)preopen. For one map those
-    pairs are an OR over the images of the row's members: one entry of an
-    OR-table over image masksets. The column check ANDs them with the
-    rectangle column in both directions; only a map where that is nonzero
-    walks its reads, member by member, to name them."""
+    is continuous and open meets the target pairs where the image of a
+    member of the row is not (semi)preopen: for one map, an OR-table entry
+    over the row's image maskset. A map whose column check fires walks its
+    reads member by member."""
     violations = []
     checked = 0
     has = _has_pairsets(config.n)
@@ -664,7 +672,9 @@ def _suite_thm_4_1(config) -> SuiteResult:
             [_or_table([full_pairs ^ h for h in has_kind[d]]) for d in (0, 1)]
             for has_kind in has[k]
         ]
-        members = [po.bit_count() + spo.bit_count() for po, spo in zip(bt_m.po, bt_m.spo)]
+        members = [
+            po.bit_count() + spo.bit_count() for po, spo in zip(bt_m.po, bt_m.spo)
+        ]
         for f in range(len(mt.maps)):
             co = list(map(operator.and_, mt.cont[f], mt.openmap[f]))
             rects = _rect_column(by_t1(co), by_t2(co), t_k)
@@ -701,10 +711,9 @@ def _suite_thm_4_1(config) -> SuiteResult:
 def _suite_thm_4_2(config) -> SuiteResult:
     """A read fails where the rectangle of target pairs at which the map is
     precontinuous and open meets the target pairs where a set whose preimage
-    is outside the row's (semi)preopen maskset is itself (semi)preopen. For
-    one map the sets outside a maskset are one mask, and those pairs one
-    OR-table entry, so the column check is thm-4.1's; each (pair, direction)
-    with a nonempty rectangle counts its 2^k target sets."""
+    is not in the row is (semi)preopen: for one map, an OR-table entry over
+    the sets outside the row. Each read with a nonempty rectangle counts its
+    2^k target sets."""
     violations = []
     checked = 0
     has = _has_pairsets(config.n)
@@ -776,10 +785,7 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
             if lhs == rhs:
                 continue
             for t1, t2, pair, swapped in pair_rows(t_m):
-                l1 = lhs[pair]
-                l2 = lhs[swapped]
-                r1 = rhs[pair]
-                r2 = rhs[swapped]
+                l1, l2, r1, r2 = lhs[pair], lhs[swapped], rhs[pair], rhs[swapped]
                 if not rect_equal(l1, l2, r1, r2):
                     violations.append(
                         f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
@@ -797,33 +803,21 @@ def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
     )
 
 
-def _or_columns(columns) -> list[int]:
-    """The entrywise OR of equal-length columns."""
-    return list(functools.reduce(
-        lambda acc, column: map(operator.or_, acc, column), columns
-    ))
-
-
 def _consequence_failures(m: int, k: int, semi: bool):
     """Where each (sp-)precontinuity consequence fails, per map and source
     bispace row.
 
     Returns ``(keys, failures)``. `keys[row]` numbers the distinct
-    ``(around, hull)`` of the bispace rows: a row's (semi)preopen maskset
-    and hull row, all the consequences read of it. Both reads of a row
-    (direction (1,2) at its own pair, (2,1) at the swapped one; see
-    tables.pair_rows) therefore fail alike. `failures` yields, per map in
-    map order, three columns over the key numbers: the topsets where the
-    neighborhood, image-hull and preimage-hull consequences fail. Bit s is
-    set when the consequence fails with s as the witness-side target
-    structure. The neighborhood consequence asks every open neighborhood of
-    f(x) to contain the image of a (semi)preopen neighborhood of x; the
-    hull consequences are ``f(hull A) <= cl_s f(A)`` and
-    ``hull f^-1(B) <= f^-1(cl_s B)``, tested as ``f(hull f^-1(B)) <=
-    cl_s B``.
-
-    Each column is built over the keys (44 at m = 3, for 841 rows) with
-    C-level maps; nothing outlives the call.
+    ``(around, hull)`` of the bispace rows, a row's (semi)preopen maskset and
+    hull row: all the consequences read, so both reads of a row (see
+    tables.pair_rows) fail alike. `failures` yields, per map in map order,
+    three columns over the key numbers (44 keys for the 841 rows at m = 3):
+    the topsets of witness-side target structures s where the neighborhood,
+    image-hull and preimage-hull consequences fail. The neighborhood
+    consequence asks every open neighborhood of f(x) to contain the image of
+    a (semi)preopen neighborhood of x; the hull consequences are
+    ``f(hull A) <= cl_s f(A)`` and ``hull f^-1(B) <= f^-1(cl_s B)``, tested
+    as ``f(hull f^-1(B)) <= cl_s B``. Nothing outlives the call.
     """
     mt = map_tables(m, k)
     bt_m = bispace_tables(m)
@@ -850,7 +844,8 @@ def _consequence_failures(m: int, k: int, semi: bool):
     rows = zip(bt_m.spo, bt_m.spcl) if semi else zip(bt_m.po, bt_m.pcl)
     ids: dict[tuple, int] = {}
     keys = [ids.setdefault(key, len(ids)) for key in rows]
-    around = [bits for bits, _ in ids]
+    # held[x]: per key, its (semi)preopen sets holding x
+    held = [[bits & holding[x] for bits, _ in ids] for x in range(m)]
     # hull_at[a]: per key, the hull of a
     hull_at = list(zip(*(hull for _, hull in ids)))
 
@@ -860,13 +855,7 @@ def _consequence_failures(m: int, k: int, semi: bool):
             # missed[M]: the target sets holding no image of a set in M
             missed = [~r for r in _or_table([supersets[v] for v in img_row])]
             bad_i = _or_columns(
-                map(meets.__getitem__, map(
-                    operator.and_,
-                    itertools.repeat(containing[y]),
-                    map(missed.__getitem__, map(
-                        operator.and_, around, itertools.repeat(holding[x])
-                    )),
-                ))
+                [meets[containing[y] & missed[sets]] for sets in held[x]]
                 for x, y in enumerate(mt.maps[f])
             )
             # hull_images[a]: per key, the image of the hull of a
@@ -891,9 +880,8 @@ def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteR
     """The three (sp-)precontinuity consequences, or with `converse` their
     converses on finite models: a consequence that holds forces the
     continuity factor. A converse read is the direct one with the gate and
-    the failure sets complemented, so both fault where the two meet. Per
-    map, the ORed failure sets are gathered into row order and ANDed with
-    the gate row; only a map where that fires is walked read by read."""
+    the failure sets complemented, so both fault where the two meet. A map
+    is walked only if its gate row meets its ORed failure sets."""
     name = "note-4.2" if converse else "thm-5.2" if semi else "thm-4.4"
     violations = []
     checked = 0
@@ -940,15 +928,12 @@ def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteR
 
 
 def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
-    """At a source pair whose two grid entries are nonempty, each region
-    open in both structures is checked: each entry must lie in the
-    restricted map's entry at the traced pair. A pair's (2,1) check is the
-    (1,2) check of the swapped pair, so one column of (1,2) checks over
-    every (pair, region), read from the map's row and from its restrictions'
-    rows laid end to end, covers both. Restriction keeps (semi)precontinuity
-    direction by direction, so the column check leaves out the gate on
-    nonempty entries; a map it flags is walked with the gate. The columns
-    depend on m alone and are built once per source size."""
+    """At a source pair with both grid entries nonempty, each region open in
+    both structures is checked: each entry must lie in the restricted map's
+    entry at the traced pair. A (2,1) check is the (1,2) check of the
+    swapped pair, so one column over every (pair, region) covers both.
+    Restriction keeps (semi)precontinuity per direction, so that column
+    check leaves out the gate; a map it flags is walked with it."""
     name = "thm-5.3" if semi else "thm-4.5"
     violations = []
     checked = 0
@@ -958,33 +943,24 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
         top_m = topology_tables(m)
         t_m = top_m.count
         pair_index = [None] + [bispace_tables(j).pair_index for j in range(1, m + 1)]
-        # per source pair: (region, sub-pair, swapped sub-pair) for every
-        # nonempty region open in both structures, in tau_1's open order
-        regions_of = []
-        for t1, t2, _, _ in pair_rows(t_m):
-            regions = []
-            for region in top_m.opens[t1]:
-                if region and (top_m.openbits[t2] >> region) & 1:
-                    sub_m, t1s = tr[t1][region]
-                    _, t2s = tr[t2][region]
-                    sub_index = pair_index[sub_m]
-                    regions.append(
-                        (region, sub_index(t1s, t2s), sub_index(t2s, t1s))
-                    )
-            regions_of.append(regions)
         # start[region]: where the region's restricted row begins when the
         # rows of regions 1, 2, ... are laid end to end
         start = [0]
         for region in range(1, 1 << m):
             start.append(start[-1] + topology_tables(region.bit_count()).count ** 2)
-        checks = [
-            (pair, start[region - 1] + sub_pair)
-            for pair, regions in enumerate(regions_of)
-            for region, sub_pair, _ in regions
-        ]
-        entries = _gather([pair for pair, _ in checks])
-        sub_entries = _gather([at for _, at in checks])
-        region_counts = list(map(len, regions_of))
+        # (pair, region, sub-pair, swapped sub-pair) for every nonempty
+        # region open in both structures, in pair then tau_1's open order
+        checks = []
+        for t1, t2, pair, _ in pair_rows(t_m):
+            for region in top_m.opens[t1]:
+                if region and (top_m.openbits[t2] >> region) & 1:
+                    (sub_m, t1s), (_, t2s) = tr[t1][region], tr[t2][region]
+                    sub_index = pair_index[sub_m]
+                    checks.append(
+                        (pair, region, sub_index(t1s, t2s), sub_index(t2s, t1s))
+                    )
+        entries = _gather([check[0] for check in checks])
+        sub_entries = _gather([start[check[1] - 1] + check[2] for check in checks])
         swap = _pair_columns(t_m)[2]
         for k in range(1, limit + 1):
             mt = map_tables(m, k)
@@ -1003,26 +979,22 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
                     mt_sub, grid_sub = subs[len(sub_assign)]
                     sub_rows.append(grid_sub[mt_sub.index[sub_assign]])
                 # a product of topsets is nonzero iff both are
-                checked += sum(itertools.compress(
-                    region_counts, map(operator.mul, row, swap(row))
-                ))
+                gates = entries(list(map(operator.mul, row, swap(row))))
+                checked += len(gates) - gates.count(0)
                 inside = sub_entries(tuple(itertools.chain.from_iterable(sub_rows)))
                 if not any(map(
                     operator.ne, map(operator.or_, entries(row), inside), inside
                 )):
                     continue
-                for t1, t2, pair, swapped in pair_rows(t_m):
+                for pair, region, sub_pair, sub_swap in checks:
+                    t1, t2 = divmod(pair, t_m)
                     g1 = row[pair]
-                    g2 = row[swapped]
-                    if not g1 or not g2:
-                        continue
-                    for region, sub_pair, sub_swapped in regions_of[pair]:
-                        sub_row = sub_rows[region]
-                        if g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swapped]:
-                            violations.append(
-                                f"m={m} k={k} f={assign} X=({t1},{t2}) "
-                                f"A={_ps(m, region)}"
-                            )
+                    g2 = row[t2 * t_m + t1]
+                    sub_row = sub_rows[region]
+                    if g1 and g2 and (g1 & ~sub_row[sub_pair] or g2 & ~sub_row[sub_swap]):
+                        violations.append(
+                            f"m={m} k={k} f={assign} X=({t1},{t2}) A={_ps(m, region)}"
+                        )
     kind = "sp-continuity" if semi else "precontinuity"
     return SuiteResult(
         name,
@@ -1035,22 +1007,18 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
 
 def _suite_thm_4_6(config) -> SuiteResult:
     """Where condition C holds at t_j for target s_i and the map is
-    precontinuous at (t_i, t_j) into s_i, every net converging in t_i must
-    have an image converging in s_i: conv_m[t_i] must lie in `mapped`, the
-    row whose slot for a source net is the preimage of its image net's limit
-    set. That test depends on (t_i, s_i) alone, so per map and s_i the rows
-    of every t_i that needs it are ORed and tested once; only a map with a
-    failing test walks (t_j, s_i, t_i) in order. Directions are symmetric
-    under swapping both structure pairs, and all ordered pairs are
-    enumerated, so checking (1,2) covers (2,1).
+    precontinuous at (t_i, t_j) into s_i, conv_m[t_i] must lie in
+    `mapped(s_i)`, whose slot for a source net is the preimage of its image
+    net's limit set. That depends on (t_i, s_i) alone, so per map and s_i
+    the rows of all t_i that need it are ORed and tested once; a failing map
+    walks (t_j, s_i, t_i) in order. Swapping both structure pairs swaps the
+    directions, so checking (1,2) over all ordered pairs covers (2,1).
 
     net_catalog lists each directed set's valuations in product order, so an
-    image net's index is its directed set's first index plus the rank of the
-    mapped valuation, one entry of a per-map list of ranks. `mapped` is read
-    off digit strings: per s_i and target point y, every k-th binary digit
-    of conv_k[s_i] from y marks the target nets converging to y; gathered by
-    image net and laid every m-th digit from x for each source point x with
-    f(x) = y, they are the row's digits."""
+    image net's index is its directed set's first index plus its valuation's
+    rank. Every k-th binary digit of conv_k[s_i] from y marks the target
+    nets converging to y; gathered by image net, they are every m-th digit
+    from x of `mapped(s_i)`, for f(x) = y."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -1060,84 +1028,64 @@ def _suite_thm_4_6(config) -> SuiteResult:
         top_k = topology_tables(k)
         t_m = top_m.count
         conv_m = convergence_bits(m)
-        conv_k = convergence_bits(k)
         nets_m = net_catalog(m)
         by_t2 = _pair_columns(t_m)[1]
-        first: dict[int, int] = {}
-        for i, (d_idx, _) in enumerate(net_catalog(k)):
-            first.setdefault(d_idx, i)
-        # a source net's valuation, ranked in product order among those of
-        # its size, and offset past the smaller sizes
-        sizes = sorted({len(values) for _, values in nets_m})
-        offset = dict(zip(sizes, itertools.accumulate((m ** z for z in sizes), initial=0)))
-        ranks = _gather([
-            offset[len(values)] + functools.reduce(lambda r, v: r * m + v, values, 0)
-            for _, values in nets_m
-        ])
-        bases = [first[d_idx] for d_idx, _ in nets_m]
+        # per directed set, in catalog order: its size and first index into k
+        first: dict[int, tuple[int, int]] = {}
+        for i, (d_idx, values) in enumerate(net_catalog(k)):
+            first.setdefault(d_idx, (len(values), i))
         width = len(net_catalog(k)) * k
-        limits = [
-            [digits[y::k].encode() for y in range(k)]
-            for digits in (format(bits, "b").zfill(width)[::-1] for bits in conv_k)
-        ]
+        digits = [format(bits, "b").zfill(width)[::-1] for bits in convergence_bits(k)]
+        limits = [[row[y::k].encode() for y in range(k)] for row in digits]
         cond_of: dict[int, int] = {}
         for f in range(len(mt.maps)):
             assign = mt.maps[f]
             preim_row = mt.preim[f]
             img_row = mt.img[f]
             pc_row = grids.pc[f]
-            image_ranks = list(itertools.chain.from_iterable(
-                map(sum, itertools.product(
+            ranks = {
+                z: list(map(sum, itertools.product(
                     *([y * k ** (z - 1 - i) for y in assign] for i in range(z))
-                ))
-                for z in sizes
-            ))
-            image_of = _gather(list(map(operator.add, bases, ranks(image_ranks))))
+                )))
+                for z in {z for z, _ in first.values()}
+            }
+            image_of = _gather(list(itertools.chain.from_iterable(
+                map(operator.add, ranks[z], itertools.repeat(base))
+                for z, base in first.values()
+            )))
 
             def mapped(s_i):
-                digits = bytearray(len(nets_m) * m)
+                slots = bytearray(len(nets_m) * m)
                 for x, y in enumerate(assign):
-                    digits[x::m] = image_of(limits[s_i][y])
-                return int(digits[::-1], 2)
+                    slots[x::m] = image_of(limits[s_i][y])
+                return int(slots[::-1], 2)
 
-            cond_c = []
-            for cl_j in top_m.cl:
-                # target sets v equal to the image of cl_j of their preimage
-                fixed = sum(
-                    1 << v for v, u in enumerate(preim_row) if img_row[cl_j[u]] == v
+            # per t_j, the target sets v equal to the image of cl_j of their
+            # preimage, and the targets whose opens are all such sets
+            fixed = [
+                sum(1 << v for v, u in enumerate(preim_row) if img_row[cl_j[u]] == v)
+                for cl_j in top_m.cl
+            ]
+            for bits in set(fixed).difference(cond_of):
+                cond_of[bits] = sum(
+                    1 << s for s, opens in enumerate(top_k.openbits) if opens & ~bits == 0
                 )
-                if fixed not in cond_of:
-                    cond_of[fixed] = sum(
-                        1 << s for s, bits in enumerate(top_k.openbits)
-                        if bits & ~fixed == 0
-                    )
-                cond_c.append(cond_of[fixed])
+            cond_c = list(map(cond_of.__getitem__, fixed))
             gated = list(map(operator.and_, pc_row, by_t2(cond_c)))
             checked += sum(map(int.bit_count, gated))
-            # need[s_i]: OR of conv_m[t_i] over the t_i gated into s_i
             need: dict[int, int] = {}
             for t_i in range(t_m):
-                rem = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    need[low] = need.get(low, 0) | conv_m[t_i]
-            if not any(
-                rows & ~mapped(low.bit_length() - 1) for low, rows in need.items()
-            ):
+                into = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
+                for s_i in _bits(into):
+                    need[s_i] = need.get(s_i, 0) | conv_m[t_i]
+            if not any(rows & ~mapped(s_i) for s_i, rows in need.items()):
                 continue
             for t_j in range(t_m):
-                rem = cond_c[t_j]
-                while rem:
-                    low = rem & -rem
-                    s_i = low.bit_length() - 1
-                    rem ^= low
+                for s_i in _bits(cond_c[t_j]):
                     mc = mapped(s_i)
                     for t_i in range(t_m):
-                        if not (pc_row[t_i * t_m + t_j] >> s_i) & 1:
-                            continue
                         escape = conv_m[t_i] & ~mc
-                        if escape:
+                        if (pc_row[t_i * t_m + t_j] >> s_i) & 1 and escape:
                             idx = (escape & -escape).bit_length() - 1
                             violations.append(
                                 f"m={m} k={k} f={assign} t_i={t_i} t_j={t_j} "
@@ -1155,10 +1103,9 @@ def _suite_thm_4_6(config) -> SuiteResult:
 
 def _suite_note_4_1(config) -> SuiteResult:
     """f(cl_t A) <= cl_s f(A) for every set A and every s into which f is
-    continuous from t. With both sides laid out one byte per A, the bound
-    for all those s at once is the AND of their right sides, one per
-    distinct topset, so each t is one big-int test; only a map where a test
-    fails is walked."""
+    continuous from t. With both sides laid out one byte per A, each t is
+    one big-int test against the AND of the right sides of all those s;
+    only a map where a test fails is walked."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -1169,27 +1116,19 @@ def _suite_note_4_1(config) -> SuiteResult:
             img_row = mt.img[f]
             cont_row = mt.cont[f]
             checked += sum(map(int.bit_count, cont_row)) << m
-            right = [
-                int.from_bytes(bytes(map(cl_s.__getitem__, img_row)), "little")
-                for cl_s in top_k.cl
-            ]
-            bound = {
-                bits: functools.reduce(operator.and_, itertools.compress(
-                    right, [(bits >> s) & 1 for s in range(top_k.count)]
-                ), -1)
-                for bits in set(cont_row)
+            # one byte per set A: cl_s(f(A)) per s, and f(cl_t(A)) per t
+            right = [_byte_row(map(cl_s.__getitem__, img_row)) for cl_s in top_k.cl]
+            left = [_byte_row(map(img_row.__getitem__, cl_t)) for cl_t in top_m.cl]
+            # outside[c]: per A, the points outside cl_s(f(A)) for some s in c
+            outside = {
+                c: ~functools.reduce(operator.and_, map(right.__getitem__, _bits(c)), -1)
+                for c in set(cont_row)
             }
-            if not any(
-                int.from_bytes(bytes(map(img_row.__getitem__, cl_t)), "little")
-                & ~bound[bits]
-                for cl_t, bits in zip(top_m.cl, cont_row)
-            ):
+            if not any(map(operator.and_, left, map(outside.get, cont_row))):
                 continue
             for t in range(top_m.count):
                 cl_t = top_m.cl[t]
-                for s in range(top_k.count):
-                    if not (cont_row[t] >> s) & 1:
-                        continue
+                for s in _bits(cont_row[t]):
                     cl_s = top_k.cl[s]
                     for a in range(1 << m):
                         if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
@@ -1240,25 +1179,12 @@ def _continuity_levels(mt, grids, f: int, columns) -> list[tuple]:
     ))
 
 
-def _hierarchy_breaks(levels: tuple) -> list[str]:
-    """Labels of the edges a _continuity_levels tuple breaks, in edge
-    order: the low level holds in both directions and the high one does
-    not contain it."""
-    return [
-        label
-        for _, label, low, high in _EDGE_SLOTS
-        if levels[low] and levels[low + 1]
-        and (levels[low] & ~levels[high] or levels[low + 1] & ~levels[high + 1])
-    ]
-
-
 def _suite_hierarchy(config) -> SuiteResult:
-    """Direction by direction, continuity gives semi- and precontinuity and
-    each of those gives sp-continuity, so one column test per map checks
-    cont <= sc & pc and sc | pc <= spc at every pair's (1,2) read (a (2,1)
-    read is the (1,2) read of the swapped pair). It leaves out the edges'
-    gate on both directions, so a map it flags is walked pair by pair with
-    the edges' own test."""
+    """Per direction, continuity gives semi- and precontinuity, and each of
+    those gives sp-continuity, so one column test per map checks cont <= sc
+    & pc and sc | pc <= spc at every (1,2) read (a (2,1) read is that of the
+    swapped pair). It leaves out the edges' gate, so a map it flags is
+    walked pair by pair with the edges' own test."""
     violations = []
     checked = 0
     for m, k in _map_size_combos(config.n):
@@ -1277,11 +1203,14 @@ def _suite_hierarchy(config) -> SuiteResult:
             ):
                 continue
             for pair, levels in enumerate(_continuity_levels(mt, grids, f, columns)):
-                t1, t2 = divmod(pair, t_m)
-                violations.extend(
-                    f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
-                    for label in _hierarchy_breaks(levels)
-                )
+                for _, label, low, high in _EDGE_SLOTS:
+                    l1 = levels[low]
+                    l2 = levels[low + 1]
+                    if l1 and l2 and (l1 & ~levels[high] or l2 & ~levels[high + 1]):
+                        t1, t2 = divmod(pair, t_m)
+                        violations.append(
+                            f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
+                        )
     notes = []
     for gap, witness in find_hierarchy_witnesses(min(config.n, 3)).items():
         if witness is None:
@@ -1339,19 +1268,13 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
                         continue
                     # first (s1, s2) inside the high rectangle and outside
                     # the low one, s1 then s2 ascending
-                    have2 = levels[high + 1]
-                    rem = levels[high]
-                    while rem:
-                        bit = rem & -rem
-                        rem ^= bit
-                        if levels[low] & bit:
-                            cand = have2 & ~levels[low + 1]
-                        else:
-                            cand = have2
+                    for s1 in _bits(levels[high]):
+                        cand = levels[high + 1]
+                        if (levels[low] >> s1) & 1:
+                            cand &= ~levels[low + 1]
                         if cand:
                             found[name] = witness(
-                                m, k, mt.maps[f], *divmod(pair, t_m),
-                                bit.bit_length() - 1,
+                                m, k, mt.maps[f], *divmod(pair, t_m), s1,
                                 (cand & -cand).bit_length() - 1,
                             )
                             missing -= 1

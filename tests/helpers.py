@@ -36,10 +36,13 @@ from bispacelab.tables import (
     TopologyTables,
     _hull_row,
     bispace_tables,
+    decode_pair,
     interval_masksets,
     map_tables,
     net_catalog,
     pair_rows,
+    rect,
+    rect_equal,
     topology_tables,
 )
 
@@ -492,7 +495,7 @@ def _ref_thm_4_1(n: int):
                 key = (co1, co2)
                 r = rect_cache.get(key)
                 if r is None:
-                    r = rect_cache[key] = suites.rect(co1, co2, t_k)
+                    r = rect_cache[key] = rect(co1, co2, t_k)
                 for direction, row in ((0, pair), (1, swapped)):
                     po = po_table[row]
                     spo = spo_table[row]
@@ -515,7 +518,7 @@ def _ref_thm_4_1(n: int):
                         if (po >> a) & 1:
                             bad = r & po_neg[img_row[a]]
                             if bad:
-                                s1, s2 = suites.decode_pair(bad, t_k)
+                                s1, s2 = decode_pair(bad, t_k)
                                 violations.append(
                                     f"preopen m={m} k={k} f={mt.maps[f]} "
                                     f"X=({t1},{t2}) Y=({s1},{s2}) "
@@ -525,7 +528,7 @@ def _ref_thm_4_1(n: int):
                         if (spo >> a) & 1:
                             bad = r & spo_neg[img_row[a]]
                             if bad:
-                                s1, s2 = suites.decode_pair(bad, t_k)
+                                s1, s2 = decode_pair(bad, t_k)
                                 violations.append(
                                     f"semipreopen m={m} k={k} f={mt.maps[f]} "
                                     f"X=({t1},{t2}) Y=({s1},{s2}) "
@@ -575,7 +578,7 @@ def _ref_thm_4_2(n: int):
                 key = (h1, h2)
                 r = rect_cache.get(key)
                 if r is None:
-                    r = rect_cache[key] = suites.rect(h1, h2, t_k)
+                    r = rect_cache[key] = rect(h1, h2, t_k)
                 for direction, row in ((0, pair), (1, swapped)):
                     po_x = po_table[row]
                     spo_x = spo_table[row]
@@ -592,14 +595,14 @@ def _ref_thm_4_2(n: int):
                         )
                     hit = r & bad_po
                     if hit:
-                        s1, s2 = suites.decode_pair(hit, t_k)
+                        s1, s2 = decode_pair(hit, t_k)
                         violations.append(
                             f"preopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
                             f"Y=({s1},{s2}) dir={suites._dir_name(direction)}"
                         )
                     hit = r & bad_spo
                     if hit:
-                        s1, s2 = suites.decode_pair(hit, t_k)
+                        s1, s2 = decode_pair(hit, t_k)
                         violations.append(
                             f"semipreopen m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
                             f"Y=({s1},{s2}) dir={suites._dir_name(direction)}"
@@ -633,7 +636,7 @@ def _ref_thm_4_3(n: int, semi: bool = False):
                 l2 = lhs[swapped]
                 r1 = rhs[pair]
                 r2 = rhs[swapped]
-                if not suites.rect_equal(l1, l2, r1, r2):
+                if not rect_equal(l1, l2, r1, r2):
                     violations.append(
                         f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
                         f"open-route={l1:x},{l2:x} closed-route={r1:x},{r2:x}"
