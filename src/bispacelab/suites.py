@@ -606,26 +606,22 @@ def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
     return list(map(operator.mul, map(spread.__getitem__, topsets1), topsets2))
 
 
-def _keyed_reads(bt) -> tuple[list, tuple[Callable, Callable]]:
-    """The distinct (po, spo) rows of `bt`, and gathers laying a list over
-    them out in pair order as direction (1,2) and (2,1) read them."""
+def _keyed_reads(bt) -> tuple[list, Callable]:
+    """The distinct (po, spo) rows of `bt`, and a gather laying a list over
+    them out in pair order."""
     ids: dict[tuple[int, int], int] = {}
     key_of = [ids.setdefault(key, len(ids)) for key in zip(bt.po, bt.spo)]
-    swap = _pair_columns(bt.top.count)[2]
-    return list(ids), (_gather(key_of), _gather(list(swap(key_of))))
+    return list(ids), _gather(key_of)
 
 
 def _reads_hit(rects, key, tables, keyed) -> bool:
-    """Whether some read's failing target pairs meet its pair's rectangle:
-    a (po, spo) row read in direction d fails on tables[0][d][key[po]] |
-    tables[1][d][key[spo]], computed once per distinct row."""
-    rows, reads = keyed
-    return any(
-        any(map(operator.and_, rects, reads[d](
-            [tables[0][d][key[po]] | tables[1][d][key[spo]] for po, spo in rows]
-        )))
-        for d in (0, 1)
-    )
+    """Whether some (1,2) read's failing target pairs meet its rectangle: a
+    (po, spo) row fails on tables[0][key[po]] | tables[1][key[spo]], once
+    per distinct row. A (2,1) read of the row, at the swapped pair, is that
+    read with source and target pairs transposed, so it fails alike."""
+    rows, by_pair = keyed
+    failing = by_pair([tables[0][key[po]] | tables[1][key[spo]] for po, spo in rows])
+    return any(map(operator.and_, rects, failing))
 
 
 def _bit_columns(rows, width: int) -> list[int]:
@@ -666,11 +662,11 @@ def _suite_thm_4_1(config) -> SuiteResult:
         by_t1, by_t2, _ = _pair_columns(bt_m.top.count)
         keyed = _keyed_reads(bt_m)
         full_pairs = (1 << (t_k * t_k)) - 1
-        # neg[kind][direction][V]: target pairs where some set in maskset V
+        # neg[direction][kind][V]: target pairs where some set in maskset V
         # is not preopen (kind 0) or not semipreopen (kind 1)
         neg = [
-            [_or_table([full_pairs ^ h for h in has_kind[d]]) for d in (0, 1)]
-            for has_kind in has[k]
+            [_or_table([full_pairs ^ h for h in has_kind[d]]) for has_kind in has[k]]
+            for d in (0, 1)
         ]
         members = [
             po.bit_count() + spo.bit_count() for po, spo in zip(bt_m.po, bt_m.spo)
@@ -683,7 +679,7 @@ def _suite_thm_4_1(config) -> SuiteResult:
             checked += 2 * sum(itertools.compress(members, rects))
             img_row = mt.img[f]
             images = _or_table([1 << v for v in img_row])
-            if not _reads_hit(rects, images, neg, keyed):
+            if not _reads_hit(rects, images, neg[0], keyed):
                 continue
             for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
                 for direction, row in ((0, pair), (1, swapped)) if rects[pair] else ():
@@ -691,7 +687,7 @@ def _suite_thm_4_1(config) -> SuiteResult:
                         for tag, bits, kind in (
                             ("preopen", bt_m.po[row], 0), ("semipreopen", bt_m.spo[row], 1)
                         ):
-                            bad = rects[pair] & neg[kind][direction][1 << img_row[a]]
+                            bad = rects[pair] & neg[direction][kind][1 << img_row[a]]
                             if (bits >> a) & 1 and bad:
                                 s1, s2 = decode_pair(bad, t_k)
                                 violations.append(
@@ -724,9 +720,9 @@ def _suite_thm_4_2(config) -> SuiteResult:
         t_k = topology_tables(k).count
         by_t1, by_t2, swap = _pair_columns(bt_m.top.count)
         keyed = _keyed_reads(bt_m)
-        # escape[kind][direction][A]: target pairs where some set in A is
+        # escape[direction][kind][A]: target pairs where some set in A is
         # preopen (kind 0) or semipreopen (kind 1)
-        escape = [[_or_table(has_kind[d]) for d in (0, 1)] for has_kind in has[k]]
+        escape = [[_or_table(has_kind[d]) for has_kind in has[k]] for d in (0, 1)]
         every = (1 << (1 << k)) - 1
         for f in range(len(mt.maps)):
             pc_row = grids.pc[f]
@@ -743,14 +739,14 @@ def _suite_thm_4_2(config) -> SuiteResult:
             for a, u in enumerate(mt.preim[f]):
                 fibres[u] |= 1 << a
             outside = [every ^ inside for inside in _or_table(fibres)]
-            if not _reads_hit(rects, outside, escape, keyed):
+            if not _reads_hit(rects, outside, escape[0], keyed):
                 continue
             for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
                 for direction, row in ((0, pair), (1, swapped)) if rects[pair] else ():
                     for tag, bits, kind in (
                         ("preopen", bt_m.po[row], 0), ("semipreopen", bt_m.spo[row], 1)
                     ):
-                        hit = rects[pair] & escape[kind][direction][outside[bits]]
+                        hit = rects[pair] & escape[direction][kind][outside[bits]]
                         if hit:
                             s1, s2 = decode_pair(hit, t_k)
                             violations.append(

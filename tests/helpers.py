@@ -441,10 +441,11 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
 # Reference map suites: one loop per (map, source pair, read)
 # ---------------------------------------------------------------------------
 #
-# The map-suite sweeps as they stood before the column checks, kept as the
-# oracle for suites.MAP_SUITES. They read every table through the suites
-# module's own names, so a mock.patch of suites.bispace_tables,
-# continuity_grids or map_tables reaches them as it reaches the suites.
+# The oracle for suites.MAP_SUITES, which test each map by columns first:
+# every read of every map is checked in sweep order, with per-map memos only.
+# They read every table through the suites module's own names, so a
+# mock.patch of suites.bispace_tables, continuity_grids or map_tables
+# reaches them as it reaches the suites.
 
 def _ref_has_pairsets(n: int) -> dict:
     out = {}
@@ -1082,17 +1083,20 @@ def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
         return suites.run_theorem_suite(suites.SuiteConfig(n=n, which=which))
 
 
-def seeded_table_flips(count: int, seed: int) -> list[tuple[str, str, tuple, object]]:
+def seeded_table_flips(
+    count: int, seed: int, max_size: int = 3
+) -> list[tuple[str, str, tuple, object]]:
     """`count` single-bit corruptions of the tables the map suites read, as
     (label, suites attribute, arguments of the corrupted table, corruption).
 
-    They cycle through a continuity-grid row at (m, k) <= 3, a po/spo/pcl
-    row of bispace_tables(n <= 3) and a cont/openmap row of map_tables.
+    They cycle through a continuity-grid row at (m, k) <= max_size, a
+    po/spo/pcl row of bispace_tables(n <= max_size) and a cont/openmap row
+    of map_tables.
     """
     rng = random.Random(seed)
     flips = []
     for i in range(count):
-        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        m, k = rng.randint(1, max_size), rng.randint(1, max_size)
         t_m, t_k = topology_tables(m).count, topology_tables(k).count
         f = rng.randrange(k ** m)
         if i % 3 == 0:

@@ -30,8 +30,9 @@ def test_verify_catalog_passes():
 def test_closed_stdout_ends_without_a_traceback():
     # as in `bispace-lab --format machine suite --n 3 | head -1`: the reader
     # takes the first line and closes the pipe while the suites still run
+    command = ["--format", "machine", "suite", "--n", "3"]
     child = subprocess.Popen(
-        [sys.executable, "-m", "bispacelab", "--format", "machine", "suite", "--n", "3"],
+        [sys.executable, "-m", "bispacelab", *command],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONUNBUFFERED="1"),

@@ -254,3 +254,19 @@ def test_map_suites_match_reference_sweeps_on_flipped_tables():
         fired |= names
     assert firing == 12
     assert set(MAP_SUITES) - fired == {"note-4.1", "thm-4.6"}
+
+
+@pytest.mark.parametrize("m, k, f, pair, bit", [(2, 2, 1, 11, 1), (3, 2, 2, 563, 1)])
+def test_thm_4_6_matches_reference_sweep_where_a_flip_gates_a_failing_read(
+    m, k, f, pair, bit
+):
+    # no seeded flip above makes thm-4.6 report; each of these pc flips
+    # gates one read whose image nets do not converge, at a t_i that is not
+    # the first one needing that target structure
+    corrupt = _replace_field("pc", lambda grid: _flip_grid(grid, f, pair, bit))
+    config = SuiteConfig(n=3, which=("thm-4.6",))
+    with flipped_table("continuity_grids", (m, k), corrupt):
+        (result,) = run_theorem_suite(config)
+        expected = reference_map_suite("thm-4.6", config)
+    assert (result.checked, result.violations) == expected
+    assert len(result.violations) == 1
