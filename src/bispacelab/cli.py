@@ -2,7 +2,7 @@
 
 Subcommands: verify-catalog, enumerate, suite, check. Global --format picks
 human text or machine JSON lines. Exit codes: 0 everything passed, 1 a
-claim or suite violation, 2 bad input.
+claim or suite violation (or stdout closed by its reader), 2 bad input.
 """
 
 from __future__ import annotations
@@ -138,7 +138,9 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head -1`); point it at devnull so the
         # flush at exit cannot raise again ("Note on SIGPIPE" in the Python
         # signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_VIOLATION
     return code
 
