@@ -237,7 +237,7 @@ def test_map_suites_match_reference_sweeps_on_flipped_tables():
     # single-bit table flips: the same `checked` and the same violation
     # lines in order. The flips are not vacuous: 12 of them make some map
     # suite report, and between them every map suite but note-4.1 and
-    # thm-4.6 reports (FAULT_CASES and the note-4.1 case cover those two)
+    # thm-4.6 reports (FAULT_CASES and the tests below cover those two)
     config = SuiteConfig(n=3)
     firing = 0
     fired = set()
