@@ -147,8 +147,8 @@ PREDICATES: dict[str, Predicate] = {
     "semipreopen_witness_valid": Predicate(
         _witness_valid, ("bispace", "pair", "set", "witness")
     ),
-    "image": Predicate(maps_mod.image, ("map", "set"), set_valued=True),
-    "preimage": Predicate(maps_mod.preimage, ("map", "set"), set_valued=True),
+    "image": Predicate(lambda f, s: f.image(s), ("map", "set"), set_valued=True),
+    "preimage": Predicate(lambda f, s: f.preimage(s), ("map", "set"), set_valued=True),
     "is_pairwise_continuous": Predicate(maps_mod.is_pairwise_continuous, _ON_MAP),
     "is_pairwise_precontinuous": Predicate(
         maps_mod.is_pairwise_precontinuous, _ON_MAP

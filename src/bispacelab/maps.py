@@ -10,8 +10,9 @@ one loop serves finite spaces and symbolic families alike:
   it contains and meets, so open_traces() yields those (inside, touched)
   pairs exactly (a finite space yields (o, o) per open).
 
-The symbolic reductions are cross-checked against explicit finite models
-in the test suite.
+A map fits its spaces when its source_key() and target_key() equal the
+spaces' carrier_key(), on either backend. The symbolic reductions are
+cross-checked against explicit finite models in the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .finite import FiniteSpace, PointSet
+from .finite import PointSet
 from .props import (
     Bispace,
     PAIRS,
@@ -35,7 +36,7 @@ from .props import (
     spcl,
     subspace,
 )
-from .symbolic import AtomUniverse, SchematicFamily, SymSet
+from .symbolic import AtomUniverse, SymSet
 
 AnySet = Union[PointSet, SymSet]
 
@@ -62,6 +63,12 @@ class FiniteMap:
 
     def __call__(self, point: int) -> int:
         return self.assignment[point]
+
+    def source_key(self) -> tuple:
+        return ("finite", self.source_size)
+
+    def target_key(self) -> tuple:
+        return ("finite", self.target_size)
 
     def image(self, s: PointSet) -> PointSet:
         mask = 0
@@ -133,6 +140,12 @@ class AtomMap:
 
     __call__ = image_atom
 
+    def source_key(self) -> tuple:
+        return self.source.carrier_key()
+
+    def target_key(self) -> tuple:
+        return self.target.carrier_key()
+
     def image(self, s: SymSet) -> SymSet:
         return self.target.subset(*(self.assignment[i] for i in s.atom_ids()))
 
@@ -159,14 +172,6 @@ class AtomMap:
 AnyMap = Union[FiniteMap, AtomMap]
 
 
-def image(f: AnyMap, s: AnySet) -> AnySet:
-    return f.image(s)
-
-
-def preimage(f: AnyMap, s: AnySet) -> AnySet:
-    return f.preimage(s)
-
-
 # ---------------------------------------------------------------------------
 # Quantifying over the target's opens by what their preimages can be
 # ---------------------------------------------------------------------------
@@ -184,17 +189,13 @@ def preimage_test_sets(target_space, f: AnyMap) -> Sequence[AnySet]:
 # The continuity hierarchy
 # ---------------------------------------------------------------------------
 
-def _check_compatible(f: AnyMap, bx: Bispace, by: Bispace) -> None:
-    if isinstance(f, FiniteMap):
-        if not isinstance(bx.first, FiniteSpace) or bx.first.size != f.source_size:
-            raise ValueError("map source does not match the source bispace carrier")
-        if not isinstance(by.first, FiniteSpace) or by.first.size != f.target_size:
-            raise ValueError("map target does not match the target bispace carrier")
-    else:
-        if not isinstance(bx.first, SchematicFamily) or not bx.first.universe.same_as(f.source):
-            raise ValueError("map source does not match the source bispace universe")
-        if not isinstance(by.first, SchematicFamily) or not by.first.universe.same_as(f.target):
-            raise ValueError("map target does not match the target bispace universe")
+def _check_compatible(f: AnyMap, source, target=None) -> None:
+    """ValueError unless f runs from source's carrier to target's (spaces or
+    bispaces; target None checks the source side only)."""
+    if f.source_key() != source.carrier_key():
+        raise ValueError("map source does not match the source carrier")
+    if target is not None and f.target_key() != target.carrier_key():
+        raise ValueError("map target does not match the target carrier")
 
 
 def _every_preimage(f: AnyMap, bx: Bispace, by: Bispace, holds) -> bool:
@@ -241,6 +242,7 @@ def is_pairwise_sp_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
 
 def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
     """image(closure(a)) <= closure(image(a)) between two single structures."""
+    _check_compatible(f, space_x, space_y)
     return f.image(space_x.closure(a)).issubset(space_y.closure(f.image(a)))
 
 
@@ -355,6 +357,7 @@ def restrict_map(f: AnyMap, bx: Bispace, region: AnySet) -> tuple[AnyMap, Bispac
     on; precontinuity and sp-continuity survive this restriction, which the
     theorem suite asserts exhaustively.
     """
+    _check_compatible(f, bx)
     if not (bx.space(1).is_open(region) and bx.space(2).is_open(region)):
         raise ValueError("restriction region must be open in both source structures")
     return f.restrict(region), subspace(bx, region)

@@ -4,7 +4,8 @@ Every "there is an open set squeezed between ..." predicate routes through
 the backends' open_between primitive, so the symbolic closed form is proved
 once. Witness searches that range over representable sets only
 (is_ij_semipreopen, pcl, spcl) are complete on finite backends and
-algebra-relative on symbolic ones.
+algebra-relative on symbolic ones. closed_supersets_interior walks the
+backends' open_traces(), exact on both (see its docstring).
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .finite import FiniteSpace, PointSet
-from .symbolic import (
-    SchematicFamily,
-    SymSet,
-    forall_closed_supersets_interior_covers,
-    is_ij_semiopen_schematic,
-)
+from .symbolic import SchematicFamily, SymSet, is_ij_semiopen_schematic
 
 AnySet = Union[PointSet, SymSet]
 
@@ -55,6 +51,9 @@ class Bispace:
         if index == 2:
             return self.second
         raise ValueError(f"space index must be 1 or 2, got {index!r}")
+
+    def carrier_key(self) -> tuple:
+        return self.first.carrier_key()
 
     @property
     def is_symbolic(self) -> bool:
@@ -168,17 +167,20 @@ def spcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
 def closed_supersets_interior(bispace: Bispace, pair, a: AnySet) -> bool:
     """Does every space_j-closed set containing `a` have interior_i covering `a`?
 
-    Quantifies over all closed sets of space_j (not merely representable
-    ones): finitely many on a finite backend, trace patterns on a symbolic
-    one. This is the hypothesis side of the preopenness necessary condition,
-    whose converse fails outside topological models.
+    Quantifies over all closed sets of space_j, one X - touched per open
+    trace, exactly: `a` is an atom union, so a member avoids `a` iff its
+    touched part does, and its complement lies between X - touched and
+    X - inside (equal on a finite space). On a schematic family interior_i
+    covers `a` on both under the same condition, since P_i holds single
+    points only. This is the hypothesis side of the preopenness necessary
+    condition, whose converse fails outside topological models.
     """
     i, j = check_pair(pair)
     sp_i, sp_j = bispace.space(i), bispace.space(j)
-    if isinstance(sp_j, SchematicFamily):
-        return forall_closed_supersets_interior_covers(sp_j, sp_i, a)
-    for o in sp_j.opens:
-        g = o.complement()
+    if a.is_empty:
+        return True
+    for _, touched in sp_j.open_traces():
+        g = touched.complement()
         if a.issubset(g) and not a.issubset(sp_i.interior(g)):
             return False
     return True

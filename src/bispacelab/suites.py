@@ -561,9 +561,11 @@ def _gather(index: list[int]) -> Callable:
     return operator.itemgetter(*index)
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_columns(t_count: int) -> tuple[Callable, ...]:
     """Gathers into pair order (see pair_rows): a per-structure row at t1,
-    at t2, and a per-pair row at the swapped pair, which (2,1) reads."""
+    at t2, and a per-pair row at the swapped pair, which (2,1) reads; they
+    depend on t_count alone."""
     reads = list(pair_rows(t_count))
     return tuple(_gather([read[i] for read in reads]) for i in (0, 1, 3))
 
@@ -597,9 +599,9 @@ def _bits(mask: int):
 
 
 def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
-    """tables.rect(a, b, t_count) per pair of entries: b times a's binary
-    digits joined by t_count - 1 zeros (bit s of a moved to s * t_count),
-    with no carries, as b < 2^t_count."""
+    """Per pair of entries, the pairset {(s1, s2) : s1 in a, s2 in b}: b
+    times a's binary digits joined by t_count - 1 zeros (bit s of a moved
+    to s * t_count), with no carries, as b < 2^t_count."""
     topsets1 = list(topsets1)
     gap = "0" * (t_count - 1)
     spread = {a: int(gap.join(format(a, "b")), 2) for a in set(topsets1)}

@@ -137,12 +137,12 @@ class AtomUniverse:
             raise ValueError("restricted universe must keep at least one atom")
         return AtomUniverse(a for a in self.atoms if keep.contains_atom(a.id))
 
+    def carrier_key(self) -> tuple:
+        """The carrier's identity: its atom ids and cardinalities, in order."""
+        return ("atoms", tuple((a.id, a.cardinality) for a in self.atoms))
+
     def same_as(self, other: "AtomUniverse") -> bool:
-        return self is other or (
-            isinstance(other, AtomUniverse)
-            and tuple((a.id, a.cardinality) for a in self.atoms)
-            == tuple((a.id, a.cardinality) for a in other.atoms)
-        )
+        return self is other or self.carrier_key() == other.carrier_key()
 
     def __repr__(self) -> str:
         return "AtomUniverse[" + ",".join(a.id for a in self.atoms) + "]"
@@ -258,7 +258,7 @@ class SchematicFamily:
     # ---- backend contract ----
 
     def carrier_key(self) -> tuple:
-        return ("atoms", tuple((a.id, a.cardinality) for a in self.universe.atoms))
+        return self.universe.carrier_key()
 
     def whole(self) -> SymSet:
         return self.universe.whole()
@@ -275,14 +275,13 @@ class SchematicFamily:
     def open_traces(self) -> Iterator[OpenTrace]:
         """Every member of the family, once per trace pattern: X, the empty
         member, then C|P for each way C can meet the region atoms."""
-        u, p = self.universe, self.mandatory
+        u, p = self.universe, self.mandatory.mask
         yield OpenTrace(u.whole(), u.whole())
         yield OpenTrace(u.empty(), u.empty())
-        region_ids = self.region.atom_ids()
-        for combo in itertools.product(*(_atom_states(a) for a in self.region.atoms())):
-            swallowed = (i for i, (swallows, _) in zip(region_ids, combo) if swallows)
-            met = (i for i, (_, meets) in zip(region_ids, combo) if meets)
-            yield OpenTrace(p | u.subset(*swallowed), p | u.subset(*met))
+        states = (_atom_states(a, 1 << u.position(a.id)) for a in self.region.atoms())
+        for combo in itertools.product([(p, p)], *states):
+            inside, touched = map(sum, zip(*combo))  # disjoint bits: sum is union
+            yield OpenTrace(SymSet(u, inside), SymSet(u, touched))
 
     def traces_on(self, points: SymSet) -> list[SymSet]:
         """Distinct intersections U & points over all opens U, for singleton-atom points.
@@ -397,15 +396,16 @@ class SchematicFamily:
 # Trace patterns: exact quantification over every member of a family.
 # ---------------------------------------------------------------------------
 
-def _atom_states(atom: Atom) -> tuple[tuple[bool, bool], ...]:
-    """The (swallows, meets) pairs a countable C realizes on one region atom."""
+def _atom_states(atom: Atom, bit: int) -> tuple[tuple[int, int], ...]:
+    """The (swallowed, met) masks a countable C realizes on one region atom
+    at `bit`."""
     # A countable C can swallow an atom only if the atom is countable, and
     # can meet it properly only if the atom has at least two points.
     if atom.cardinality is Cardinality.SINGLETON:
-        return ((False, False), (True, True))
+        return ((0, 0), (bit, bit))
     if atom.cardinality is Cardinality.COUNTABLE:
-        return ((False, False), (False, True), (True, True))
-    return ((False, False), (False, True))
+        return ((0, 0), (0, bit), (bit, bit))
+    return ((0, 0), (0, bit))
 
 
 class OpenTrace(NamedTuple):
@@ -421,32 +421,6 @@ class OpenTrace(NamedTuple):
 
     inside: SymSet
     touched: SymSet
-
-
-def forall_closed_supersets_interior_covers(
-    fam_j: SchematicFamily, fam_i: SchematicFamily, a: SymSet
-) -> bool:
-    """Does every fam_j-closed superset G of `a` satisfy a <= interior_i(G)?
-
-    Closed sets are complements of members; G contains `a` iff the member
-    avoids `a`. interior_i(G) is (R_i & G) | P_i when P_i <= G (else empty),
-    so the cover test per closed trace needs only: G whole, P_i avoided by
-    the member, and a - P_i inside R_i.
-    """
-    if a.is_empty:
-        return True
-    p_i = fam_i.mandatory
-    core_in_region = (a - p_i).issubset(fam_i.region)
-    for u in fam_j.open_traces():
-        if not u.touched.disjoint(a):
-            continue  # G = X - U does not contain a
-        if u.touched.is_empty:
-            continue  # G = X, interior is X
-        if not u.touched.disjoint(p_i):
-            return False  # P_i escapes G: interior_i(G) is empty
-        if not core_in_region:
-            return False
-    return True
 
 
 def is_ij_semiopen_schematic(fam_i: SchematicFamily, fam_j: SchematicFamily, a: SymSet) -> bool:

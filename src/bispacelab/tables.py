@@ -28,18 +28,6 @@ from .finite import _space_forms
 from .maps import enumerate_directed_sets
 
 
-def rect(topset1: int, topset2: int, t_count: int) -> int:
-    """Pairset {(s1,s2) : s1 in topset1, s2 in topset2}."""
-    out = 0
-    m1 = topset1
-    while m1:
-        low = m1 & -m1
-        s1 = low.bit_length() - 1
-        out |= topset2 << (s1 * t_count)
-        m1 ^= low
-    return out
-
-
 def rect_equal(a1: int, a2: int, b1: int, b2: int) -> bool:
     a_empty = a1 == 0 or a2 == 0
     b_empty = b1 == 0 or b2 == 0

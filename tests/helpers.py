@@ -41,10 +41,21 @@ from bispacelab.tables import (
     map_tables,
     net_catalog,
     pair_rows,
-    rect,
     rect_equal,
     topology_tables,
 )
+
+
+def rect(topset1: int, topset2: int, t_count: int) -> int:
+    """Pairset {(s1,s2) : s1 in topset1, s2 in topset2}."""
+    out = 0
+    m1 = topset1
+    while m1:
+        low = m1 & -m1
+        s1 = low.bit_length() - 1
+        out |= topset2 << (s1 * t_count)
+        m1 ^= low
+    return out
 
 
 def random_singleton_universe(rng: random.Random) -> AtomUniverse:
@@ -144,6 +155,34 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
         if (a & p_j).is_empty and need.issubset(tr.inside):
             return True
     return False
+
+
+def forall_closed_supersets_interior_covers(
+    fam_j: SchematicFamily, fam_i: SchematicFamily, a: SymSet
+) -> bool:
+    """Does every fam_j-closed superset G of `a` satisfy a <= interior_i(G)?
+
+    The closed form that props.closed_supersets_interior's open-trace loop
+    is checked against on schematic families. Closed sets are complements
+    of members; G contains `a` iff the member avoids `a`. interior_i(G) is
+    (R_i & G) | P_i when P_i <= G (else empty), so the cover test per
+    closed trace needs only: G whole, P_i avoided by the member, and
+    a - P_i inside R_i.
+    """
+    if a.is_empty:
+        return True
+    p_i = fam_i.mandatory
+    core_in_region = (a - p_i).issubset(fam_i.region)
+    for u in fam_j.open_traces():
+        if not u.touched.disjoint(a):
+            continue  # G = X - U does not contain a
+        if u.touched.is_empty:
+            continue  # G = X, interior is X
+        if not u.touched.disjoint(p_i):
+            return False  # P_i escapes G: interior_i(G) is empty
+        if not core_in_region:
+            return False
+    return True
 
 
 def reference_space_forms(n: int) -> tuple[tuple[int, ...], ...]:

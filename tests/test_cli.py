@@ -28,21 +28,24 @@ def test_verify_catalog_passes():
 
 
 def test_closed_stdout_ends_without_a_traceback():
-    # as in `bispace-lab --format machine suite --n 3 | head -1`: the reader
-    # takes the first line and closes the pipe while the suites still run
-    command = ["--format", "machine", "suite", "--n", "3"]
-    child = subprocess.Popen(
-        [sys.executable, "-m", "bispacelab", *command],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONUNBUFFERED="1"),
-    )
-    first = child.stdout.readline()
-    child.stdout.close()
-    _, stderr = child.communicate(timeout=60)
-    assert json.loads(first)["entry"] == "closure-laws"
-    assert child.returncode == 1
-    assert stderr == b""
+    # as in `bispace-lab --format machine suite --n 3 | head -1` once the
+    # reader has gone: stdout is a pipe whose read end is already closed, so
+    # the first write reaches no reader (the whole output fits in the pipe
+    # buffer, so closing the read end later would race the child's writes)
+    for command in (("suite", "--n", "3"), ("verify-catalog",)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "bispacelab", "--format", "machine", *command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1, command
+        assert result.stderr == b"", command
 
 
 def test_verify_catalog_machine_round_trip():

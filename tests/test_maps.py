@@ -133,6 +133,43 @@ def test_carrier_mismatch_rejected():
         is_pairwise_continuous(f, bi(indiscrete_space(3)), bi(indiscrete_space(2)))
 
 
+def test_maps_from_another_backend_or_universe_rejected():
+    # the carriers must agree across backends too: a finite map against a
+    # symbolic bispace, and atom maps whose universe gives one atom another
+    # cardinality than the bispace's
+    u = AtomUniverse([singleton("p"), countable("q")])
+    w = AtomUniverse([singleton("p"), uncountable("q")])
+    sym = bi(SchematicFamily(u, u.subset("q"), u.empty()))
+    fin = bi(discrete_space(2))
+    for bx, by in ((sym, fin), (fin, sym)):
+        with pytest.raises(ValueError):
+            is_pairwise_continuous(FiniteMap(2, 2, (0, 1)), bx, by)
+    for source, target in ((w, u), (u, w)):
+        f = AtomMap(source, target, {"p": "p", "q": "p"})
+        with pytest.raises(ValueError):
+            is_pairwise_continuous(f, sym, sym)
+    assert is_pairwise_continuous(AtomMap(u, u, {"p": "p", "q": "p"}), sym, sym)
+
+
+def test_closure_preservation_and_restriction_reject_a_map_off_the_carrier():
+    # both used to index past the map's assignment (IndexError) or, for a
+    # region inside the map's source, return a map off the bispace
+    d3 = discrete_space(3)
+    with pytest.raises(ValueError):
+        check_closure_preservation(FiniteMap(2, 3, (0, 2)), d3, d3, ps(3, 2))
+    for region in (ps(3, 0, 1), ps(3, 2)):
+        with pytest.raises(ValueError):
+            restrict_map(FiniteMap(2, 2, (0, 1)), bi(d3), region)
+    u = AtomUniverse([singleton("p"), countable("q")])
+    w = AtomUniverse([singleton("p"), uncountable("q")])
+    fam_u = SchematicFamily(u, u.subset("q"), u.empty())
+    f = AtomMap(w, u, {"p": "p", "q": "p"})
+    with pytest.raises(ValueError):
+        check_closure_preservation(f, fam_u, fam_u, u.subset("p"))
+    with pytest.raises(ValueError):
+        restrict_map(f, bi(fam_u), u.whole())
+
+
 def test_precontinuous_but_not_continuous_witness():
     # identity into a strictly finer second structure
     f = FiniteMap(2, 2, (0, 1))

@@ -4,7 +4,8 @@ On an all-singleton universe every subset is countable, so the schematic
 family is literally a finite open family and everything is brute-forceable.
 The closed forms must agree with that model on every subset, predicate by
 predicate. Mixed-cardinality universes get the trace-enumeration oracle for
-the bespoke semiopen closed form.
+the bespoke semiopen closed form, and closed_supersets_interior's
+open-trace loop gets the closed form it replaced.
 """
 
 import random
@@ -15,6 +16,7 @@ from bispacelab.symbolic import is_ij_semiopen_schematic
 
 from helpers import (
     compare_singleton_universe,
+    forall_closed_supersets_interior_covers,
     mirror,
     random_family,
     random_mixed_universe,
@@ -93,6 +95,27 @@ def test_open_traces_on_points_vs_member_traces():
         assert all(t.universe is u for t in got)
         assert [t.mask for t in got] == _canonical_sorted(len(u), expected), seed
     assert cases > 200
+
+
+def test_closed_supersets_interior_vs_closed_form_on_mixed_universes():
+    """The open-trace loop against the closed form it replaced, on 3,000
+    seeded mixed universes: every algebra set, both directions."""
+    from bispacelab.props import PAIRS, Bispace, closed_supersets_interior
+
+    verdicts = {False: 0, True: 0}
+    for seed in range(3000):
+        rng = random.Random(6000 + seed)
+        u = random_mixed_universe(rng)
+        bx = Bispace(random_family(rng, u), random_family(rng, u))
+        for i, j in PAIRS:
+            for a in u.algebra_sets():
+                got = closed_supersets_interior(bx, (i, j), a)
+                expected = forall_closed_supersets_interior_covers(
+                    bx.space(j), bx.space(i), a
+                )
+                assert got == expected, (seed, (i, j), a)
+                verdicts[got] += 1
+    assert verdicts[False] > 0 and verdicts[True] > 0, verdicts
 
 
 def test_trace_consumers_vs_finite_models():
