@@ -47,7 +47,8 @@ from bispacelab.tables import (
 
 
 def rect(topset1: int, topset2: int, t_count: int) -> int:
-    """Pairset {(s1,s2) : s1 in topset1, s2 in topset2}."""
+    """Pairset {(s1,s2) : s1 in topset1, s2 in topset2}; the reference
+    for suites._rect_column."""
     out = 0
     m1 = topset1
     while m1:
