@@ -19,6 +19,14 @@ from typing import Iterator, Optional
 MAX_ENUMERATION_POINTS = 4
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class PointSet:
     """Immutable subset of a finite carrier, bitmask-backed."""
 
@@ -81,11 +89,7 @@ class PointSet:
         return 0 <= point < self.size and (self.mask >> point) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return bit_indices(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -262,6 +266,11 @@ class FiniteSpace:
     def restrict(self, region: PointSet) -> "FiniteSpace":
         """Trace space on `region`, points relabelled positionally."""
         return trace_space(self, region)[0]
+
+    def semiopen_under(self, other: "FiniteSpace", a: PointSet) -> bool:
+        """Some open O with O <= a <= other.closure(O): interior(a) is the
+        largest candidate and closure is monotone (Levine 1963)."""
+        return a.issubset(other.closure(self.interior(a)))
 
     def open_between(self, a: PointSet, b: PointSet) -> Optional[PointSet]:
         """Smallest canonical open U with a <= U <= b, or None.

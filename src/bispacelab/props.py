@@ -2,7 +2,8 @@
 
 Every "there is an open set squeezed between ..." predicate routes through
 the backends' open_between primitive, so the symbolic closed form is proved
-once. Witness searches that range over representable sets only
+once, and each backend decides semiopenness in closed form (semiopen_under).
+Witness searches that range over representable sets only
 (is_ij_semipreopen, pcl, spcl) are complete on finite backends and
 algebra-relative on symbolic ones. closed_supersets_interior walks the
 backends' open_traces(), exact on both (see its docstring).
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .finite import FiniteSpace, PointSet
-from .symbolic import SchematicFamily, SymSet, is_ij_semiopen_schematic
+from .symbolic import SchematicFamily, SymSet
 
 AnySet = Union[PointSet, SymSet]
 
@@ -99,22 +100,17 @@ def is_pairwise_preopen(bispace: Bispace, a: AnySet) -> bool:
 def is_ij_semiopen(bispace: Bispace, pair, a: AnySet) -> bool:
     """Some space_i-open O with O <= a <= closure_j(O)."""
     i, j = check_pair(pair)
-    sp_i, sp_j = bispace.space(i), bispace.space(j)
-    if isinstance(sp_i, SchematicFamily):
-        return is_ij_semiopen_schematic(sp_i, sp_j, a)
-    for o in sp_i.opens:
-        if o.issubset(a) and a.issubset(sp_j.closure(o)):
-            return True
-    return False
+    return bispace.space(i).semiopen_under(bispace.space(j), a)
 
 
 def is_ij_semipreopen(bispace: Bispace, pair, a: AnySet) -> Witnessed:
     """Some (i,j)-preopen U with U <= a <= closure_j(U).
 
     The witness ranges over representable sets inside `a`, smallest
-    canonical first. On a symbolic backend a semiopen verdict also certifies
-    truth (an open witness is a preopen witness) even when that witness
-    falls outside the atom algebra; the witness field is then None. The
+    canonical first. If none is found, a semiopen verdict still certifies
+    truth (an open witness is a preopen witness); the witness field is then
+    None. On a finite backend the search has then already found that open;
+    on a symbolic one it may fall outside the atom algebra, and the
     negative answer stays algebra-relative.
     """
     i, j = check_pair(pair)
@@ -126,7 +122,7 @@ def is_ij_semipreopen(bispace: Bispace, pair, a: AnySet) -> Witnessed:
             continue
         if a.issubset(sp_j.closure(u)):
             return Witnessed(True, u)
-    if isinstance(sp_i, SchematicFamily) and is_ij_semiopen_schematic(sp_i, sp_j, a):
+    if sp_i.semiopen_under(sp_j, a):
         return Witnessed(True, None)
     return Witnessed(False, None)
 
@@ -141,27 +137,27 @@ def is_ij_semipreclosed(bispace: Bispace, pair, a: AnySet) -> bool:
     return is_ij_semipreopen(bispace, pair, a.complement()).holds
 
 
+def _hull(bispace: Bispace, pair, a: AnySet, closed) -> AnySet:
+    """Intersection of the representable supersets s of a where closed(s)."""
+    check_pair(pair)
+    out = bispace.space(1).whole()
+    for s in bispace.space(1).algebra_sets():
+        if a.issubset(s) and closed(bispace, pair, s):
+            out = out & s
+    return out
+
+
 def pcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
     """Intersection of the representable (i,j)-preclosed supersets of a.
 
     Exact on finite backends; algebra-relative on symbolic ones.
     """
-    check_pair(pair)
-    out = bispace.space(1).whole()
-    for s in bispace.space(1).algebra_sets():
-        if a.issubset(s) and is_ij_preclosed(bispace, pair, s):
-            out = out & s
-    return out
+    return _hull(bispace, pair, a, is_ij_preclosed)
 
 
 def spcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
     """Intersection of the representable (i,j)-semipreclosed supersets of a."""
-    check_pair(pair)
-    out = bispace.space(1).whole()
-    for s in bispace.space(1).algebra_sets():
-        if a.issubset(s) and is_ij_semipreclosed(bispace, pair, s):
-            out = out & s
-    return out
+    return _hull(bispace, pair, a, is_ij_semipreclosed)
 
 
 def closed_supersets_interior(bispace: Bispace, pair, a: AnySet) -> bool:

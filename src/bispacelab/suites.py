@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from . import maps as maps_mod
 from . import props
-from .finite import FiniteSpace, PointSet, _space_forms
+from .finite import FiniteSpace, PointSet, _space_forms, bit_indices
 from .reports import SuiteResult
 from .tables import (
     bispace_tables,
@@ -35,6 +35,7 @@ from .tables import (
     interval_masksets,
     map_tables,
     net_catalog,
+    or_table,
     pair_rows,
     rect_equal,
     subsets_of,
@@ -570,14 +571,6 @@ def _pair_columns(t_count: int) -> tuple[Callable, ...]:
     return tuple(_gather([read[i] for read in reads]) for i in (0, 1, 3))
 
 
-def _or_table(values) -> list[int]:
-    """table[mask] is the OR of values[i] over the bits i of mask."""
-    table = [0]
-    for value in values:
-        table += [t | value for t in table]
-    return table
-
-
 def _or_columns(columns) -> list[int]:
     """The entrywise OR of equal-length columns."""
     return list(functools.reduce(
@@ -588,14 +581,6 @@ def _or_columns(columns) -> list[int]:
 def _byte_row(values) -> int:
     """The int with values[i] < 256 in byte i."""
     return int.from_bytes(bytes(values), "little")
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _rect_column(topsets1, topsets2, t_count: int) -> list[int]:
@@ -667,7 +652,7 @@ def _suite_thm_4_1(config) -> SuiteResult:
         # neg[direction][kind][V]: target pairs where some set in maskset V
         # is not preopen (kind 0) or not semipreopen (kind 1)
         neg = [
-            [_or_table([full_pairs ^ h for h in has_kind[d]]) for has_kind in has[k]]
+            [or_table([full_pairs ^ h for h in has_kind[d]]) for has_kind in has[k]]
             for d in (0, 1)
         ]
         members = [
@@ -680,7 +665,7 @@ def _suite_thm_4_1(config) -> SuiteResult:
             # one are closed under swapping and each counts both reads
             checked += 2 * sum(itertools.compress(members, rects))
             img_row = mt.img[f]
-            images = _or_table([1 << v for v in img_row])
+            images = or_table([1 << v for v in img_row])
             if not _reads_hit(rects, images, neg[0], keyed):
                 continue
             for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
@@ -724,7 +709,7 @@ def _suite_thm_4_2(config) -> SuiteResult:
         keyed = _keyed_reads(bt_m)
         # escape[direction][kind][A]: target pairs where some set in A is
         # preopen (kind 0) or semipreopen (kind 1)
-        escape = [[_or_table(has_kind[d]) for has_kind in has[k]] for d in (0, 1)]
+        escape = [[or_table(has_kind[d]) for has_kind in has[k]] for d in (0, 1)]
         every = (1 << (1 << k)) - 1
         for f in range(len(mt.maps)):
             pc_row = grids.pc[f]
@@ -740,7 +725,7 @@ def _suite_thm_4_2(config) -> SuiteResult:
             fibres = [0] * (1 << m)
             for a, u in enumerate(mt.preim[f]):
                 fibres[u] |= 1 << a
-            outside = [every ^ inside for inside in _or_table(fibres)]
+            outside = [every ^ inside for inside in or_table(fibres)]
             if not _reads_hit(rects, outside, escape[0], keyed):
                 continue
             for t1, t2, pair, swapped in pair_rows(bt_m.top.count):
@@ -827,13 +812,13 @@ def _consequence_failures(m: int, k: int, semi: bool):
     containing = [supersets[1 << p] for p in range(k)]
     holding = [interval_masksets(m)[1 << x][-1] for x in range(m)]
     # meets[N]: topset of s with an open set in maskset N
-    meets = _or_table([
+    meets = or_table([
         sum(1 << s for s in range(t_k) if (top_k.openbits[s] >> v) & 1)
         for v in range(1 << k)
     ])
     # escapes[v][src]: topset of s where src escapes cl_s(v)
     escapes = [
-        _or_table([
+        or_table([
             sum(1 << s for s in range(t_k) if not (top_k.cl[s][v] >> p) & 1)
             for p in range(k)
         ])
@@ -851,7 +836,7 @@ def _consequence_failures(m: int, k: int, semi: bool):
         for f in range(len(mt.maps)):
             img_row = mt.img[f]
             # missed[M]: the target sets holding no image of a set in M
-            missed = [~r for r in _or_table([supersets[v] for v in img_row])]
+            missed = [~r for r in or_table([supersets[v] for v in img_row])]
             bad_i = _or_columns(
                 [meets[containing[y] & missed[sets]] for sets in held[x]]
                 for x, y in enumerate(mt.maps[f])
@@ -1074,12 +1059,12 @@ def _suite_thm_4_6(config) -> SuiteResult:
             need: dict[int, int] = {}
             for t_i in range(t_m):
                 into = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
-                for s_i in _bits(into):
+                for s_i in bit_indices(into):
                     need[s_i] = need.get(s_i, 0) | conv_m[t_i]
             if not any(rows & ~mapped(s_i) for s_i, rows in need.items()):
                 continue
             for t_j in range(t_m):
-                for s_i in _bits(cond_c[t_j]):
+                for s_i in bit_indices(cond_c[t_j]):
                     mc = mapped(s_i)
                     for t_i in range(t_m):
                         escape = conv_m[t_i] & ~mc
@@ -1119,14 +1104,14 @@ def _suite_note_4_1(config) -> SuiteResult:
             left = [_byte_row(map(img_row.__getitem__, cl_t)) for cl_t in top_m.cl]
             # outside[c]: per A, the points outside cl_s(f(A)) for some s in c
             outside = {
-                c: ~functools.reduce(operator.and_, map(right.__getitem__, _bits(c)), -1)
+                c: ~functools.reduce(operator.and_, map(right.__getitem__, bit_indices(c)), -1)
                 for c in set(cont_row)
             }
             if not any(map(operator.and_, left, map(outside.get, cont_row))):
                 continue
             for t in range(top_m.count):
                 cl_t = top_m.cl[t]
-                for s in _bits(cont_row[t]):
+                for s in bit_indices(cont_row[t]):
                     cl_s = top_k.cl[s]
                     for a in range(1 << m):
                         if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
@@ -1266,7 +1251,7 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
                         continue
                     # first (s1, s2) inside the high rectangle and outside
                     # the low one, s1 then s2 ascending
-                    for s1 in _bits(levels[high]):
+                    for s1 in bit_indices(levels[high]):
                         cand = levels[high + 1]
                         if (levels[low] >> s1) & 1:
                             cand &= ~levels[low + 1]

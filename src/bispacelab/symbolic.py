@@ -131,7 +131,7 @@ class AtomUniverse:
         return (SymSet(self, m) for m in canonical_masks(len(self.atoms)))
 
     def restrict(self, keep: "SymSet") -> "AtomUniverse":
-        if keep.universe is not self:
+        if not keep.universe.same_as(self):
             raise ValueError("restriction set from a different universe")
         if keep.is_empty:
             raise ValueError("restricted universe must keep at least one atom")
@@ -361,6 +361,33 @@ class SchematicFamily:
             return b
         return None
 
+    def semiopen_under(self, other: "SchematicFamily", a: SymSet) -> bool:
+        """Some open O with O <= a <= other.closure(O), decided in closed form.
+
+        Index i is this family and j is `other`. For a proper nonempty `a`,
+        candidates are members C|P_i inside `a` (so P_i <= a, C <= R_i & a).
+        Their j-closure covers `a` in two ways: touch P_j (closure becomes
+        X), or avoid P_j while C picks up all of a & R_j. Padding C with one
+        extra region point keeps O inside `a`, so nonemptiness of O only
+        needs P_i or R_i & a nonempty. Validated against the all-singleton
+        finite oracle and the trace enumeration in tests.
+        """
+        if a.is_empty or a.is_whole:
+            return True
+        p_i, r_i = self.mandatory, self.region
+        p_j, r_j = other.mandatory, other.region
+        if not p_i.issubset(a):
+            return False
+        if not (p_i & p_j).is_empty or not (p_j & r_i & a).is_empty:
+            return True
+        core = (a & r_j) - p_i
+        return (
+            (a & p_j).is_empty
+            and core.issubset(r_i)
+            and is_countable(core)
+            and not (p_i.is_empty and (r_i & a).is_empty)
+        )
+
     def _own(self, s: SymSet) -> None:
         if not isinstance(s, SymSet) or not s.universe.same_as(self.universe):
             raise ValueError("set does not belong to this family's universe")
@@ -421,33 +448,6 @@ class OpenTrace(NamedTuple):
 
     inside: SymSet
     touched: SymSet
-
-
-def is_ij_semiopen_schematic(fam_i: SchematicFamily, fam_j: SchematicFamily, a: SymSet) -> bool:
-    """Some fam_i-open O with O <= a <= closure_j(O), decided in closed form.
-
-    For a proper nonempty `a`, candidates are members C|P_i inside `a`
-    (so P_i <= a, C <= R_i & a). Their j-closure covers `a` in two ways:
-    touch P_j (closure becomes X), or avoid P_j while C picks up all of
-    a & R_j. Padding C with one extra region point keeps O inside `a`, so
-    nonemptiness of O only needs P_i or R_i & a nonempty. Validated against
-    the all-singleton finite oracle and the trace enumeration in tests.
-    """
-    if a.is_empty or a.is_whole:
-        return True
-    p_i, r_i = fam_i.mandatory, fam_i.region
-    p_j, r_j = fam_j.mandatory, fam_j.region
-    if not p_i.issubset(a):
-        return False
-    if not (p_i & p_j).is_empty or not (p_j & r_i & a).is_empty:
-        return True
-    core = (a & r_j) - p_i
-    return (
-        (a & p_j).is_empty
-        and core.issubset(r_i)
-        and is_countable(core)
-        and not (p_i.is_empty and (r_i & a).is_empty)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .finite import _space_forms
+from .finite import _space_forms, bit_indices
 from .maps import enumerate_directed_sets
 
 
@@ -39,6 +39,14 @@ def rect_equal(a1: int, a2: int, b1: int, b2: int) -> bool:
 def decode_pair(pairset: int, t_count: int) -> tuple[int, int]:
     idx = (pairset & -pairset).bit_length() - 1
     return idx // t_count, idx % t_count
+
+
+def or_table(values) -> list[int]:
+    """table[mask] is the OR of values[i] over the bits i of mask."""
+    table = [0]
+    for value in values:
+        table += [t | value for t in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -202,13 +210,9 @@ def bispace_tables(n: int) -> BispaceTables:
         fibre = [0] * size
         for a in range(size):
             fibre[cl2[a]] |= 1 << a
-            rest = around[a]
-            while rest:
-                low = rest & -rest
-                o = low.bit_length() - 1
+            for o in bit_indices(around[a]):
                 p[o] |= 1 << a
                 q[o] |= around[a]
-                rest ^= low
         p_all.append(p)
         around_all.append(around)
         q_all.append(q)
@@ -304,20 +308,11 @@ def map_tables(m: int, k: int) -> MapTables:
     img_all, preim_all, cont_all, open_all = [], [], [], []
     pm_all, pmc_all = [], []
     for assignment in maps:
-        img_row = []
-        for a in range(1 << m):
-            v = 0
-            for p in range(m):
-                if (a >> p) & 1:
-                    v |= 1 << assignment[p]
-            img_row.append(v)
-        preim_row = []
-        for b in range(1 << k):
-            v = 0
-            for p in range(m):
-                if (b >> assignment[p]) & 1:
-                    v |= 1 << p
-            preim_row.append(v)
+        img_row = or_table([1 << y for y in assignment])
+        # fibre v: the source points sent to v
+        preim_row = or_table(
+            [sum(1 << p for p, y in enumerate(assignment) if y == v) for v in range(k)]
+        )
         # distinct preimages of the opens of each target topology, as
         # masksets; pm_closed reroutes through closed sets (preimage of the
         # complement, then complement back). Since f^-1(Y - V) = X - f^-1(V)

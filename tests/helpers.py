@@ -8,7 +8,7 @@ import random
 from unittest import mock
 
 from bispacelab import suites
-from bispacelab.finite import PointSet, _canonical_opens
+from bispacelab.finite import FiniteSpace, PointSet, _canonical_opens
 from bispacelab.props import (
     Bispace,
     is_ij_preopen,
@@ -156,6 +156,34 @@ def trace_semiopen_oracle(fam_i: SchematicFamily, fam_j: SchematicFamily, a: Sym
         if (a & p_j).is_empty and need.issubset(tr.inside):
             return True
     return False
+
+
+def finite_semiopen_search(sp_i: FiniteSpace, sp_j: FiniteSpace, a: PointSet) -> bool:
+    """Decide semiopenness by scanning every sp_i-open O for O <= a <=
+    closure_j(O); the oracle for FiniteSpace.semiopen_under's closed form."""
+    for o in sp_i.opens:
+        if o.issubset(a) and a.issubset(sp_j.closure(o)):
+            return True
+    return False
+
+
+def random_preorder_space(rng: random.Random, n: int) -> FiniteSpace:
+    """The topology of up-sets of a seeded random preorder on n points, for
+    carriers past the enumeration limit; sparse preorders give many opens."""
+    density = rng.uniform(0.2, 1.5) / n
+    up = [1 << x for x in range(n)]
+    for x, y in itertools.permutations(range(n), 2):
+        if rng.random() < density:
+            up[x] |= 1 << y
+    for k in range(n):  # transitive closure, Warshall order
+        for x in range(n):
+            if (up[x] >> k) & 1:
+                up[x] |= up[k]
+    opens = [
+        m for m in range(1 << n)
+        if all(up[x] & ~m == 0 for x in range(n) if (m >> x) & 1)
+    ]
+    return FiniteSpace(n, [PointSet(n, m) for m in opens])
 
 
 def forall_closed_supersets_interior_covers(

@@ -32,7 +32,7 @@ from bispacelab.maps import (
     restrict_map,
     satisfies_condition_C,
 )
-from bispacelab.props import Bispace
+from bispacelab.props import Bispace, subspace
 from bispacelab.symbolic import (
     AtomUniverse,
     SchematicFamily,
@@ -292,6 +292,27 @@ def test_restrict_map_symbolic():
     assert is_pairwise_precontinuous(sub_f, sub_b, by)
     with pytest.raises(ValueError):
         restrict_map(f, bx, u.subset("blob"))  # not open
+
+
+def test_restriction_accepts_a_region_over_an_equal_universe():
+    def universe(blob):
+        return AtomUniverse([singleton("a"), singleton("p"), blob("blob")])
+
+    u = universe(uncountable)
+    fam = SchematicFamily(u, u.subset("a"), u.subset("p"))
+    bx = Bispace(fam, fam)
+    f = AtomMap(u, u, {"a": "a", "p": "p", "blob": "a"})
+    twin = universe(uncountable).subset("a", "p")  # equal atoms, new object
+    assert fam.restrict(twin) == fam.restrict(u.subset("a", "p"))
+    assert subspace(bx, twin).first.region.atom_ids() == ("a",)
+    sub_f, sub_b = restrict_map(f, bx, twin)
+    assert sub_f.assignment == {"a": "a", "p": "p"}
+    assert sub_b.first.mandatory.atom_ids() == ("p",)
+    other = universe(countable).subset("a", "p")  # blob differs in cardinality
+    for restrict in (u.restrict, fam.restrict, lambda r: subspace(bx, r),
+                     lambda r: restrict_map(f, bx, r)):
+        with pytest.raises(ValueError):
+            restrict(other)
 
 
 def test_catalog_map_is_not_an_open_map():

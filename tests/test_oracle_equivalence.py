@@ -12,8 +12,6 @@ import random
 
 import pytest
 
-from bispacelab.symbolic import is_ij_semiopen_schematic
-
 from helpers import (
     compare_singleton_universe,
     forall_closed_supersets_interior_covers,
@@ -39,12 +37,10 @@ def test_semiopen_closed_form_vs_trace_oracle(seed):
     fam1 = random_family(rng, u)
     fam2 = random_family(rng, u)
     for a in u.algebra_sets():
-        assert is_ij_semiopen_schematic(fam1, fam2, a) == trace_semiopen_oracle(
+        assert fam1.semiopen_under(fam2, a) == trace_semiopen_oracle(
             fam1, fam2, a
         ), f"disagreement at {a!r} (seed {seed})"
-        assert is_ij_semiopen_schematic(fam2, fam1, a) == trace_semiopen_oracle(
-            fam2, fam1, a
-        )
+        assert fam2.semiopen_under(fam1, a) == trace_semiopen_oracle(fam2, fam1, a)
 
 
 @pytest.mark.parametrize("seed", range(20))

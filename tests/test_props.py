@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from bispacelab.props import (
     subspace,
 )
 from bispacelab.tables import bispace_tables, topology_tables
+from helpers import finite_semiopen_search, random_preorder_space
 
 
 def ps(n, *points):
@@ -196,6 +198,35 @@ def test_tables_match_reference_exhaustively(n):
                 assert bool(spo) == is_ij_semipreopen(b, pr, a).holds
                 assert PointSet(n, bt.pcl[row][mask]) == pcl(b, pr, a)
                 assert PointSet(n, bt.spcl[row][mask]) == spcl(b, pr, a)
+
+
+def test_finite_semiopen_closed_form_matches_search():
+    # a <= cl_j(int_i a) against the scan over every i-open, both directions,
+    # on carriers past the enumeration limit
+    verdicts = {True: 0, False: 0}
+    for seed in range(16):
+        rng = random.Random(4000 + seed)
+        n = rng.randint(5, 8)
+        sp1, sp2 = random_preorder_space(rng, n), random_preorder_space(rng, n)
+        for a in sp1.algebra_sets():
+            for sp_i, sp_j in ((sp1, sp2), (sp2, sp1)):
+                got = sp_i.semiopen_under(sp_j, a)
+                assert got == finite_semiopen_search(sp_i, sp_j, a), (seed, a)
+                verdicts[got] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_finite_semiopen_closed_form_matches_tables_n4_sample():
+    bt = bispace_tables(4)
+    spaces = _spaces(4)
+    rng = random.Random(17)
+    for _ in range(300):
+        t1, t2 = rng.randrange(bt.top.count), rng.randrange(bt.top.count)
+        so = bt.so[bt.pair_index(t1, t2)]
+        for mask in range(16):
+            assert bool((so >> mask) & 1) == spaces[t1].semiopen_under(
+                spaces[t2], PointSet(4, mask)
+            ), (t1, t2, mask)
 
 
 def test_trace_tables_match_trace_space():

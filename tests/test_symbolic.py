@@ -8,7 +8,6 @@ from bispacelab.symbolic import (
     SymSet,
     countable,
     is_countable,
-    is_ij_semiopen_schematic,
     materialize_finite,
     singleton,
     uncountable,
@@ -338,5 +337,5 @@ def test_semiopen_closed_form_basic(halves):
     # the left irrationals contain a nonempty piece of the left region and
     # avoid the right mandatory part (empty), so a single left point already
     # has 2-closure covering everything outside the right region
-    assert is_ij_semiopen_schematic(left, right, u.subset("irr-left", "rats"))
-    assert not is_ij_semiopen_schematic(left, right, u.subset("irr-right"))
+    assert left.semiopen_under(right, u.subset("irr-left", "rats"))
+    assert not left.semiopen_under(right, u.subset("irr-right"))

@@ -9,6 +9,7 @@ import pytest
 import helpers
 from bispacelab import tables
 from bispacelab.finite import PointSet, discrete_space, trace_space
+from bispacelab.maps import FiniteMap
 from bispacelab.tables import (
     _pack_slots,
     _split_slots,
@@ -128,6 +129,17 @@ def test_interval_masksets(n):
     for a, c in itertools.product(range(size), repeat=2):
         expected = {s for s in range(size) if a & ~s == 0 and s & ~c == 0}
         assert {s for s in range(size) if (ivl[a][c] >> s) & 1} == expected
+
+
+@pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
+def test_map_table_rows_match_image_and_preimage(m, k):
+    mt = map_tables(m, k)
+    for assignment, img_row, preim_row in zip(mt.maps, mt.img, mt.preim):
+        f = FiniteMap(m, k, assignment)
+        for a in range(1 << m):
+            assert PointSet(k, img_row[a]) == f.image(PointSet(m, a))
+        for b in range(1 << k):
+            assert PointSet(m, preim_row[b]) == f.preimage(PointSet(k, b))
 
 
 @pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
