@@ -1,5 +1,6 @@
 """Shared generators and cross-backend comparison drivers for the tests."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -1006,6 +1007,107 @@ def _ref_hierarchy(n: int):
     return checked, violations
 
 
+# ---------------------------------------------------------------------------
+# Reference set-level sweeps: every subset, pair or row checked in turn
+# ---------------------------------------------------------------------------
+#
+# The oracles for the set-level suites that decide a whole carrier size by
+# whole-table tests first. Like the map references they read every table
+# through the suites module's own names.
+
+def reference_closure_laws(n: int) -> tuple[int, tuple[str, ...]]:
+    """(checked, violations) of closure-laws at n, every law checked on
+    every subset (pair of subsets) of every topology."""
+    violations = []
+    checked = 0
+    for size in range(1, n + 1):
+        top = suites.topology_tables(size)
+        full = top.full
+        for t in range(top.count):
+            opens = top.opens[t]
+            cl = top.cl[t]
+            intr = top.intr[t]
+            if cl[0] != 0:
+                violations.append(f"closure-of-empty n={size} t={t}")
+            for a in range(1 << size):
+                checked += 1
+                lp = 0
+                for x in range(size):
+                    bit = 1 << x
+                    punctured = a & ~bit
+                    if all(o & punctured for o in opens if o & bit):
+                        lp |= bit
+                for kind, fails in (
+                    ("expansive", a & ~cl[a]),
+                    ("idempotent", cl[cl[a]] != cl[a]),
+                    ("interior-duality", intr[a] != full ^ cl[full ^ a]),
+                    ("limit-point-law", cl[a] != a | lp),
+                ):
+                    if fails:
+                        violations.append(
+                            f"{kind} n={size} t={t} A={suites._ps(size, a)}"
+                        )
+            for a in range(1 << size):
+                for b in range(1 << size):
+                    checked += 1
+                    for kind, fails in (
+                        ("additive", cl[a | b] != cl[a] | cl[b]),
+                        ("monotone", a & ~b == 0 and cl[a] & ~cl[b]),
+                    ):
+                        if fails:
+                            violations.append(
+                                f"{kind} n={size} t={t} A={suites._ps(size, a)} "
+                                f"B={suites._ps(size, b)}"
+                            )
+    return checked, tuple(violations)
+
+
+def reference_c1_iff_c2(n: int) -> tuple[int, tuple[str, ...]]:
+    """(checked, violations) of C1-iff-C2 at n, every row compared in
+    turn."""
+    violations = []
+    checked = 0
+    for size in range(1, n + 1):
+        bt = suites.bispace_tables(size)
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
+            for direction, row in ((0, pair), (1, swapped)):
+                checked += 1 << size
+                po = bt.po[row]
+                wpo = bt.wpo[row]
+                for kind, diff in (
+                    ("squeeze-without-containment", po & ~wpo),
+                    ("containment-without-squeeze", wpo & ~po),
+                ):
+                    if diff:
+                        a = (diff & -diff).bit_length() - 1
+                        violations.append(
+                            f"{kind} n={size} pair=({t1}, {t2}) "
+                            f"dir={suites._dir_name(direction)} A={suites._ps(size, a)}"
+                        )
+    return checked, tuple(violations)
+
+
+def reference_open_implies_preopen(n: int) -> tuple[int, tuple[str, ...]]:
+    """(checked, violations) of open-implies-preopen at n, every read of
+    every row checked in turn."""
+    violations = []
+    checked = 0
+    for size in range(1, n + 1):
+        bt = suites.bispace_tables(size)
+        for t1, t2, pair, swapped in pair_rows(bt.top.count):
+            for row, t_i in ((pair, t1), (swapped, t2)):
+                checked += 3
+                opens = bt.top.openbits[t_i]
+                po, so, spo = bt.po[row], bt.so[row], bt.spo[row]
+                if opens & ~po:
+                    violations.append(f"open-not-preopen n={size} pair=({t1},{t2})")
+                if opens & ~so:
+                    violations.append(f"open-not-semiopen n={size} pair=({t1},{t2})")
+                if (po | so) & ~spo:
+                    violations.append(f"not-semipreopen n={size} pair=({t1},{t2})")
+    return checked, tuple(violations)
+
+
 REFERENCE_MAP_SUITES = {
     "thm-4.1": _ref_thm_4_1,
     "thm-4.2": _ref_thm_4_2,
@@ -1126,29 +1228,66 @@ FAULT_CASES = {
 }
 
 
-def fault_injection_results(case: str, n: int = 3, which=FAULT_SUITES):
+# case name -> topology-table corruption per n, as in FAULT_CASES.
+# closure-laws reads topology_tables alone, so these cases run it alone
+TOPOLOGY_FAULT_SUITES = ("closure-laws",)
+TOPOLOGY_FAULT_CASES = {
+    # the closure of the empty set gains point 1 in structure 5
+    "cl-t5-entry0-bit1": {
+        3: lambda top: dataclasses.replace(top, cl=_flip_grid(top.cl, 5, 0, 1))
+    },
+    # {0, 2} loses point 0 from its closure in structure 12: not expansive
+    "cl-t12-entry5-bit0": {
+        3: lambda top: dataclasses.replace(top, cl=_flip_grid(top.cl, 12, 5, 0))
+    },
+    # the interior of {0, 1} gains point 0 in structure 20
+    "intr-t20-entry3-bit0": {
+        3: lambda top: dataclasses.replace(top, intr=_flip_grid(top.intr, 20, 3, 0))
+    },
+    # the open {1} of structure 20 becomes {0, 1}; only the limit-point law
+    # reads the opens
+    "opens-t20-open1-bit0": {
+        3: lambda top: dataclasses.replace(top, opens=_flip_grid(top.opens, 20, 1, 0))
+    },
+}
+
+
+def _corrupted(attr: str, corruptions: dict):
+    """Patch suites.<attr> so that a call whose key is in `corruptions`
+    returns the corrupted table; the key is the one argument of a
+    one-argument builder, else the argument tuple."""
+    true = getattr(suites, attr)
+
+    def patched(*args):
+        key = args[0] if len(args) == 1 else args
+        table = true(*args)
+        return corruptions[key](table) if key in corruptions else table
+
+    return mock.patch.object(suites, attr, patched)
+
+
+def fault_injection_results(case: str, n: int = 3, which=None):
     """Run the suites `which` at carrier size n on the tables corrupted by
-    `case`.
+    `case`, by default FAULT_SUITES for a case of FAULT_CASES and
+    TOPOLOGY_FAULT_SUITES for one of TOPOLOGY_FAULT_CASES.
 
     The suites read the corrupted tables through their module's
-    `bispace_tables` and `continuity_grids`, so no corrupted row outlives
-    the run.
+    `bispace_tables`, `continuity_grids` and `topology_tables`, so no
+    corrupted row outlives the run.
     """
-    bt_faults, grid_faults = FAULT_CASES[case]
-    true_bt = suites.bispace_tables
-    true_grids = suites.continuity_grids
-
-    def corrupt_bt(size):
-        table = true_bt(size)
-        return bt_faults[size](table) if size in bt_faults else table
-
-    def corrupt_grids(m, k):
-        grids = true_grids(m, k)
-        return grid_faults[(m, k)](grids) if (m, k) in grid_faults else grids
-
-    with mock.patch.object(suites, "bispace_tables", corrupt_bt), \
-            mock.patch.object(suites, "continuity_grids", corrupt_grids):
-        return suites.run_theorem_suite(suites.SuiteConfig(n=n, which=which))
+    if case in TOPOLOGY_FAULT_CASES:
+        patches = {"topology_tables": TOPOLOGY_FAULT_CASES[case]}
+        default = TOPOLOGY_FAULT_SUITES
+    else:
+        bt_faults, grid_faults = FAULT_CASES[case]
+        patches = {"bispace_tables": bt_faults, "continuity_grids": grid_faults}
+        default = FAULT_SUITES
+    with contextlib.ExitStack() as stack:
+        for attr, corruptions in patches.items():
+            stack.enter_context(_corrupted(attr, corruptions))
+        return suites.run_theorem_suite(
+            suites.SuiteConfig(n=n, which=which or default)
+        )
 
 
 def seeded_table_flips(
@@ -1213,9 +1352,9 @@ def flipped_table(attr: str, args: tuple, corrupt):
 
 
 def fault_injection_digests(case: str, n: int = 3) -> dict:
-    """Per suite of FAULT_SUITES on the tables corrupted by `case`,
-    ``{"checked", "violations", "sha256"}``, the digest being over the
-    violation lines joined by newlines."""
+    """Per suite that fault_injection_results runs on the tables corrupted
+    by `case`, ``{"checked", "violations", "sha256"}``, the digest being
+    over the violation lines joined by newlines."""
     return {
         result.name: {
             "checked": result.checked,
@@ -1234,6 +1373,9 @@ if __name__ == "__main__":
     import json
     import pathlib
 
-    fixture = {case: fault_injection_digests(case) for case in FAULT_CASES}
+    fixture = {
+        case: fault_injection_digests(case)
+        for case in (*FAULT_CASES, *TOPOLOGY_FAULT_CASES)
+    }
     path = pathlib.Path(__file__).parent / "data" / "fault_injection.json"
     path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,9 @@
+import collections
+import functools
 import hashlib
 import json
 import pathlib
+import random
 from unittest import mock
 
 import pytest
@@ -9,6 +12,7 @@ from bispacelab import suites
 from bispacelab.finite import PointSet, enumerate_spaces
 from bispacelab.props import Bispace, is_ij_preopen
 from bispacelab.reports import machine_suite
+from bispacelab.tables import topology_tables
 from bispacelab.suites import (
     ALL_SUITES,
     MAP_SUITES,
@@ -19,12 +23,18 @@ from bispacelab.suites import (
 from helpers import (
     FAULT_CASES,
     FAULT_SUITES,
+    TOPOLOGY_FAULT_CASES,
+    TOPOLOGY_FAULT_SUITES,
     _flip_grid,
+    _flip_row,
     _replace_field,
     fault_injection_digests,
     fault_injection_results,
     flipped_table,
+    reference_c1_iff_c2,
+    reference_closure_laws,
     reference_map_suite,
+    reference_open_implies_preopen,
     seeded_table_flips,
 )
 
@@ -163,7 +173,7 @@ FAULT_FIXTURE = json.loads(
 )
 
 
-@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+@pytest.mark.parametrize("case", sorted([*FAULT_CASES, *TOPOLOGY_FAULT_CASES]))
 def test_violation_lists_on_corrupted_tables_match_fixture(case):
     # one flipped table bit must give exactly the frozen violations (count,
     # order and wording); a sweep that skips a check, or a memo keyed too
@@ -197,7 +207,7 @@ def test_fault_fixture_fires_every_memoised_suite():
         for name, d in digests.items()
         if d["violations"]
     }
-    assert fired == set(FAULT_SUITES)
+    assert fired == set(FAULT_SUITES) | set(TOPOLOGY_FAULT_SUITES)
 
 
 def test_fault_cases_fire_every_row_comparison_kind():
@@ -216,6 +226,65 @@ def test_fault_cases_fire_every_row_comparison_kind():
         "open-not-semiopen",
         "not-semipreopen",
     }
+
+
+def test_topology_fault_cases_fire_every_closure_law():
+    kinds = set()
+    for case in TOPOLOGY_FAULT_CASES:
+        (result,) = fault_injection_results(case)
+        kinds.update(line.split()[0] for line in result.violations)
+    assert kinds == {
+        "closure-of-empty", "expansive", "idempotent", "interior-duality",
+        "limit-point-law", "additive", "monotone",
+    }
+
+
+def test_closure_laws_match_reference_sweep_on_flipped_topologies():
+    # seeded single-bit flips of one cl, intr or opens entry at n = 3 and 4:
+    # the same `checked` and the same violation lines in order as the sweep
+    # that checks every law on every subset
+    rng = random.Random(17)
+    firing = 0
+    for _ in range(12):
+        n = rng.choice((3, 4))
+        t = rng.randrange(topology_tables(n).count)
+        field = rng.choice(("cl", "intr", "opens"))
+        entry = rng.randrange(len(getattr(topology_tables(n), field)[t]))
+        bit = rng.randrange(n)
+        corrupt = _replace_field(
+            field, functools.partial(_flip_grid, f=t, pair=entry, bit=bit)
+        )
+        with flipped_table("topology_tables", (n,), corrupt):
+            (result,) = run_theorem_suite(SuiteConfig(n=n, which=("closure-laws",)))
+            expected = reference_closure_laws(n)
+        assert (result.checked, result.violations) == expected, (n, t, field, entry)
+        firing += bool(expected[1])
+    assert firing == 12
+
+
+def test_row_suites_match_reference_sweeps_on_flipped_n4_rows():
+    # seeded single-bit flips of a po, wpo, so or spo row of the 4-point
+    # tables, with 16-bit slots: C1-iff-C2 and open-implies-preopen give the
+    # `checked` and the violation lines of the sweep that reads every row
+    rng = random.Random(4)
+    t_count = topology_tables(4).count
+    config = SuiteConfig(n=4, which=("C1-iff-C2", "open-implies-preopen"))
+    fired = collections.Counter()
+    for _ in range(12):
+        field = rng.choice(("po", "wpo", "so", "spo"))
+        pair, bit = rng.randrange(t_count * t_count), rng.randrange(16)
+        corrupt = _replace_field(
+            field, functools.partial(_flip_row, index=pair, bit=bit)
+        )
+        with flipped_table("bispace_tables", (4,), corrupt):
+            results = run_theorem_suite(config)
+            expected = (reference_c1_iff_c2(4), reference_open_implies_preopen(4))
+        for result, (checked, violations) in zip(results, expected):
+            assert (result.checked, result.violations) == (checked, violations), (
+                field, pair, bit, result.name
+            )
+            fired[result.name] += bool(violations)
+    assert fired == {"C1-iff-C2": 6, "open-implies-preopen": 9}
 
 
 def test_note_4_1_fires_on_a_flipped_continuity_bit():
