@@ -1146,13 +1146,18 @@ FAULT_SUITES = (
 
 
 def _flip_row(rows, index: int, bit: int):
-    return rows[:index] + (rows[index] ^ (1 << bit),) + rows[index + 1:]
+    """A copy of `rows`, a tuple or an array, with one bit flipped."""
+    if isinstance(rows, tuple):
+        return rows[:index] + (rows[index] ^ (1 << bit),) + rows[index + 1:]
+    flipped = rows[:]  # an array slice is a copy
+    flipped[index] ^= 1 << bit
+    return flipped
 
 
 def _flip_hull(rows, pair: int, subset: int, bit: int):
-    row = rows[pair]
-    row = row[:subset] + (row[subset] ^ (1 << bit),) + row[subset + 1:]
-    return rows[:pair] + (row,) + rows[pair + 1:]
+    """A materialised tuple of the hull rows `rows` with one bit flipped."""
+    rows = tuple(rows)
+    return rows[:pair] + (_flip_row(rows[pair], subset, bit),) + rows[pair + 1:]
 
 
 def _flip_grid(grid, f: int, pair: int, bit: int):
@@ -1249,7 +1254,37 @@ TOPOLOGY_FAULT_CASES = {
     "opens-t20-open1-bit0": {
         3: lambda top: dataclasses.replace(top, opens=_flip_grid(top.opens, 20, 1, 0))
     },
+    # each case below swaps one structure's closure for an operator that
+    # breaks a single law, and its interior for the dual of that operator,
+    # so that the opens stay the complements of its fixed points:
+    # {2} closes to X in structure 12, a closed superset of its closure
+    # {0, 2}, so additivity fails and nothing else
+    "closure-t12-not-additive": {
+        3: lambda top: _with_closure(top, 12, (0, 1, 7, 7, 7, 5, 7, 7))
+    },
+    # opens {}, {0}, {0, 1}, X; {0} closes to {0, 1} and {1} to {1, 2},
+    # additive and expansive but not idempotent
+    "closure-t7-not-idempotent": {
+        3: lambda top: _with_closure(top, 7, (0, 3, 6, 7, 4, 7, 6, 7))
+    },
+    # opens {}, {0, 2}, X; {0} closes to {1}, additive and idempotent but
+    # not expansive
+    "closure-t5-not-expansive": {
+        3: lambda top: _with_closure(top, 5, (0, 2, 2, 2, 7, 7, 7, 7))
+    },
 }
+
+
+def _with_closure(top, t: int, cl_row: tuple[int, ...]):
+    """`top` with structure t's closure row replaced by cl_row and its
+    interior row by the dual of cl_row."""
+    full = top.full
+    intr_row = tuple(full ^ cl_row[full ^ a] for a in range(full + 1))
+    return dataclasses.replace(
+        top,
+        cl=top.cl[:t] + (cl_row,) + top.cl[t + 1:],
+        intr=top.intr[:t] + (intr_row,) + top.intr[t + 1:],
+    )
 
 
 def _corrupted(attr: str, corruptions: dict):
