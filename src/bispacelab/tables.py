@@ -9,8 +9,10 @@ over all target bispaces into a handful of big-int operations.
 
 The bispace tables are built packed across tau_2: a maskset per tau_2 sits in
 a slot of 2^n bits (at least 8) of one big int, slot t2 holding pair (t1, t2),
-so one OR per tau_1-open computes a row for every t2 at once and one split
-turns the packed int back into per-pair rows (see BispaceTables).
+so one OR per tau_1-open computes a row for every t2 at once. The rows keep
+that slot layout: each is an `array` of one machine word per pair, filled
+from the packed ints' bytes, and the hull rows are built from those masksets
+on first read (see BispaceTables).
 
 Everything here recomputes the reference predicates in flat form; the test
 suite asserts agreement with the reference implementations, so the tables
@@ -21,6 +23,9 @@ from __future__ import annotations
 
 import itertools
 import struct
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,20 +125,51 @@ class BispaceTables:
     so po, so and spo at (t1, t2) are the ORs of P, around and Q over the
     tau_1-opens, and wpo is the OR over c of fibre(c) & {a : a <= int_1(c)}.
     Each of these masksets sits in one int with a slot per t2 (see
-    `_slot_width`), so one OR per tau_1-open serves every t2 at once.
-    Pairs with equal (semi)preopen masksets share one hull row object.
+    `_slot_width`), so one OR per tau_1-open serves every t2 at once, and
+    the po/wpo/so/spo rows are arrays with one slot-wide item per pair.
+    pcl and spcl are `_HullRows` over the build's own po and spo arrays: a
+    hull row is computed on first read and shared by every pair with the
+    same maskset, and `dataclasses.replace` keeps them bound to the build's
+    masksets when it swaps a row field.
     """
 
     top: TopologyTables
-    po: tuple[int, ...]                       # maskset of (1,2)-preopen subsets
-    wpo: tuple[int, ...]                      # weakly (1,2)-preopen
-    so: tuple[int, ...]                       # (1,2)-semiopen
-    spo: tuple[int, ...]                      # (1,2)-semipreopen
-    pcl: tuple[tuple[int, ...], ...]          # per pair, per subset: preclosure mask
-    spcl: tuple[tuple[int, ...], ...]         # per pair, per subset: semipreclosure mask
+    po: array                                 # maskset of (1,2)-preopen subsets
+    wpo: array                                # weakly (1,2)-preopen
+    so: array                                 # (1,2)-semiopen
+    spo: array                                # (1,2)-semipreopen
+    pcl: Sequence[tuple[int, ...]]            # per pair, per subset: preclosure mask
+    spcl: Sequence[tuple[int, ...]]           # per pair, per subset: semipreclosure mask
 
     def pair_index(self, t1: int, t2: int) -> int:
         return t1 * self.top.count + t2
+
+
+class _HullRows(Sequence):
+    """Per pair, the `_hull_row` of that pair's maskset in `rows`, computed
+    the first time some pair with that maskset is read and kept in `hulls`,
+    which the pcl and spcl rows of one build share."""
+
+    def __init__(self, rows, n: int, hulls: dict):
+        self._rows = rows
+        self._n = n
+        self._hulls = hulls
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, pair: int) -> tuple[int, ...]:
+        bits = self._rows[pair]
+        hull = self._hulls.get(bits)
+        if hull is None:
+            hull = self._hulls[bits] = _hull_row(bits, self._n)
+        return hull
+
+    def __iter__(self):
+        hulls = self._hulls
+        for bits in set(self._rows).difference(hulls):
+            hulls[bits] = _hull_row(bits, self._n)
+        return map(hulls.__getitem__, self._rows)
 
 
 def pair_rows(t_count: int):
@@ -171,9 +207,10 @@ def _hull_row(bits: int, n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-# struct codes of unsigned slots by width (enumeration stops at 4 points, so
-# slots are 8 or 16 bits); the "<" prefix fixes standard little-endian
-# sizes, so the slot layout does not depend on sys.byteorder
+# struct and array codes of unsigned slots by width (enumeration stops at 4
+# points, so slots are 8 or 16 bits); slots are little-endian, by the "<"
+# prefix in _pack_slots and a byteswap of big-endian arrays in _split_slots,
+# so the slot layout does not depend on sys.byteorder
 _SLOT_CODES = {8: "B", 16: "H"}
 
 
@@ -188,10 +225,14 @@ def _pack_slots(values, width: int) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
 
 
-def _split_slots(packed: int, width: int, count: int) -> tuple[int, ...]:
-    """The `count` slots of `packed`, lowest first; inverts _pack_slots."""
-    data = packed.to_bytes(count * width // 8, "little")
-    return struct.unpack(f"<{count}{_SLOT_CODES[width]}", data)
+def _split_slots(packed, width: int, count: int) -> array:
+    """The `count` slots of each int in `packed`, lowest first, one array
+    item per slot; inverts _pack_slots."""
+    data = b"".join(bits.to_bytes(count * width // 8, "little") for bits in packed)
+    rows = array(_SLOT_CODES[width], data)
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +266,7 @@ def bispace_tables(n: int) -> BispaceTables:
     # sub_spread[x]: {a : a <= x} in every slot (no carries: it is < 2^width)
     ones = _pack_slots([1] * t_count, width)
     sub_spread = [bits * ones for bits in ivl[0]]
+    # per t1, the packed po, wpo, so and spo rows of every t2
     po, wpo, so, spo = [], [], [], []
     for t1 in range(t_count):
         int1 = top.intr[t1]
@@ -235,16 +277,18 @@ def bispace_tables(n: int) -> BispaceTables:
             spo_packed |= q_packed[o]
         for c in range(size):
             wpo_packed |= fibre_packed[c] & sub_spread[int1[c]]
-        po.extend(_split_slots(po_packed, width, t_count))
-        wpo.extend(_split_slots(wpo_packed, width, t_count))
-        so.extend(_split_slots(so_packed, width, t_count))
-        spo.extend(_split_slots(spo_packed, width, t_count))
+        po.append(po_packed)
+        wpo.append(wpo_packed)
+        so.append(so_packed)
+        spo.append(spo_packed)
+    po, wpo, so, spo = (
+        _split_slots(rows, width, t_count) for rows in (po, wpo, so, spo)
+    )
     # a hull row depends only on its maskset, and many pairs share one
     # (1,639 distinct rows over the 126,025 pairs at n = 4)
-    hulls = {bits: _hull_row(bits, n) for bits in {*po, *spo}}
+    hulls: dict[int, tuple[int, ...]] = {}
     return BispaceTables(
-        top, tuple(po), tuple(wpo), tuple(so), tuple(spo),
-        tuple(map(hulls.__getitem__, po)), tuple(map(hulls.__getitem__, spo)),
+        top, po, wpo, so, spo, _HullRows(po, n, hulls), _HullRows(spo, n, hulls)
     )
 
 

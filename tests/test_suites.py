@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from bispacelab import suites
+from bispacelab import suites, tables
 from bispacelab.finite import PointSet, enumerate_spaces
 from bispacelab.props import Bispace, is_ij_preopen
 from bispacelab.reports import machine_suite
@@ -285,6 +285,30 @@ def test_row_suites_match_reference_sweeps_on_flipped_n4_rows():
             )
             fired[result.name] += bool(violations)
     assert fired == {"C1-iff-C2": 6, "open-implies-preopen": 9}
+
+
+def test_tables_n4_suites_build_no_4_point_hull_row():
+    # the suite list of the tables-n4 benchmark workload reads no hull row
+    # at n = 4, so a build of those rows there is wasted work
+    which = (
+        "closure-laws", "lemma-3.1", "C1-iff-C2", "open-implies-preopen",
+        "note-3.4", "remark-3.1", "hierarchy",
+    )
+    sizes = []
+    true_hull_row = tables._hull_row
+
+    def counting_hull_row(bits, n):
+        sizes.append(n)
+        return true_hull_row(bits, n)
+
+    with mock.patch.object(tables, "_hull_row", counting_hull_row):
+        fresh = tables.bispace_tables.__wrapped__(4)
+        with flipped_table("bispace_tables", (4,), lambda _: fresh):
+            results = run_theorem_suite(SuiteConfig(n=4, which=which, seed=0))
+        assert all(r.passed for r in results)
+        assert 4 not in sizes
+        fresh.pcl[0]
+        assert 4 in sizes
 
 
 def test_note_4_1_fires_on_a_flipped_continuity_bit():

@@ -108,18 +108,27 @@ def test_subsets_of_follow_the_trace_relabelling(n):
 @pytest.mark.parametrize("byteorder", ["little", "big"])
 @pytest.mark.parametrize("width", [8, 16])
 def test_split_slots_matches_shifts(width, byteorder, monkeypatch):
-    # the slots are fixed little-endian: a split that read sys.byteorder
-    # would give other slots under the other setting
+    # the slots are fixed little-endian, and the split gives one array item
+    # per slot: a host of the other byte order reads each item's bytes
+    # reversed, so the items must hold the slots as that host reads them
+    native = sys.byteorder
     monkeypatch.setattr(sys, "byteorder", byteorder)
     rng = random.Random(width)
     for count in (1, 2, 29, 355):
-        for _ in range(20):
-            packed = rng.getrandbits(width * count)
-            expected = tuple(
-                (packed >> (width * i)) & ((1 << width) - 1) for i in range(count)
-            )
-            assert _split_slots(packed, width, count) == expected
-            assert _pack_slots(expected, width) == packed
+        for rows in (1, 3):
+            packed = [rng.getrandbits(width * count) for _ in range(rows)]
+            expected = [
+                (bits >> (width * i)) & ((1 << width) - 1)
+                for bits in packed
+                for i in range(count)
+            ]
+            got = _split_slots(packed, width, count)
+            assert got.itemsize * 8 == width
+            if byteorder != native:
+                got.byteswap()
+            assert got.tolist() == expected
+            for i, bits in enumerate(packed):
+                assert _pack_slots(expected[i * count:(i + 1) * count], width) == bits
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
