@@ -1287,20 +1287,6 @@ def _with_closure(top, t: int, cl_row: tuple[int, ...]):
     )
 
 
-def _corrupted(attr: str, corruptions: dict):
-    """Patch suites.<attr> so that a call whose key is in `corruptions`
-    returns the corrupted table; the key is the one argument of a
-    one-argument builder, else the argument tuple."""
-    true = getattr(suites, attr)
-
-    def patched(*args):
-        key = args[0] if len(args) == 1 else args
-        table = true(*args)
-        return corruptions[key](table) if key in corruptions else table
-
-    return mock.patch.object(suites, attr, patched)
-
-
 def fault_injection_results(case: str, n: int = 3, which=None):
     """Run the suites `which` at carrier size n on the tables corrupted by
     `case`, by default FAULT_SUITES for a case of FAULT_CASES and
@@ -1319,7 +1305,9 @@ def fault_injection_results(case: str, n: int = 3, which=None):
         default = FAULT_SUITES
     with contextlib.ExitStack() as stack:
         for attr, corruptions in patches.items():
-            stack.enter_context(_corrupted(attr, corruptions))
+            for key, corrupt in corruptions.items():
+                args = key if isinstance(key, tuple) else (key,)
+                stack.enter_context(flipped_table(attr, args, corrupt))
         return suites.run_theorem_suite(
             suites.SuiteConfig(n=n, which=which or default)
         )
