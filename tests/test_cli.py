@@ -282,6 +282,18 @@ CHECK_DIGESTS = {
         "82a8ef45ba63350ec74cd0983e56d879e3ac2093e6e4514aa4d62ce3d7268637",
 }
 
+# sha256 of `--format machine suite` on every suite at n = 3, and on the
+# set-level suites plus hierarchy at n = 4 with the sampled sweep at seed 0;
+# they pin every `checked` count, violation list and note
+SUITE_DIGESTS = {
+    ("--n", "3"):
+        "239c3bd25d9d9ab32a843f76d8db37a334595011807672f35ff26531d775d581",
+    ("--n", "4", "--seed", "0", "--which",
+     "closure-laws,lemma-3.1,C1-iff-C2,open-implies-preopen,note-3.4,"
+     "remark-3.1,hierarchy"):
+        "b2159cb72c3dfd6080abdc5ccb35b889db27b1f1c0856c15e9f77e2b1b0df6a9",
+}
+
 
 def test_check_machine_output_is_pinned():
     data = Path(__file__).parent / "data"
@@ -289,3 +301,10 @@ def test_check_machine_output_is_pinned():
         result = run_cli("--format", "machine", "check", str(data / name))
         assert result.returncode == 0, result.stderr
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, name
+
+
+def test_suite_machine_output_is_pinned():
+    for args, digest in SUITE_DIGESTS.items():
+        result = run_cli("--format", "machine", "suite", *args)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, args
