@@ -1,15 +1,17 @@
 """Theorem suites over exhaustively enumerated finite models.
 
-Every suite quantifies over all open-set structures on carriers up to the
-configured size (pairs of structures for bispace statements, plus all maps
-between carriers for the function statements) and collects violations with
-witness data. The shipped suites must come back empty; a violation is
-either a bug or a disproof, and both deserve loud output.
+Every suite quantifies over all open-set structures on small carriers
+(pairs of structures for bispace statements, plus all maps between carriers
+for the function statements) and collects violations with witness data.
+The shipped suites must come back empty; a violation is either a bug or a
+disproof, and both deserve loud output.
 
-Carrier-size budget: set-level suites run sizes 1..n; map suites run all
-source/target size combinations up to min(n, 3) exhaustively, and n = 4
-additionally runs a seeded sampled sweep with the reference predicates
-(exhaustive 4-point map grids would be astronomically wasteful).
+`SET_SUITES` and `MAP_SUITES` are the suite table: each `Suite` holds a
+suite's name, its claim and its check, written once. Most checks take one
+carrier size, or one (source, target) size pair, and return
+``(checked, violations)``; the driver, `Suite.__call__`, runs them over the
+carrier-size budget and sums them. The few checks that hoist work across
+sizes or stop early take the whole configuration instead.
 """
 
 from __future__ import annotations
@@ -59,55 +61,46 @@ def _dir_name(direction: int) -> str:
 # Set-level suites (single structures and bispaces, no maps)
 # ---------------------------------------------------------------------------
 
-def _suite_closure_laws(config) -> SuiteResult:
+def _check_closure_laws(n: int) -> tuple[int, list[str]]:
     """A topology is walked subset by subset only if `_closure_laws_hold`
     finds a law that fails on it."""
+    top = topology_tables(n)
+    full = top.full
     violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        top = topology_tables(n)
-        full = top.full
-        checked += top.count * ((1 << n) + (1 << 2 * n))
-        for t in range(top.count):
-            if _closure_laws_hold(top, t):
-                continue
-            opens = top.opens[t]
-            cl = top.cl[t]
-            intr = top.intr[t]
-            if cl[0] != 0:
-                violations.append(f"closure-of-empty n={n} t={t}")
-            for a in range(1 << n):
-                if a & ~cl[a]:
-                    violations.append(f"expansive n={n} t={t} A={_ps(n, a)}")
-                if cl[cl[a]] != cl[a]:
-                    violations.append(f"idempotent n={n} t={t} A={_ps(n, a)}")
-                if intr[a] != full ^ cl[full ^ a]:
-                    violations.append(f"interior-duality n={n} t={t} A={_ps(n, a)}")
-                lp = 0
-                for x in range(n):
-                    bit = 1 << x
-                    punctured = a & ~bit
-                    if all(o & punctured for o in opens if o & bit):
-                        lp |= bit
-                if cl[a] != a | lp:
-                    violations.append(f"limit-point-law n={n} t={t} A={_ps(n, a)}")
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    if cl[a | b] != cl[a] | cl[b]:
-                        violations.append(
-                            f"additive n={n} t={t} A={_ps(n, a)} B={_ps(n, b)}"
-                        )
-                    if a & ~b == 0 and cl[a] & ~cl[b]:
-                        violations.append(
-                            f"monotone n={n} t={t} A={_ps(n, a)} B={_ps(n, b)}"
-                        )
-    return SuiteResult(
-        "closure-laws",
-        "closure is expansive, idempotent, additive, empty-fixing, equals "
-        "set-plus-limit-points, and is dual to interior",
-        checked,
-        tuple(violations),
-    )
+    for t in range(top.count):
+        if _closure_laws_hold(top, t):
+            continue
+        opens = top.opens[t]
+        cl = top.cl[t]
+        intr = top.intr[t]
+        if cl[0] != 0:
+            violations.append(f"closure-of-empty n={n} t={t}")
+        for a in range(1 << n):
+            if a & ~cl[a]:
+                violations.append(f"expansive n={n} t={t} A={_ps(n, a)}")
+            if cl[cl[a]] != cl[a]:
+                violations.append(f"idempotent n={n} t={t} A={_ps(n, a)}")
+            if intr[a] != full ^ cl[full ^ a]:
+                violations.append(f"interior-duality n={n} t={t} A={_ps(n, a)}")
+            lp = 0
+            for x in range(n):
+                bit = 1 << x
+                punctured = a & ~bit
+                if all(o & punctured for o in opens if o & bit):
+                    lp |= bit
+            if cl[a] != a | lp:
+                violations.append(f"limit-point-law n={n} t={t} A={_ps(n, a)}")
+        for a in range(1 << n):
+            for b in range(1 << n):
+                if cl[a | b] != cl[a] | cl[b]:
+                    violations.append(
+                        f"additive n={n} t={t} A={_ps(n, a)} B={_ps(n, b)}"
+                    )
+                if a & ~b == 0 and cl[a] & ~cl[b]:
+                    violations.append(
+                        f"monotone n={n} t={t} A={_ps(n, a)} B={_ps(n, b)}"
+                    )
+    return top.count * ((1 << n) + (1 << 2 * n)), violations
 
 
 def _closure_laws_hold(top, t: int) -> bool:
@@ -137,26 +130,17 @@ def _closure_laws_hold(top, t: int) -> bool:
     )
 
 
-def _suite_lemma_3_1(config) -> SuiteResult:
+def _check_lemma_3_1(n: int) -> tuple[int, list[str]]:
+    top = topology_tables(n)
     violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        top = topology_tables(n)
-        for t in range(top.count):
-            cl = top.cl[t]
-            for a in range(1 << n):
-                for o in top.opens[t]:
-                    checked += 1
-                    if (cl[a] & o) & ~cl[a & o]:
-                        violations.append(
-                            f"n={n} t={t} A={_ps(n, a)} B={_ps(n, o)}"
-                        )
-    return SuiteResult(
-        "lemma-3.1",
-        "closure(A) & B sits inside closure(A & B) for open B",
-        checked,
-        tuple(violations),
-    )
+    for t in range(top.count):
+        cl = top.cl[t]
+        for a in range(1 << n):
+            for o in top.opens[t]:
+                if (cl[a] & o) & ~cl[a & o]:
+                    violations.append(f"n={n} t={t} A={_ps(n, a)} B={_ps(n, o)}")
+    # one check per (topology, subset, open)
+    return sum(map(len, top.opens)) << n, violations
 
 
 def _row_reads(rows, t_count: int) -> list[tuple[int, int, int, int]]:
@@ -172,138 +156,108 @@ def _row_reads(rows, t_count: int) -> list[tuple[int, int, int, int]]:
     return reads
 
 
-def _row_suite(config, keys, faults, sep: str) -> tuple[int, tuple[str, ...]]:
-    """(checked, violations) of a suite whose verdict on a read depends on
-    the read's row alone.
+def _row_check(bt, column, faults, sep: str) -> tuple[int, list[str]]:
+    """(checked, violations) at one carrier size of a suite whose verdict on
+    a read depends on the read's row alone.
 
-    Per n, `keys(bt)` gives each row's key, laid out like `bt.po`, and
-    `faults(n, bt, key)` gives ``(checked, [(kind, where), ...])`` for one
-    read of a row with that key; it runs once per distinct key. Each row is
-    read twice (see `_row_reads`), so it counts twice, and a failing row is
-    reported at both reads as ``{kind} n=.. pair=(t1,{sep}t2) dir=.. {where}``.
+    `column` gives each row of `bt` its key, laid out like `bt.po`, and
+    `faults(key)` gives ``(checked, [(kind, where), ...])`` for one read of a
+    row with that key; it runs once per distinct key. Each row is read twice
+    (see `_row_reads`), so it counts twice, and a failing row is reported at
+    both reads as ``{kind} n=.. pair=(t1,{sep}t2) dir=.. {where}``.
     """
-    violations = []
+    column = list(column)
+    found = {}
     checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        column = list(keys(bt))
-        found = {}
-        for key, count in collections.Counter(column).items():
-            key_checked, key_faults = faults(n, bt, key)
-            checked += 2 * count * key_checked
-            if key_faults:
-                found[key] = key_faults
-        if not found:
-            continue
-        failing = [row for row, key in enumerate(column) if key in found]
-        for t1, t2, direction, row in _row_reads(failing, bt.top.count):
-            for kind, where in found[column[row]]:
-                violations.append(
-                    f"{kind} n={n} pair=({t1},{sep}{t2}) "
-                    f"dir={_dir_name(direction)} {where}"
-                )
-    return checked, tuple(violations)
+    for key, count in collections.Counter(column).items():
+        key_checked, key_faults = faults(key)
+        checked += 2 * count * key_checked
+        if key_faults:
+            found[key] = key_faults
+    if not found:  # before the failing-row list, which hashes every key
+        return checked, []
+    failing = [row for row, key in enumerate(column) if key in found]
+    n = bt.top.n
+    return checked, [
+        f"{kind} n={n} pair=({t1},{sep}{t2}) dir={_dir_name(direction)} {where}"
+        for t1, t2, direction, row in _row_reads(failing, bt.top.count)
+        for kind, where in found[column[row]]
+    ]
 
 
-def _suite_c1_iff_c2(config) -> SuiteResult:
+def _check_c1_iff_c2(n: int) -> tuple[int, list[str]]:
     """A carrier size whose po and wpo arrays are equal passes whole; only
-    otherwise are its rows compared one by one."""
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        t_count = bt.top.count
-        po_table, wpo_table = bt.po, bt.wpo
+    otherwise are its rows keyed on (po, wpo) and compared."""
+    bt = bispace_tables(n)
+    if bt.po == bt.wpo:
         # every row is read in both directions, over all 2^n subsets
-        checked += 2 * t_count * t_count << n
-        if po_table == wpo_table:
-            continue
-        failing = itertools.compress(
-            itertools.count(), map(operator.ne, po_table, wpo_table)
-        )
-        for t1, t2, direction, row in _row_reads(failing, t_count):
-            po = po_table[row]
-            wpo = wpo_table[row]
-            if po & ~wpo:
-                a = (po & ~wpo & -(po & ~wpo)).bit_length() - 1
-                violations.append(
-                    f"squeeze-without-containment n={n} pair=({t1}, {t2}) "
-                    f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                )
-            if wpo & ~po:
-                a = (wpo & ~po & -(wpo & ~po)).bit_length() - 1
-                violations.append(
-                    f"containment-without-squeeze n={n} pair=({t1}, {t2}) "
-                    f"dir={_dir_name(direction)} A={_ps(n, a)}"
-                )
-    return SuiteResult(
-        "C1-iff-C2",
-        "the squeezed-open condition and the interior-of-closure condition "
-        "agree on every finite (hence topological) model",
-        checked,
-        tuple(violations),
-    )
+        return 2 * bt.top.count ** 2 << n, []
 
-
-def _suite_open_implies_preopen(config) -> SuiteResult:
-    """Per carrier size, one test over all rows at once: every row is one
-    slot of the int read off its array, and the opens of each row's t1 are
-    laid out alike, so the slot-wise checks below are big-int operations.
-    Only a size where they fail is checked row by row."""
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        t_count = bt.top.count
-        openbits = bt.top.openbits
-        po_table, so_table, spo_table = bt.po, bt.so, bt.spo
-        # row a * t_count + b is read in both directions, each time with
-        # three checks against the opens of t_a; it passes iff those opens
-        # lie in po & so and po | so lies in spo
-        checked += 6 * t_count * t_count
-        opens_rows = array(po_table.typecode)
-        for bits in openbits:
-            opens_rows += array(po_table.typecode, (bits,)) * t_count
-        opens_all, po_all, so_all, spo_all = (
-            int.from_bytes(rows, "little")
-            for rows in (opens_rows, po_table, so_table, spo_table)
-        )
-        if not (opens_all & ~(po_all & so_all) or (po_all | so_all) & ~spo_all):
-            continue
-        opens_i = list(opens_rows)
-        covered = map(operator.and_, map(operator.and_, opens_i, po_table), so_table)
-        joined = map(operator.or_, map(operator.or_, po_table, so_table), spo_table)
-        fails = map(
-            operator.or_,
-            map(operator.ne, covered, opens_i),
-            map(operator.ne, joined, spo_table),
-        )
-        for t1, t2, _, row in _row_reads(
-            itertools.compress(itertools.count(), fails), t_count
+    def faults(key):
+        po, wpo = key
+        found = []
+        for kind, bits in (
+            ("squeeze-without-containment", po & ~wpo),
+            ("containment-without-squeeze", wpo & ~po),
         ):
-            opens = opens_i[row]
-            po = po_table[row]
-            so = so_table[row]
-            spo = spo_table[row]
-            if opens & ~po:
-                violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
-            if opens & ~so:
-                violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
-            if (po | so) & ~spo:
-                violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
-    return SuiteResult(
-        "open-implies-preopen",
-        "open sets are preopen and semiopen; preopen and semiopen sets are "
-        "semipreopen",
-        checked,
-        tuple(violations),
+            if bits:
+                found.append((kind, f"A={_ps(n, (bits & -bits).bit_length() - 1)}"))
+        return 1 << n, found
+
+    return _row_check(bt, zip(bt.po, bt.wpo), faults, " ")
+
+
+def _check_open_implies_preopen(n: int) -> tuple[int, list[str]]:
+    """One test over all rows at once: every row is one slot of the int read
+    off its array, and the opens of each row's t1 are laid out alike, so the
+    slot-wise checks below are big-int operations. Only a size where they
+    fail is checked row by row."""
+    bt = bispace_tables(n)
+    t_count = bt.top.count
+    po_table, so_table, spo_table = bt.po, bt.so, bt.spo
+    # row a * t_count + b is read in both directions, each time with three
+    # checks against the opens of t_a; it passes iff those opens lie in
+    # po & so and po | so lies in spo
+    checked = 6 * t_count * t_count
+    opens_rows = array(po_table.typecode)
+    for bits in bt.top.openbits:
+        opens_rows += array(po_table.typecode, (bits,)) * t_count
+    opens_all, po_all, so_all, spo_all = (
+        int.from_bytes(rows, "little")
+        for rows in (opens_rows, po_table, so_table, spo_table)
     )
+    if not (opens_all & ~(po_all & so_all) or (po_all | so_all) & ~spo_all):
+        return checked, []
+    opens_i = list(opens_rows)
+    covered = map(operator.and_, map(operator.and_, opens_i, po_table), so_table)
+    joined = map(operator.or_, map(operator.or_, po_table, so_table), spo_table)
+    fails = map(
+        operator.or_,
+        map(operator.ne, covered, opens_i),
+        map(operator.ne, joined, spo_table),
+    )
+    violations = []
+    for t1, t2, _, row in _row_reads(
+        itertools.compress(itertools.count(), fails), t_count
+    ):
+        opens = opens_i[row]
+        po = po_table[row]
+        so = so_table[row]
+        spo = spo_table[row]
+        if opens & ~po:
+            violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
+        if opens & ~so:
+            violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
+        if (po | so) & ~spo:
+            violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
+    return checked, violations
 
 
-def _suite_thm_3_1(config) -> SuiteResult:
+def _check_thm_3_1(n: int) -> tuple[int, list[str]]:
     """Keyed on (po, spo, t_j); a row's t_j is its column, row % t_count."""
+    bt = bispace_tables(n)
 
-    def faults(n, bt, key):
+    def faults(key):
         po, spo, t_j = key
         cl_j = bt.top.cl[t_j]
         found = []
@@ -327,61 +281,44 @@ def _suite_thm_3_1(config) -> SuiteResult:
                     found.append(("(b)", f"A={_ps(n, a)} U={_ps(n, u)}"))
         return 1 << 2 * n, found
 
-    def keys(bt):
-        return zip(bt.po, bt.spo, itertools.cycle(range(bt.top.count)))
-
-    return SuiteResult(
-        "thm-3.1",
-        "a preopen squeeze below the closure forces preopenness; a "
-        "semipreopen core with covering closure forces semipreopenness",
-        *_row_suite(config, keys, faults, ""),
-    )
+    column = zip(bt.po, bt.spo, itertools.cycle(range(bt.top.count)))
+    return _row_check(bt, column, faults, "")
 
 
-def _suite_thm_3_2(config) -> SuiteResult:
+def _check_thm_3_2(n: int) -> tuple[int, list[str]]:
     """Per (t_i, t_j), the condition maskset is every subset minus, for each
     tau_j-closed g, the subsets of g that are not subsets of int_i g; it is
     laid out like the po rows and compared with them row by row."""
+    bt = bispace_tables(n)
+    top = bt.top
+    every = (1 << (1 << n)) - 1
+    sub = interval_masksets(n)[0]
+    closed = [[top.full ^ o for o in opens] for opens in top.opens]
+    cond_table = []
+    for intr_i in top.intr:
+        # escapes[g]: the subsets of g that are not subsets of int_i g
+        escapes = [sub[g] & ~sub[intr_i[g]] for g in range(1 << n)]
+        for closed_j in closed:
+            bad = functools.reduce(operator.or_, [escapes[g] for g in closed_j])
+            cond_table.append(every & ~bad)
+    failing = itertools.compress(itertools.count(), map(operator.ne, bt.po, cond_table))
     violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        top = bt.top
-        t_count = top.count
-        every = (1 << (1 << n)) - 1
-        sub = interval_masksets(n)[0]
-        closed = [[top.full ^ o for o in opens] for opens in top.opens]
-        cond_table = []
-        for intr_i in top.intr:
-            # escapes[g]: the subsets of g that are not subsets of int_i g
-            escapes = [sub[g] & ~sub[intr_i[g]] for g in range(1 << n)]
-            for closed_j in closed:
-                bad = functools.reduce(operator.or_, [escapes[g] for g in closed_j])
-                cond_table.append(every & ~bad)
-        # every row is read in both directions, over all 2^n subsets
-        checked += 2 * t_count * t_count << n
-        failing = itertools.compress(
-            itertools.count(), map(operator.ne, bt.po, cond_table)
+    for t1, t2, direction, row in _row_reads(failing, top.count):
+        po = bt.po[row]
+        diff = po ^ cond_table[row]
+        a = (diff & -diff).bit_length() - 1
+        side = "forward" if (po >> a) & 1 else "converse-on-finite"
+        violations.append(
+            f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} A={_ps(n, a)}"
         )
-        for t1, t2, direction, row in _row_reads(failing, t_count):
-            po = bt.po[row]
-            diff = po ^ cond_table[row]
-            a = (diff & -diff).bit_length() - 1
-            side = "forward" if (po >> a) & 1 else "converse-on-finite"
-            violations.append(
-                f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} A={_ps(n, a)}"
-            )
-    return SuiteResult(
-        "thm-3.2",
-        "preopen sets land in the interior of every closed superset, and on "
-        "finite models that interior condition conversely forces preopenness",
-        checked,
-        tuple(violations),
-    )
+    # every row is read in both directions, over all 2^n subsets
+    return 2 * top.count ** 2 << n, violations
 
 
-def _suite_thm_3_3(config) -> SuiteResult:
-    def faults(n, bt, key):
+def _check_thm_3_3(n: int) -> tuple[int, list[str]]:
+    bt = bispace_tables(n)
+
+    def faults(key):
         checked = 0
         found = []
         for bits, tag in zip(key, ("preopen", "semipreopen")):
@@ -392,20 +329,16 @@ def _suite_thm_3_3(config) -> SuiteResult:
                     found.append((tag, f"A={_ps(n, a)} B={_ps(n, b)}"))
         return checked, found
 
-    return SuiteResult(
-        "thm-3.3",
-        "finite unions of (semi)preopen sets stay (semi)preopen (the "
-        "pointwise witness-union mechanism behind countable unions)",
-        *_row_suite(config, lambda bt: zip(bt.po, bt.spo), faults, " "),
-    )
+    return _row_check(bt, zip(bt.po, bt.spo), faults, " ")
 
 
-def _suite_thm_3_4(config) -> SuiteResult:
+def _check_thm_3_4(n: int) -> tuple[int, list[str]]:
     """Keyed on (po, spo, the maskset of sets open in both structures). A
     pair lists those sets in tau_1's open order, which is canonical order,
     so both reads of a row list them alike."""
+    bt = bispace_tables(n)
 
-    def faults(n, bt, key):
+    def faults(key):
         # the discrete topology, last in canonical order, opens every subset
         biopen = [b for b in bt.top.opens[-1] if (key[2] >> b) & 1]
         checked = 0
@@ -419,19 +352,12 @@ def _suite_thm_3_4(config) -> SuiteResult:
                             found.append((tag, f"A={_ps(n, a)} B={_ps(n, b)}"))
         return checked, found
 
-    def keys(bt):
-        openbits = bt.top.openbits
-        return zip(bt.po, bt.spo, [i & j for i in openbits for j in openbits])
-
-    return SuiteResult(
-        "thm-3.4",
-        "intersecting a (semi)preopen set with a set open in both "
-        "structures keeps it (semi)preopen",
-        *_row_suite(config, keys, faults, ""),
-    )
+    openbits = bt.top.openbits
+    column = zip(bt.po, bt.spo, [i & j for i in openbits for j in openbits])
+    return _row_check(bt, column, faults, "")
 
 
-def _suite_thm_3_5(config) -> SuiteResult:
+def _check_thm_3_5(n: int) -> tuple[int, list[str]]:
     """Each po or spo maskset is cut to each region y once: bit i of a cut
     is subset i of y. Row (t_i, t_j) fails at y if its cut has a bit that its
     traced row on y lacks, or, with y tau_i-open, differs from it at all."""
@@ -439,103 +365,78 @@ def _suite_thm_3_5(config) -> SuiteResult:
         "preopen-restriction", "semipreopen-restriction",
         "preopen-converse", "semipreopen-converse",
     )
+    bt = bispace_tables(n)
+    tr = trace_tables(n)
+    t_count = bt.top.count
+    # the po and spo rows per carrier size as tuples: reading an array makes
+    # a new int per 16-bit item, and each row is read 2^n - 1 times
+    rows = {}
+    for size in range(1, n + 1):
+        sub_bt = bispace_tables(size)
+        rows[size] = tuple(sub_bt.po), tuple(sub_bt.spo), sub_bt.pair_index
+    po_rows, spo_rows, _ = rows[n]
+    failing = []
+    for y in range(1, 1 << n):
+        inside = subsets_of(y)
+        sub_po_rows, sub_spo_rows, sub_index = rows[y.bit_count()]
+        cut = {
+            bits: sum(1 << i for i, a in enumerate(inside) if (bits >> a) & 1)
+            for bits in {*po_rows, *spo_rows}
+        }
+        for t_i, t_j, row, _ in pair_rows(t_count):
+            sub_row = sub_index(tr[t_i][y][1], tr[t_j][y][1])
+            # -1 if y is tau_i-open, else 0: masks the converse in or out
+            y_open = -((bt.top.openbits[t_i] >> y) & 1)
+            po, spo = cut[po_rows[row]], cut[spo_rows[row]]
+            sub_po, sub_spo = sub_po_rows[sub_row], sub_spo_rows[sub_row]
+            if (po ^ sub_po) & (po | y_open) or (spo ^ sub_spo) & (spo | y_open):
+                lost = (
+                    po & ~sub_po, spo & ~sub_spo,
+                    sub_po & ~po & y_open, sub_spo & ~spo & y_open,
+                )
+                failing.append((t_i, t_j, y, 0, lost))
+                failing.append((t_j, t_i, y, 1, lost))
     violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        bt = bispace_tables(n)
-        tr = trace_tables(n)
-        t_count = bt.top.count
-        # each (pair, direction) reads each nonempty y over its 2^|y| subsets
-        checked += 2 * t_count * t_count * (3 ** n - 1)
-        # the po and spo rows per carrier size as tuples: reading an array
-        # makes a new int per 16-bit item, and each row is read 2^n - 1 times
-        rows = {}
-        for size in range(1, n + 1):
-            sub_bt = bispace_tables(size)
-            rows[size] = tuple(sub_bt.po), tuple(sub_bt.spo), sub_bt.pair_index
-        po_rows, spo_rows, _ = rows[n]
-        failing = []
+    for t1, t2, y, direction, lost in sorted(failing):
+        where = f"pair=({t1},{t2}) dir={_dir_name(direction)} Y={_ps(n, y)}"
+        violations.extend(
+            f"{kind} n={n} {where} A={_ps(n, a)}"
+            for i, a in enumerate(subsets_of(y))
+            for kind, bits in zip(kinds, lost)
+            if (bits >> i) & 1
+        )
+    # each (pair, direction) reads each nonempty y over its 2^|y| subsets
+    return 2 * t_count * t_count * (3 ** n - 1), violations
+
+
+def _check_note_3_4(n: int) -> tuple[int, list[str]]:
+    top = topology_tables(n)
+    tr = trace_tables(n)
+    violations = []
+    for t in range(top.count):
         for y in range(1, 1 << n):
+            sub_n, t_sub = tr[t][y]
+            sub_cl = topology_tables(sub_n).cl[t_sub]
+            # inside[i] is the subset of y relabelled to subset i of y
             inside = subsets_of(y)
-            sub_po_rows, sub_spo_rows, sub_index = rows[y.bit_count()]
-            cut = {
-                bits: sum(1 << i for i, a in enumerate(inside) if (bits >> a) & 1)
-                for bits in {*po_rows, *spo_rows}
-            }
-            for t_i, t_j, row, _ in pair_rows(t_count):
-                sub_row = sub_index(tr[t_i][y][1], tr[t_j][y][1])
-                # -1 if y is tau_i-open, else 0: masks the converse in or out
-                y_open = -((bt.top.openbits[t_i] >> y) & 1)
-                po, spo = cut[po_rows[row]], cut[spo_rows[row]]
-                sub_po, sub_spo = sub_po_rows[sub_row], sub_spo_rows[sub_row]
-                if (po ^ sub_po) & (po | y_open) or (spo ^ sub_spo) & (spo | y_open):
-                    lost = (
-                        po & ~sub_po, spo & ~sub_spo,
-                        sub_po & ~po & y_open, sub_spo & ~spo & y_open,
+            for a_sub, a in enumerate(inside):
+                if inside[sub_cl[a_sub]] != top.cl[t][a] & y:
+                    violations.append(
+                        f"relative-closure n={n} t={t} Y={_ps(n, y)} A={_ps(n, a)}"
                     )
-                    failing.append((t_i, t_j, y, 0, lost))
-                    failing.append((t_j, t_i, y, 1, lost))
-        for t1, t2, y, direction, lost in sorted(failing):
-            where = f"pair=({t1},{t2}) dir={_dir_name(direction)} Y={_ps(n, y)}"
-            violations.extend(
-                f"{kind} n={n} {where} A={_ps(n, a)}"
-                for i, a in enumerate(subsets_of(y))
-                for kind, bits in zip(kinds, lost)
-                if (bits >> i) & 1
-            )
-    return SuiteResult(
-        "thm-3.5",
-        "(semi)preopenness passes to every subspace containing the set, and "
-        "comes back when the subspace carrier is open in the witness-side "
-        "structure",
-        checked,
-        tuple(violations),
-    )
+    # one check per topology, nonempty y and subset of y
+    return top.count * (3 ** n - 1), violations
 
 
-def _suite_note_3_4(config) -> SuiteResult:
-    violations = []
-    checked = 0
-    for n in range(1, config.n + 1):
-        top = topology_tables(n)
-        tr = trace_tables(n)
-        for t in range(top.count):
-            for y in range(1, 1 << n):
-                sub_n, t_sub = tr[t][y]
-                sub_cl = topology_tables(sub_n).cl[t_sub]
-                # inside[i] is the subset of y relabelled to subset i of y
-                inside = subsets_of(y)
-                for a_sub, a in enumerate(inside):
-                    checked += 1
-                    if inside[sub_cl[a_sub]] != top.cl[t][a] & y:
-                        violations.append(
-                            f"relative-closure n={n} t={t} Y={_ps(n, y)} A={_ps(n, a)}"
-                        )
-    return SuiteResult(
-        "note-3.4",
-        "subspace closure is the ambient closure cut down to the subspace",
-        checked,
-        tuple(violations),
-    )
-
-
-def _suite_thm_3_6(config, semi: bool = False) -> SuiteResult:
+def _check_thm_3_6(n: int, semi: bool = False) -> tuple[int, list[str]]:
     """Keyed on the (semi)preopen maskset and the hull row: a wrong hull row
     beside a right maskset must still fault."""
-
-    def keys(bt):
-        return zip(bt.spo, bt.spcl) if semi else zip(bt.po, bt.pcl)
-
-    kind = "semipreclosure" if semi else "preclosure"
-    return SuiteResult(
-        "thm-3.7" if semi else "thm-3.6",
-        f"{kind} membership is meeting every {'semi' if semi else ''}preopen "
-        "neighborhood, and the hull is monotone",
-        *_row_suite(config, keys, _hull_faults, " "),
-    )
+    bt = bispace_tables(n)
+    column = zip(bt.spo, bt.spcl) if semi else zip(bt.po, bt.pcl)
+    return _row_check(bt, column, functools.partial(_hull_faults, n), " ")
 
 
-def _hull_faults(n: int, bt, key) -> tuple[int, list[tuple[str, str]]]:
+def _hull_faults(n: int, key) -> tuple[int, list[tuple[str, str]]]:
     """(checked, faults) of one hull row against its maskset, key being
     (maskset, hull row): x is in hull[a] iff every member containing x meets
     a, checked n times per set, and the row is monotone, checked once per
@@ -557,9 +458,9 @@ def _hull_faults(n: int, bt, key) -> tuple[int, list[tuple[str, str]]]:
     return n * size + 3 ** n, faults
 
 
-def _suite_remark_3_1(config) -> SuiteResult:
+def _check_remark_3_1(config) -> tuple[int, tuple, tuple[str]]:
+    """Stops at the first witness, whose note names the bispace."""
     checked = 0
-    note = None
     for n in range(1, config.n + 1):
         bt = bispace_tables(n)
         for t1, t2, pair, swapped in pair_rows(bt.top.count):
@@ -569,30 +470,13 @@ def _suite_remark_3_1(config) -> SuiteResult:
                 for a, b in itertools.combinations(members, 2):
                     checked += 1
                     if not (po >> (a & b)) & 1:
-                        note = (
+                        return checked, (), (
                             f"witness: n={n} pair=({t1},{t2}) dir={_dir_name(direction)} "
                             f"A={_ps(n, a)} B={_ps(n, b)} intersection={_ps(n, a & b)} "
                             f"opens1={[_ps(n, o) for o in bt.top.opens[t1]]} "
-                            f"opens2={[_ps(n, o) for o in bt.top.opens[t2]]}"
+                            f"opens2={[_ps(n, o) for o in bt.top.opens[t2]]}",
                         )
-                        break
-                if note:
-                    break
-            if note:
-                break
-        if note:
-            break
-    notes = (note,) if note else (
-        "no finite witness up to the configured carrier size",
-    )
-    return SuiteResult(
-        "remark-3.1",
-        "search for two preopen sets whose intersection is not preopen "
-        "(expected to exist; recorded as a fixture, never a violation)",
-        checked,
-        (),
-        notes,
-    )
+    return checked, (), ("no finite witness up to the configured carrier size",)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +486,6 @@ def _suite_remark_3_1(config) -> SuiteResult:
 # A map suite checks all reads of one map at once with C-level map/any/sum
 # over rows laid out by index columns; only a map whose check fires is walked
 # read by read, in sweep order, by the check that writes violation lines.
-
-def _map_size_combos(n: int) -> list[tuple[int, int]]:
-    limit = min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
-    return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
-
 
 def _gather(index: list[int]) -> Callable:
     """row -> tuple(row[i] for i in index), in one C-level call."""
@@ -686,7 +565,7 @@ def _has_pairsets(n: int) -> dict:
     return out
 
 
-def _suite_thm_4_1(config) -> SuiteResult:
+def _check_thm_4_1(config) -> tuple[int, list[str], tuple]:
     """A read fails where the rectangle of target pairs into which the map
     is continuous and open meets the target pairs where the image of a
     member of the row is not (semi)preopen: for one map, an OR-table entry
@@ -735,16 +614,10 @@ def _suite_thm_4_1(config) -> SuiteResult:
                                     f"X=({t1},{t2}) Y=({s1},{s2}) "
                                     f"dir={_dir_name(direction)} A={_ps(m, a)}"
                                 )
-    return SuiteResult(
-        "thm-4.1",
-        "continuous open maps push (semi)preopen sets forward to "
-        "(semi)preopen images",
-        checked,
-        tuple(violations),
-    )
+    return checked, violations, ()
 
 
-def _suite_thm_4_2(config) -> SuiteResult:
+def _check_thm_4_2(config) -> tuple[int, list[str], tuple]:
     """A read fails where the rectangle of target pairs at which the map is
     precontinuous and open meets the target pairs where a set whose preimage
     is not in the row is (semi)preopen: for one map, an OR-table entry over
@@ -793,50 +666,31 @@ def _suite_thm_4_2(config) -> SuiteResult:
                                 f"{tag} m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
                                 f"Y=({s1},{s2}) dir={_dir_name(direction)}"
                             )
-    return SuiteResult(
-        "thm-4.2",
-        "precontinuous open maps pull (semi)preopen sets back to "
-        "(semi)preopen preimages",
-        checked,
-        tuple(violations),
-    )
+    return checked, violations, ()
 
 
-def _suite_thm_4_3(config, semi: bool = False) -> SuiteResult:
+def _check_thm_4_3(m: int, k: int, semi: bool = False) -> tuple[int, list[str]]:
     """rect_equal holds on equal sides, so only a map whose two grid rows
     differ is walked pair by pair."""
-    name = "thm-5.1" if semi else "thm-4.3"
+    mt = map_tables(m, k)
+    grids = continuity_grids(m, k)
+    t_m = bispace_tables(m).top.count
+    lhs_grid = grids.spc if semi else grids.pc
+    rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
     violations = []
-    checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        grids = continuity_grids(m, k)
-        t_m = bispace_tables(m).top.count
-        lhs_grid = grids.spc if semi else grids.pc
-        rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
-        checked += len(mt.maps) * t_m * t_m
-        for f in range(len(mt.maps)):
-            lhs = lhs_grid[f]
-            rhs = rhs_grid[f]
-            if lhs == rhs:
-                continue
-            for t1, t2, pair, swapped in pair_rows(t_m):
-                l1, l2, r1, r2 = lhs[pair], lhs[swapped], rhs[pair], rhs[swapped]
-                if not rect_equal(l1, l2, r1, r2):
-                    violations.append(
-                        f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
-                        f"open-route={l1:x},{l2:x} closed-route={r1:x},{r2:x}"
-                    )
-    kind = "sp-continuity" if semi else "precontinuity"
-    return SuiteResult(
-        name,
-        f"{kind} via open preimages coincides with the closed-preimage "
-        "characterization; the closed route repeats the open one "
-        "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
-        "corrupted grids",
-        checked,
-        tuple(violations),
-    )
+    for f in range(len(mt.maps)):
+        lhs = lhs_grid[f]
+        rhs = rhs_grid[f]
+        if lhs == rhs:
+            continue
+        for t1, t2, pair, swapped in pair_rows(t_m):
+            l1, l2, r1, r2 = lhs[pair], lhs[swapped], rhs[pair], rhs[swapped]
+            if not rect_equal(l1, l2, r1, r2):
+                violations.append(
+                    f"m={m} k={k} f={mt.maps[f]} X=({t1},{t2}) "
+                    f"open-route={l1:x},{l2:x} closed-route={r1:x},{r2:x}"
+                )
+    return len(mt.maps) * t_m * t_m, violations
 
 
 def _consequence_failures(m: int, k: int, semi: bool):
@@ -912,65 +766,50 @@ def _consequence_failures(m: int, k: int, semi: bool):
 _CONSEQUENCES = ("neighborhood", "image-hull", "preimage-hull")
 
 
-def _suite_thm_4_4(config, semi: bool = False, converse: bool = False) -> SuiteResult:
+def _check_thm_4_4(
+    m: int, k: int, semi: bool = False, converse: bool = False
+) -> tuple[int, list[str]]:
     """The three (sp-)precontinuity consequences, or with `converse` their
     converses on finite models: a consequence that holds forces the
     continuity factor. A converse read is the direct one with the gate and
     the failure sets complemented, so both fault where the two meet. A map
     is walked only if its gate row meets its ORed failure sets."""
-    name = "note-4.2" if converse else "thm-5.2" if semi else "thm-4.4"
+    mt = map_tables(m, k)
+    grids = continuity_grids(m, k)
+    gate_grid = grids.spc if semi else grids.pc
+    flip = (1 << topology_tables(k).count) - 1 if converse else 0
+    keys, failures = _consequence_failures(m, k, semi)
+    by_row = _gather(keys)
     violations = []
-    checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        grids = continuity_grids(m, k)
-        gate_grid = grids.spc if semi else grids.pc
-        flip = (1 << topology_tables(k).count) - 1 if converse else 0
-        keys, failures = _consequence_failures(m, k, semi)
-        by_row = _gather(keys)
-        for f, bads in enumerate(failures):
-            checked += 2 * len(keys)
-            gates = map(operator.xor, gate_grid[f], itertools.repeat(flip))
-            failed = _or_columns(
-                map(operator.xor, bad, itertools.repeat(flip)) for bad in bads
-            )
-            if not any(map(operator.and_, gates, by_row(failed))):
-                continue
-            for t1, t2, pair, swapped in pair_rows(bispace_tables(m).top.count):
-                for direction, row in ((0, pair), (1, swapped)):
-                    gate_i = gate_grid[f][row] ^ flip
-                    for tag, bad in zip(_CONSEQUENCES, bads):
-                        hit = gate_i & (bad[keys[row]] ^ flip)
-                        if hit:
-                            s = (hit & -hit).bit_length() - 1
-                            violations.append(
-                                f"{tag} m={m} k={k} f={mt.maps[f]} "
-                                f"X=({t1}, {t2}) "
-                                f"dir={_dir_name(direction)} s_i={s}"
-                            )
-    if converse:
-        claim = (
-            "on finite models, where both structures are full topologies, each "
-            "precontinuity consequence conversely forces the continuity factor"
+    for f, bads in enumerate(failures):
+        gates = map(operator.xor, gate_grid[f], itertools.repeat(flip))
+        failed = _or_columns(
+            map(operator.xor, bad, itertools.repeat(flip)) for bad in bads
         )
-    else:
-        kind = "sp-continuous" if semi else "precontinuous"
-        hull_name = "semipreclosure" if semi else "preclosure"
-        claim = (
-            f"{kind} maps: witness neighborhoods map into open neighborhoods, "
-            f"and {hull_name} bounds transfer through images and preimages"
-        )
-    return SuiteResult(name, claim, checked, tuple(violations))
+        if not any(map(operator.and_, gates, by_row(failed))):
+            continue
+        for t1, t2, pair, swapped in pair_rows(bispace_tables(m).top.count):
+            for direction, row in ((0, pair), (1, swapped)):
+                gate_i = gate_grid[f][row] ^ flip
+                for tag, bad in zip(_CONSEQUENCES, bads):
+                    hit = gate_i & (bad[keys[row]] ^ flip)
+                    if hit:
+                        s = (hit & -hit).bit_length() - 1
+                        violations.append(
+                            f"{tag} m={m} k={k} f={mt.maps[f]} X=({t1}, {t2}) "
+                            f"dir={_dir_name(direction)} s_i={s}"
+                        )
+    # both reads of every source row, per map
+    return 2 * len(keys) * len(mt.maps), violations
 
 
-def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
+def _check_thm_4_5(config, semi: bool = False) -> tuple[int, list[str], tuple]:
     """At a source pair with both grid entries nonempty, each region open in
     both structures is checked: each entry must lie in the restricted map's
     entry at the traced pair. A (2,1) check is the (1,2) check of the
     swapped pair, so one column over every (pair, region) covers both.
     Restriction keeps (semi)precontinuity per direction, so that column
     check leaves out the gate; a map it flags is walked with it."""
-    name = "thm-5.3" if semi else "thm-4.5"
     violations = []
     checked = 0
     limit = min(config.n, MAX_EXHAUSTIVE_MAP_CARRIER)
@@ -1031,17 +870,10 @@ def _suite_thm_4_5(config, semi: bool = False) -> SuiteResult:
                         violations.append(
                             f"m={m} k={k} f={assign} X=({t1},{t2}) A={_ps(m, region)}"
                         )
-    kind = "sp-continuity" if semi else "precontinuity"
-    return SuiteResult(
-        name,
-        f"{kind} survives restriction to a region open in both source "
-        "structures",
-        checked,
-        tuple(violations),
-    )
+    return checked, violations, ()
 
 
-def _suite_thm_4_6(config) -> SuiteResult:
+def _check_thm_4_6(m: int, k: int) -> tuple[int, list[str]]:
     """Where condition C holds at t_j for target s_i and the map is
     precontinuous at (t_i, t_j) into s_i, conv_m[t_i] must lie in
     `mapped(s_i)`, whose slot for a source net is the preimage of its image
@@ -1057,127 +889,112 @@ def _suite_thm_4_6(config) -> SuiteResult:
     from x of `mapped(s_i)`, for f(x) = y."""
     violations = []
     checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        grids = continuity_grids(m, k)
-        top_m = topology_tables(m)
-        top_k = topology_tables(k)
-        t_m = top_m.count
-        conv_m = convergence_bits(m)
-        nets_m = net_catalog(m)
-        by_t2 = _pair_columns(t_m)[1]
-        # per directed set, in catalog order: its size and first index into k
-        first: dict[int, tuple[int, int]] = {}
-        for i, (d_idx, values) in enumerate(net_catalog(k)):
-            first.setdefault(d_idx, (len(values), i))
-        width = len(net_catalog(k)) * k
-        digits = [format(bits, "b").zfill(width)[::-1] for bits in convergence_bits(k)]
-        limits = [[row[y::k].encode() for y in range(k)] for row in digits]
-        cond_of: dict[int, int] = {}
-        for f in range(len(mt.maps)):
-            assign = mt.maps[f]
-            preim_row = mt.preim[f]
-            img_row = mt.img[f]
-            pc_row = grids.pc[f]
-            ranks = {
-                z: list(map(sum, itertools.product(
-                    *([y * k ** (z - 1 - i) for y in assign] for i in range(z))
-                )))
-                for z in {z for z, _ in first.values()}
-            }
-            image_of = _gather(list(itertools.chain.from_iterable(
-                map(operator.add, ranks[z], itertools.repeat(base))
-                for z, base in first.values()
+    mt = map_tables(m, k)
+    grids = continuity_grids(m, k)
+    top_m = topology_tables(m)
+    top_k = topology_tables(k)
+    t_m = top_m.count
+    conv_m = convergence_bits(m)
+    nets_m = net_catalog(m)
+    by_t2 = _pair_columns(t_m)[1]
+    # per directed set, in catalog order: its size and first index into k
+    first: dict[int, tuple[int, int]] = {}
+    for i, (d_idx, values) in enumerate(net_catalog(k)):
+        first.setdefault(d_idx, (len(values), i))
+    width = len(net_catalog(k)) * k
+    digits = [format(bits, "b").zfill(width)[::-1] for bits in convergence_bits(k)]
+    limits = [[row[y::k].encode() for y in range(k)] for row in digits]
+    cond_of: dict[int, int] = {}
+    for f in range(len(mt.maps)):
+        assign = mt.maps[f]
+        preim_row = mt.preim[f]
+        img_row = mt.img[f]
+        pc_row = grids.pc[f]
+        ranks = {
+            z: list(map(sum, itertools.product(
+                *([y * k ** (z - 1 - i) for y in assign] for i in range(z))
             )))
+            for z in {z for z, _ in first.values()}
+        }
+        image_of = _gather(list(itertools.chain.from_iterable(
+            map(operator.add, ranks[z], itertools.repeat(base))
+            for z, base in first.values()
+        )))
 
-            def mapped(s_i):
-                slots = bytearray(len(nets_m) * m)
-                for x, y in enumerate(assign):
-                    slots[x::m] = image_of(limits[s_i][y])
-                return int(slots[::-1], 2)
+        def mapped(s_i):
+            slots = bytearray(len(nets_m) * m)
+            for x, y in enumerate(assign):
+                slots[x::m] = image_of(limits[s_i][y])
+            return int(slots[::-1], 2)
 
-            # per t_j, the target sets v equal to the image of cl_j of their
-            # preimage, and the targets whose opens are all such sets
-            fixed = [
-                sum(1 << v for v, u in enumerate(preim_row) if img_row[cl_j[u]] == v)
-                for cl_j in top_m.cl
-            ]
-            for bits in set(fixed).difference(cond_of):
-                cond_of[bits] = sum(
-                    1 << s for s, opens in enumerate(top_k.openbits) if opens & ~bits == 0
-                )
-            cond_c = list(map(cond_of.__getitem__, fixed))
-            gated = list(map(operator.and_, pc_row, by_t2(cond_c)))
-            checked += sum(map(int.bit_count, gated))
-            need: dict[int, int] = {}
-            for t_i in range(t_m):
-                into = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
-                for s_i in bit_indices(into):
-                    need[s_i] = need.get(s_i, 0) | conv_m[t_i]
-            if not any(rows & ~mapped(s_i) for s_i, rows in need.items()):
-                continue
-            for t_j in range(t_m):
-                for s_i in bit_indices(cond_c[t_j]):
-                    mc = mapped(s_i)
-                    for t_i in range(t_m):
-                        escape = conv_m[t_i] & ~mc
-                        if (pc_row[t_i * t_m + t_j] >> s_i) & 1 and escape:
-                            idx = (escape & -escape).bit_length() - 1
-                            violations.append(
-                                f"m={m} k={k} f={assign} t_i={t_i} t_j={t_j} "
-                                f"s_i={s_i} net={nets_m[idx // m]} x={idx % m}"
-                            )
-    return SuiteResult(
-        "thm-4.6",
-        "under one-direction precontinuity plus the closure-image identity, "
-        "convergent nets push forward to convergent image nets (all nets on "
-        "directed sets of up to 3 elements)",
-        checked,
-        tuple(violations),
-    )
+        # per t_j, the target sets v equal to the image of cl_j of their
+        # preimage, and the targets whose opens are all such sets
+        fixed = [
+            sum(1 << v for v, u in enumerate(preim_row) if img_row[cl_j[u]] == v)
+            for cl_j in top_m.cl
+        ]
+        for bits in set(fixed).difference(cond_of):
+            cond_of[bits] = sum(
+                1 << s for s, opens in enumerate(top_k.openbits) if opens & ~bits == 0
+            )
+        cond_c = list(map(cond_of.__getitem__, fixed))
+        gated = list(map(operator.and_, pc_row, by_t2(cond_c)))
+        checked += sum(map(int.bit_count, gated))
+        need: dict[int, int] = {}
+        for t_i in range(t_m):
+            into = functools.reduce(operator.or_, gated[t_i * t_m:(t_i + 1) * t_m])
+            for s_i in bit_indices(into):
+                need[s_i] = need.get(s_i, 0) | conv_m[t_i]
+        if not any(rows & ~mapped(s_i) for s_i, rows in need.items()):
+            continue
+        for t_j in range(t_m):
+            for s_i in bit_indices(cond_c[t_j]):
+                mc = mapped(s_i)
+                for t_i in range(t_m):
+                    escape = conv_m[t_i] & ~mc
+                    if (pc_row[t_i * t_m + t_j] >> s_i) & 1 and escape:
+                        idx = (escape & -escape).bit_length() - 1
+                        violations.append(
+                            f"m={m} k={k} f={assign} t_i={t_i} t_j={t_j} "
+                            f"s_i={s_i} net={nets_m[idx // m]} x={idx % m}"
+                        )
+    return checked, violations
 
 
-def _suite_note_4_1(config) -> SuiteResult:
+def _check_note_4_1(m: int, k: int) -> tuple[int, list[str]]:
     """f(cl_t A) <= cl_s f(A) for every set A and every s into which f is
     continuous from t. With both sides laid out one byte per A, each t is
     one big-int test against the AND of the right sides of all those s;
     only a map where a test fails is walked."""
     violations = []
     checked = 0
-    for m, k in _map_size_combos(config.n):
-        mt = map_tables(m, k)
-        top_m = topology_tables(m)
-        top_k = topology_tables(k)
-        for f in range(len(mt.maps)):
-            img_row = mt.img[f]
-            cont_row = mt.cont[f]
-            checked += sum(map(int.bit_count, cont_row)) << m
-            # one byte per set A: cl_s(f(A)) per s, and f(cl_t(A)) per t
-            right = [_byte_row(map(cl_s.__getitem__, img_row)) for cl_s in top_k.cl]
-            left = [_byte_row(map(img_row.__getitem__, cl_t)) for cl_t in top_m.cl]
-            # outside[c]: per A, the points outside cl_s(f(A)) for some s in c
-            outside = {
-                c: ~functools.reduce(operator.and_, map(right.__getitem__, bit_indices(c)), -1)
-                for c in set(cont_row)
-            }
-            if not any(map(operator.and_, left, map(outside.get, cont_row))):
-                continue
-            for t in range(top_m.count):
-                cl_t = top_m.cl[t]
-                for s in bit_indices(cont_row[t]):
-                    cl_s = top_k.cl[s]
-                    for a in range(1 << m):
-                        if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
-                            violations.append(
-                                f"m={m} k={k} f={mt.maps[f]} t={t} s={s} A={_ps(m, a)}"
-                            )
-    return SuiteResult(
-        "note-4.1",
-        "continuous maps between single structures preserve closures into "
-        "closures (the converse failure is pinned by catalog entry ex-4.1)",
-        checked,
-        tuple(violations),
-    )
+    mt = map_tables(m, k)
+    top_m = topology_tables(m)
+    top_k = topology_tables(k)
+    for f in range(len(mt.maps)):
+        img_row = mt.img[f]
+        cont_row = mt.cont[f]
+        checked += sum(map(int.bit_count, cont_row)) << m
+        # one byte per set A: cl_s(f(A)) per s, and f(cl_t(A)) per t
+        right = [_byte_row(map(cl_s.__getitem__, img_row)) for cl_s in top_k.cl]
+        left = [_byte_row(map(img_row.__getitem__, cl_t)) for cl_t in top_m.cl]
+        # outside[c]: per A, the points outside cl_s(f(A)) for some s in c
+        outside = {
+            c: ~functools.reduce(operator.and_, map(right.__getitem__, bit_indices(c)), -1)
+            for c in set(cont_row)
+        }
+        if not any(map(operator.and_, left, map(outside.get, cont_row))):
+            continue
+        for t in range(top_m.count):
+            cl_t = top_m.cl[t]
+            for s in bit_indices(cont_row[t]):
+                cl_s = top_k.cl[s]
+                for a in range(1 << m):
+                    if img_row[cl_t[a]] & ~cl_s[img_row[a]]:
+                        violations.append(
+                            f"m={m} k={k} f={mt.maps[f]} t={t} s={s} A={_ps(m, a)}"
+                        )
+    return checked, violations
 
 
 # The hierarchy's implications as (gap name, level, implied level): every
@@ -1215,7 +1032,7 @@ def _continuity_levels(mt, grids, f: int, columns) -> list[tuple]:
     ))
 
 
-def _suite_hierarchy(config) -> SuiteResult:
+def _check_hierarchy(config) -> tuple[int, list[str], list[str]]:
     """Per direction, continuity gives semi- and precontinuity, and each of
     those gives sp-continuity, so one column test per map checks cont <= sc
     & pc and sc | pc <= spc at every (1,2) read (a (2,1) read is that of the
@@ -1258,15 +1075,7 @@ def _suite_hierarchy(config) -> SuiteResult:
                 f"(structures {witness['tau1']}/{witness['tau2']} -> "
                 f"{witness['sigma1']}/{witness['sigma2']})"
             )
-    return SuiteResult(
-        "hierarchy",
-        "continuity implies semi- and pre-continuity; both imply "
-        "sp-continuity, on every enumerated map and bispace pair; strictness "
-        "witnesses recorded per gap",
-        checked,
-        tuple(violations),
-        tuple(notes),
-    )
+    return checked, violations, notes
 
 
 def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
@@ -1324,13 +1133,15 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
 # Sampled sweep for 4-point carriers
 # ---------------------------------------------------------------------------
 
-def _sampled_map_checks(config) -> SuiteResult:
+SAMPLE_SIZE = 200
+
+
+def _check_sampled_maps(config) -> tuple[int, list[str], tuple[str]]:
     rng = random.Random(config.seed)
     forms = _space_forms(4)
     spaces = [FiniteSpace(4, [PointSet(4, m) for m in f]) for f in forms]
     violations = []
-    checked = 0
-    for _ in range(config.sample_size):
+    for _ in range(SAMPLE_SIZE):
         k = rng.choice((1, 2, 3, 4))
         src1, src2 = rng.choice(spaces), rng.choice(spaces)
         tgt_forms = _space_forms(k)
@@ -1340,7 +1151,6 @@ def _sampled_map_checks(config) -> SuiteResult:
         bx = props.Bispace(src1, src2)
         by = props.Bispace(tgt_pick(), tgt_pick())
         f = maps_mod.FiniteMap(4, k, tuple(rng.randrange(k) for _ in range(4)))
-        checked += 1
         cont = maps_mod.is_pairwise_continuous(f, bx, by)
         pre = maps_mod.is_pairwise_precontinuous(f, bx, by)
         semi = maps_mod.is_pairwise_semi_continuous(f, bx, by)
@@ -1351,67 +1161,170 @@ def _sampled_map_checks(config) -> SuiteResult:
             violations.append(f"hierarchy-sp f={f} on sampled 4-point model")
         if not maps_mod.closed_preimage_characterization(f, bx, by):
             violations.append(f"closed-characterization f={f} on sampled model")
-    return SuiteResult(
-        "sampled-maps-n4",
-        "seeded sampled sweep of 4-point-source maps through the reference "
-        "predicates (hierarchy and closed-preimage characterization)",
-        checked,
-        tuple(violations),
-        (f"seed={config.seed} samples={config.sample_size}",),
-    )
+    return SAMPLE_SIZE, violations, (f"seed={config.seed} samples={SAMPLE_SIZE}",)
 
 
 # ---------------------------------------------------------------------------
-# Config and runner
+# The suite table and its driver
 # ---------------------------------------------------------------------------
+#
+# The carrier-size budget: a set-level check runs once per carrier size
+# 1..n, and a map check once per (source, target) size pair up to
+# min(n, MAX_EXHAUSTIVE_MAP_CARRIER) points. At n = 4 the map suites add a
+# seeded sampled sweep of 4-point-source maps through the reference
+# predicates (exhaustive 4-point map grids would be astronomically wasteful).
 
-SET_SUITES: dict[str, Callable] = {
-    "closure-laws": _suite_closure_laws,
-    "lemma-3.1": _suite_lemma_3_1,
-    "C1-iff-C2": _suite_c1_iff_c2,
-    "open-implies-preopen": _suite_open_implies_preopen,
-    "thm-3.1": _suite_thm_3_1,
-    "thm-3.2": _suite_thm_3_2,
-    "thm-3.3": _suite_thm_3_3,
-    "thm-3.4": _suite_thm_3_4,
-    "thm-3.5": _suite_thm_3_5,
-    "note-3.4": _suite_note_3_4,
-    "thm-3.6": _suite_thm_3_6,
-    "thm-3.7": lambda c: _suite_thm_3_6(c, semi=True),
-    "remark-3.1": _suite_remark_3_1,
-}
+def _carrier_sizes(n: int) -> list[tuple[int]]:
+    return [(size,) for size in range(1, n + 1)]
 
-MAP_SUITES: dict[str, Callable] = {
-    "thm-4.1": _suite_thm_4_1,
-    "thm-4.2": _suite_thm_4_2,
-    "thm-4.3": _suite_thm_4_3,
-    "thm-4.4": _suite_thm_4_4,
-    "thm-4.5": _suite_thm_4_5,
-    "thm-4.6": _suite_thm_4_6,
-    "note-4.1": _suite_note_4_1,
-    "note-4.2": lambda c: _suite_thm_4_4(c, converse=True),
-    "thm-5.1": lambda c: _suite_thm_4_3(c, semi=True),
-    "thm-5.2": lambda c: _suite_thm_4_4(c, semi=True),
-    "thm-5.3": lambda c: _suite_thm_4_5(c, semi=True),
-    "hierarchy": _suite_hierarchy,
-}
+
+def _map_size_combos(n: int) -> list[tuple[int, int]]:
+    limit = min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
+    return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A suite's name, its check, and the claim the check tests.
+
+    `check` runs once per argument tuple of `sweep(n)` and returns
+    ``(checked, violations)``; the suite's count is their sum and its
+    violations their concatenation, in sweep order. With no sweep, `check`
+    takes the whole configuration and returns ``(checked, violations,
+    notes)`` itself.
+    """
+
+    name: str
+    check: Callable
+    claim: str
+    sweep: Optional[Callable[[int], list[tuple]]] = _carrier_sizes
+
+    def __call__(self, config: SuiteConfig) -> SuiteResult:
+        if self.sweep is None:
+            checked, violations, notes = self.check(config)
+        else:
+            checked, violations, notes = 0, [], ()
+            for args in self.sweep(config.n):
+                part_checked, part_violations = self.check(*args)
+                checked += part_checked
+                violations += part_violations
+        return SuiteResult(
+            self.name, self.claim, checked, tuple(violations), tuple(notes)
+        )
+
+
+def _table(*suites: Suite) -> dict[str, Suite]:
+    return {suite.name: suite for suite in suites}
+
+
+SET_SUITES = _table(
+    Suite("closure-laws", _check_closure_laws,
+          "closure is expansive, idempotent, additive, empty-fixing, equals "
+          "set-plus-limit-points, and is dual to interior"),
+    Suite("lemma-3.1", _check_lemma_3_1,
+          "closure(A) & B sits inside closure(A & B) for open B"),
+    Suite("C1-iff-C2", _check_c1_iff_c2,
+          "the squeezed-open condition and the interior-of-closure condition "
+          "agree on every finite (hence topological) model"),
+    Suite("open-implies-preopen", _check_open_implies_preopen,
+          "open sets are preopen and semiopen; preopen and semiopen sets are "
+          "semipreopen"),
+    Suite("thm-3.1", _check_thm_3_1,
+          "a preopen squeeze below the closure forces preopenness; a "
+          "semipreopen core with covering closure forces semipreopenness"),
+    Suite("thm-3.2", _check_thm_3_2,
+          "preopen sets land in the interior of every closed superset, and on "
+          "finite models that interior condition conversely forces preopenness"),
+    Suite("thm-3.3", _check_thm_3_3,
+          "finite unions of (semi)preopen sets stay (semi)preopen (the "
+          "pointwise witness-union mechanism behind countable unions)"),
+    Suite("thm-3.4", _check_thm_3_4,
+          "intersecting a (semi)preopen set with a set open in both "
+          "structures keeps it (semi)preopen"),
+    Suite("thm-3.5", _check_thm_3_5,
+          "(semi)preopenness passes to every subspace containing the set, and "
+          "comes back when the subspace carrier is open in the witness-side "
+          "structure"),
+    Suite("note-3.4", _check_note_3_4,
+          "subspace closure is the ambient closure cut down to the subspace"),
+    Suite("thm-3.6", _check_thm_3_6,
+          "preclosure membership is meeting every preopen neighborhood, and "
+          "the hull is monotone"),
+    Suite("thm-3.7", functools.partial(_check_thm_3_6, semi=True),
+          "semipreclosure membership is meeting every semipreopen "
+          "neighborhood, and the hull is monotone"),
+    Suite("remark-3.1", _check_remark_3_1,
+          "search for two preopen sets whose intersection is not preopen "
+          "(expected to exist; recorded as a fixture, never a violation)", None),
+)
+
+MAP_SUITES = _table(
+    Suite("thm-4.1", _check_thm_4_1,
+          "continuous open maps push (semi)preopen sets forward to "
+          "(semi)preopen images", None),
+    Suite("thm-4.2", _check_thm_4_2,
+          "precontinuous open maps pull (semi)preopen sets back to "
+          "(semi)preopen preimages", None),
+    Suite("thm-4.3", _check_thm_4_3,
+          "precontinuity via open preimages coincides with the closed-preimage "
+          "characterization; the closed route repeats the open one "
+          "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
+          "corrupted grids", _map_size_combos),
+    Suite("thm-4.4", _check_thm_4_4,
+          "precontinuous maps: witness neighborhoods map into open "
+          "neighborhoods, and preclosure bounds transfer through images and "
+          "preimages", _map_size_combos),
+    Suite("thm-4.5", _check_thm_4_5,
+          "precontinuity survives restriction to a region open in both source "
+          "structures", None),
+    Suite("thm-4.6", _check_thm_4_6,
+          "under one-direction precontinuity plus the closure-image identity, "
+          "convergent nets push forward to convergent image nets (all nets on "
+          "directed sets of up to 3 elements)", _map_size_combos),
+    Suite("note-4.1", _check_note_4_1,
+          "continuous maps between single structures preserve closures into "
+          "closures (the converse failure is pinned by catalog entry ex-4.1)",
+          _map_size_combos),
+    Suite("note-4.2", functools.partial(_check_thm_4_4, converse=True),
+          "on finite models, where both structures are full topologies, each "
+          "precontinuity consequence conversely forces the continuity factor",
+          _map_size_combos),
+    Suite("thm-5.1", functools.partial(_check_thm_4_3, semi=True),
+          "sp-continuity via open preimages coincides with the closed-preimage "
+          "characterization; the closed route repeats the open one "
+          "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
+          "corrupted grids", _map_size_combos),
+    Suite("thm-5.2", functools.partial(_check_thm_4_4, semi=True),
+          "sp-continuous maps: witness neighborhoods map into open "
+          "neighborhoods, and semipreclosure bounds transfer through images "
+          "and preimages", _map_size_combos),
+    Suite("thm-5.3", functools.partial(_check_thm_4_5, semi=True),
+          "sp-continuity survives restriction to a region open in both source "
+          "structures", None),
+    Suite("hierarchy", _check_hierarchy,
+          "continuity implies semi- and pre-continuity; both imply "
+          "sp-continuity, on every enumerated map and bispace pair; "
+          "strictness witnesses recorded per gap", None),
+)
 
 ALL_SUITES = {**SET_SUITES, **MAP_SUITES}
+
+SAMPLED_MAPS = Suite(
+    "sampled-maps-n4", _check_sampled_maps,
+    "seeded sampled sweep of 4-point-source maps through the reference "
+    "predicates (hierarchy and closed-preimage characterization)", None,
+)
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which suites to run and how far to enumerate.
-
-    Carrier sizes 1..n are swept; map sweeps are exhaustive up to 3-point
-    carriers and sampled (seeded) when n is 4, so a seed is required exactly
-    when a sampled sweep would run.
-    """
+    """Which suites to run and how far to enumerate: carrier sizes up to n,
+    under the budget above. A seed is required exactly when the sampled
+    sweep would run."""
 
     n: int = 3
     which: tuple[str, ...] = ("all",)
     seed: Optional[int] = None
-    sample_size: int = 200
 
     def __post_init__(self):
         if not 1 <= self.n <= 4:
@@ -1438,13 +1351,13 @@ class SuiteConfig:
 
 def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
     """Run the configured suites; deterministic result order."""
-    runs = [ALL_SUITES[name] for name in config.names()]
+    suites = [ALL_SUITES[name] for name in config.names()]
     if config.sampled:
-        runs.append(_sampled_map_checks)
+        suites.append(SAMPLED_MAPS)
     results = []
-    for run in runs:
+    for suite in suites:
         start = time.perf_counter()
-        result = run(config)
+        result = suite(config)
         results.append(
             replace(result, duration_ms=(time.perf_counter() - start) * 1000.0)
         )

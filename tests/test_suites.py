@@ -12,7 +12,7 @@ from bispacelab import suites, tables
 from bispacelab.finite import PointSet, enumerate_spaces
 from bispacelab.props import Bispace, is_ij_preopen
 from bispacelab.reports import machine_suite
-from bispacelab.tables import topology_tables
+from bispacelab.tables import bispace_tables, topology_tables
 from bispacelab.suites import (
     ALL_SUITES,
     MAP_SUITES,
@@ -148,9 +148,7 @@ def test_remark_3_1_witness_reverifies():
 
 
 def test_sampled_sweep_runs_with_seed():
-    results = run_theorem_suite(
-        SuiteConfig(n=4, which=("hierarchy",), seed=11, sample_size=12)
-    )
+    results = run_theorem_suite(SuiteConfig(n=4, which=("hierarchy",), seed=11))
     names = [r.name for r in results]
     assert names == ["hierarchy", "sampled-maps-n4"]
     assert all(r.passed for r in results)
@@ -160,9 +158,7 @@ def test_sampled_sweep_deterministic_for_fixed_seed():
     def run():
         return "".join(
             machine_suite(r)
-            for r in run_theorem_suite(
-                SuiteConfig(n=4, which=("note-4.1",), seed=3, sample_size=8)
-            )
+            for r in run_theorem_suite(SuiteConfig(n=4, which=("note-4.1",), seed=3))
         )
 
     assert run() == run()
@@ -287,13 +283,17 @@ def test_row_suites_match_reference_sweeps_on_flipped_n4_rows():
     assert fired == {"C1-iff-C2": 6, "open-implies-preopen": 9}
 
 
+# the suite list of the tables-n4 benchmark workload
+TABLES_N4_SUITES = (
+    "closure-laws", "lemma-3.1", "C1-iff-C2", "open-implies-preopen",
+    "note-3.4", "remark-3.1", "hierarchy",
+)
+
+
 def test_tables_n4_suites_build_no_4_point_hull_row():
-    # the suite list of the tables-n4 benchmark workload reads no hull row
-    # at n = 4, so a build of those rows there is wasted work
-    which = (
-        "closure-laws", "lemma-3.1", "C1-iff-C2", "open-implies-preopen",
-        "note-3.4", "remark-3.1", "hierarchy",
-    )
+    # the tables-n4 suites read no hull row at n = 4, so a build of those
+    # rows there is wasted work
+    which = TABLES_N4_SUITES
     sizes = []
     true_hull_row = tables._hull_row
 
@@ -309,6 +309,29 @@ def test_tables_n4_suites_build_no_4_point_hull_row():
         assert 4 not in sizes
         fresh.pcl[0]
         assert 4 in sizes
+
+
+def test_suite_runs_leave_cached_table_rows_unchanged():
+    # bispace_tables and topology_tables hand every caller the same cached
+    # rows, and the bispace rows are mutable arrays: a suite that wrote to
+    # one would change what every later caller reads. After every suite at
+    # n = 3 and the tables-n4 suites at n = 4, the cached rows must equal
+    # those of a fresh build
+    def rows(bispace, topology):
+        return (
+            [bytes(getattr(bispace, name)) for name in ("po", "wpo", "so", "spo")],
+            [list(row) for name in ("cl", "intr") for row in getattr(topology, name)],
+        )
+
+    cached = [(bispace_tables(n), topology_tables(n)) for n in range(1, 5)]
+    run_theorem_suite(SuiteConfig(n=3))
+    run_theorem_suite(SuiteConfig(n=4, which=TABLES_N4_SUITES, seed=0))
+    for n, (bispace, topology) in enumerate(cached, start=1):
+        fresh = (
+            tables.bispace_tables.__wrapped__(n),
+            tables.topology_tables.__wrapped__(n),
+        )
+        assert rows(bispace, topology) == rows(*fresh), n
 
 
 def test_note_4_1_fires_on_a_flipped_continuity_bit():
