@@ -19,7 +19,6 @@ from bispacelab import (
     is_countable,
     singleton,
     uncountable,
-    validate_universe_and_families,
 )
 
 u = AtomUniverse(
@@ -31,7 +30,6 @@ u = AtomUniverse(
 )
 family = SchematicFamily(u, region=u.subset("sqrt2", "irr-rest"), mandatory=u.empty())
 print("universe:", u)
-print("validation:", "ok" if validate_universe_and_families(u, [family]).ok else "bad")
 
 print()
 print("== cardinality bookkeeping ==")

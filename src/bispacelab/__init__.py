@@ -28,7 +28,6 @@ from .symbolic import (
     is_countable,
     singleton,
     uncountable,
-    validate_universe_and_families,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "singleton",
     "uncountable",
     "validate_space",
-    "validate_universe_and_families",
 ]
 
 __version__ = "0.1.0"

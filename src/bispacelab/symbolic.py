@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .finite import FiniteSpace, PointSet, canonical_masks
@@ -448,66 +448,6 @@ class OpenTrace(NamedTuple):
 
     inside: SymSet
     touched: SymSet
-
-
-# ---------------------------------------------------------------------------
-# Structure validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Problem:
-    code: str
-    family_index: Optional[int]
-    atom_ids: tuple[str, ...]
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[Problem, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate_universe_and_families(universe: AtomUniverse, families) -> ValidationReport:
-    """Structured diagnostics for a universe plus schematic family descriptions.
-
-    Each family may be a SchematicFamily or a (region, mandatory) pair of
-    SymSets; problems name the offending atoms instead of raising.
-    """
-    problems: list[Problem] = []
-    for idx, fam in enumerate(families, start=1):
-        if isinstance(fam, SchematicFamily):
-            region, mandatory = fam.region, fam.mandatory
-        else:
-            region, mandatory = fam
-        for s, role in ((region, "region"), (mandatory, "mandatory")):
-            if not s.universe.same_as(universe):
-                problems.append(
-                    Problem(
-                        "foreign-universe", idx, (),
-                        f"family {idx}: {role} set built over a different universe",
-                    )
-                )
-        overlap = region & mandatory
-        if not overlap.is_empty:
-            problems.append(
-                Problem(
-                    "region-mandatory-overlap", idx, overlap.atom_ids(),
-                    f"family {idx}: region and mandatory part share {list(overlap.atom_ids())}",
-                )
-            )
-        bad = tuple(a.id for a in mandatory.atoms() if not a.is_singleton)
-        if bad:
-            problems.append(
-                Problem(
-                    "mandatory-not-singleton", idx, bad,
-                    f"family {idx}: mandatory atoms {list(bad)} are not single points",
-                )
-            )
-    return ValidationReport(tuple(problems))
 
 
 def materialize_finite(family: SchematicFamily):

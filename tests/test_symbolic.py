@@ -11,7 +11,6 @@ from bispacelab.symbolic import (
     materialize_finite,
     singleton,
     uncountable,
-    validate_universe_and_families,
 )
 
 
@@ -101,7 +100,7 @@ def test_is_countable(halves):
 
 
 # ---------------------------------------------------------------------------
-# Family invariants and validation diagnostics
+# Family invariants
 # ---------------------------------------------------------------------------
 
 def test_family_rejects_region_mandatory_overlap(halves):
@@ -116,27 +115,13 @@ def test_family_rejects_fat_mandatory(halves):
         SchematicFamily(u, u.subset("irr-left"), u.subset("rats"))
 
 
-def test_validate_universe_and_families_ok(anchored):
-    u, fam = anchored
-    report = validate_universe_and_families(u, [fam])
-    assert report.ok
-
-
-def test_validate_universe_and_families_reports_overlap(anchored):
-    u, _ = anchored
-    report = validate_universe_and_families(
-        u, [(u.subset("a", "p"), u.subset("p"))]
-    )
-    assert not report.ok
-    codes = {p.code for p in report.problems}
-    assert "region-mandatory-overlap" in codes
-    assert report.problems[0].atom_ids == ("p",)
-
-
-def test_validate_universe_and_families_reports_non_singleton(anchored):
-    u, _ = anchored
-    report = validate_universe_and_families(u, [(u.subset("a"), u.subset("sea"))])
-    assert any(p.code == "mandatory-not-singleton" for p in report.problems)
+def test_family_rejects_sets_from_another_universe(halves):
+    u, _, _ = halves
+    other = AtomUniverse([uncountable("irr-left"), countable("rats")])
+    with pytest.raises(ValueError, match="different universe"):
+        SchematicFamily(u, other.subset("irr-left"), u.empty())
+    with pytest.raises(ValueError, match="different universe"):
+        SchematicFamily(u, u.subset("irr-left"), other.empty())
 
 
 # ---------------------------------------------------------------------------
