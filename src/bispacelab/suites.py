@@ -47,6 +47,7 @@ from .tables import (
 )
 
 MAX_EXHAUSTIVE_MAP_CARRIER = 3
+SAMPLE_SIZE = 200  # maps drawn by the seeded sampled sweep at n = 4
 
 
 def _ps(n: int, mask: int) -> str:
@@ -177,12 +178,14 @@ def _row_check(bt, column, faults, sep: str) -> tuple[int, list[str]]:
     if not found:  # before the failing-row list, which hashes every key
         return checked, []
     failing = [row for row, key in enumerate(column) if key in found]
-    n = bt.top.n
-    return checked, [
-        f"{kind} n={n} pair=({t1},{sep}{t2}) dir={_dir_name(direction)} {where}"
-        for t1, t2, direction, row in _row_reads(failing, bt.top.count)
-        for kind, where in found[column[row]]
-    ]
+    violations = []
+    for t1, t2, direction, row in _row_reads(failing, bt.top.count):
+        for kind, where in found[column[row]]:
+            violations.append(
+                f"{kind} n={bt.top.n} pair=({t1},{sep}{t2}) "
+                f"dir={_dir_name(direction)} {where}"
+            )
+    return checked, violations
 
 
 def _check_c1_iff_c2(n: int) -> tuple[int, list[str]]:
@@ -301,7 +304,9 @@ def _check_thm_3_2(n: int) -> tuple[int, list[str]]:
         for closed_j in closed:
             bad = functools.reduce(operator.or_, [escapes[g] for g in closed_j])
             cond_table.append(every & ~bad)
-    failing = itertools.compress(itertools.count(), map(operator.ne, bt.po, cond_table))
+    failing = itertools.compress(
+        itertools.count(), map(operator.ne, bt.po, cond_table)
+    )
     violations = []
     for t1, t2, direction, row in _row_reads(failing, top.count):
         po = bt.po[row]
@@ -1132,9 +1137,6 @@ def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
 # ---------------------------------------------------------------------------
 # Sampled sweep for 4-point carriers
 # ---------------------------------------------------------------------------
-
-SAMPLE_SIZE = 200
-
 
 def _check_sampled_maps(config) -> tuple[int, list[str], tuple[str]]:
     rng = random.Random(config.seed)
