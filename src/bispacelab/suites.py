@@ -1311,7 +1311,7 @@ MAP_SUITES = _table(
 
 ALL_SUITES = {**SET_SUITES, **MAP_SUITES}
 
-SAMPLED_MAPS = Suite(
+_SAMPLED_MAPS = Suite(
     "sampled-maps-n4", _check_sampled_maps,
     "seeded sampled sweep of 4-point-source maps through the reference "
     "predicates (hierarchy and closed-preimage characterization)", None,
@@ -1355,7 +1355,7 @@ def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
     """Run the configured suites; deterministic result order."""
     suites = [ALL_SUITES[name] for name in config.names()]
     if config.sampled:
-        suites.append(SAMPLED_MAPS)
+        suites.append(_SAMPLED_MAPS)
     results = []
     for suite in suites:
         start = time.perf_counter()
