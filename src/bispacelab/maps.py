@@ -248,6 +248,7 @@ def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
 
 def _every_closed_preimage(f: AnyMap, bx: Bispace, by: Bispace, closed) -> bool:
     """closed(bx, (i, j), preimage) for the preimage of every sigma_i-closed set."""
+    _check_compatible(f, bx, by)
     return all(
         closed(bx, (i, j), f.preimage(v.complement()))
         for i, j in PAIRS
@@ -255,17 +256,21 @@ def _every_closed_preimage(f: AnyMap, bx: Bispace, by: Bispace, closed) -> bool:
     )
 
 
+def closed_preimages_preclosed(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
+    """The closed route to precontinuity: the preimage of each sigma_i-closed
+    set Y - V, taken as a set in its own right, is (i,j)-preclosed."""
+    return _every_closed_preimage(f, bx, by, is_ij_preclosed)
+
+
 def closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     """Both sides of the closed-set characterization; whether they agree.
 
-    Left: pairwise precontinuity via open preimages. Right: the preimage
-    of each sigma_i-closed set Y - V, taken as a set in its own right, is
-    (i,j)-preclosed. The sides agree for every map whose preimage keeps
-    f^-1(Y - V) = X - f^-1(V); a False answer means a corrupted preimage
-    or predicate.
+    Left: pairwise precontinuity via open preimages. Right:
+    `closed_preimages_preclosed`. The sides agree for every map whose
+    preimage keeps f^-1(Y - V) = X - f^-1(V); a False answer means a
+    corrupted preimage or predicate.
     """
-    lhs = is_pairwise_precontinuous(f, bx, by)
-    return lhs == _every_closed_preimage(f, bx, by, is_ij_preclosed)
+    return is_pairwise_precontinuous(f, bx, by) == closed_preimages_preclosed(f, bx, by)
 
 
 def sp_closed_preimage_characterization(f: AnyMap, bx: Bispace, by: Bispace) -> bool:

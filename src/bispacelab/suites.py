@@ -17,13 +17,17 @@ sizes or stop early take the whole configuration instead.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
+import marshal
 import operator
+import os
 import random
+import threading
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import maps as maps_mod
@@ -560,7 +564,7 @@ def _has_pairsets(n: int) -> dict:
     semipreopen), direction and subset: the pairset of target bispaces where
     the subset is of that kind."""
     out = {}
-    for k in range(1, min(n, MAX_EXHAUSTIVE_MAP_CARRIER) + 1):
+    for k in range(1, _map_limit(n) + 1):
         bt = bispace_tables(k)
         swap = _pair_columns(bt.top.count)[2]
         out[k] = [
@@ -817,7 +821,7 @@ def _check_thm_4_5(config, semi: bool = False) -> tuple[int, list[str], tuple]:
     check leaves out the gate; a map it flags is walked with it."""
     violations = []
     checked = 0
-    limit = min(config.n, MAX_EXHAUSTIVE_MAP_CARRIER)
+    limit = _map_limit(config.n)
     for m in range(1, limit + 1):
         tr = trace_tables(m)
         top_m = topology_tables(m)
@@ -1070,7 +1074,7 @@ def _check_hierarchy(config) -> tuple[int, list[str], list[str]]:
                             f"{label} m={m} k={k} f={mt.maps[f]} X=({t1},{t2})"
                         )
     notes = []
-    for gap, witness in find_hierarchy_witnesses(min(config.n, 3)).items():
+    for gap, witness in find_hierarchy_witnesses(_map_limit(config.n)).items():
         if witness is None:
             notes.append(f"{gap}: no finite witness up to the configured size")
         else:
@@ -1083,7 +1087,9 @@ def _check_hierarchy(config) -> tuple[int, list[str], list[str]]:
     return checked, violations, notes
 
 
-def find_hierarchy_witnesses(max_size: int = 3) -> dict[str, Optional[dict]]:
+def find_hierarchy_witnesses(
+    max_size: int = MAX_EXHAUSTIVE_MAP_CARRIER,
+) -> dict[str, Optional[dict]]:
     """First witness per strict hierarchy gap, in canonical search order.
 
     Returns serializable dicts (carrier sizes, open families, assignment,
@@ -1161,7 +1167,7 @@ def _check_sampled_maps(config) -> tuple[int, list[str], tuple[str]]:
             violations.append(f"hierarchy f={f} on sampled 4-point model")
         if (semi or pre) and not sp:
             violations.append(f"hierarchy-sp f={f} on sampled 4-point model")
-        if not maps_mod.closed_preimage_characterization(f, bx, by):
+        if pre != maps_mod.closed_preimages_preclosed(f, bx, by):
             violations.append(f"closed-characterization f={f} on sampled model")
     return SAMPLE_SIZE, violations, (f"seed={config.seed} samples={SAMPLE_SIZE}",)
 
@@ -1172,36 +1178,64 @@ def _check_sampled_maps(config) -> tuple[int, list[str], tuple[str]]:
 #
 # The carrier-size budget: a set-level check runs once per carrier size
 # 1..n, and a map check once per (source, target) size pair up to
-# min(n, MAX_EXHAUSTIVE_MAP_CARRIER) points. At n = 4 the map suites add a
-# seeded sampled sweep of 4-point-source maps through the reference
-# predicates (exhaustive 4-point map grids would be astronomically wasteful).
+# _map_limit(n) points. At n = 4 the map suites add a seeded sampled sweep
+# of 4-point-source maps through the reference predicates (exhaustive
+# 4-point map grids would be astronomically wasteful).
 
 def _carrier_sizes(n: int) -> list[tuple[int]]:
     return [(size,) for size in range(1, n + 1)]
 
 
+def _map_limit(n: int) -> int:
+    """The largest carrier the exhaustive map sweeps reach under budget n."""
+    return min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
+
+
+def _map_carrier_sizes(n: int) -> list[tuple[int]]:
+    return _carrier_sizes(_map_limit(n))
+
+
 def _map_size_combos(n: int) -> list[tuple[int, int]]:
-    limit = min(n, MAX_EXHAUSTIVE_MAP_CARRIER)
+    limit = _map_limit(n)
     return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
+
+
+def _pcl_rows(size: int) -> None:
+    """Build every pcl hull row of bispace_tables(size)."""
+    collections.deque(bispace_tables(size).pcl, maxlen=0)
+
+
+def _spcl_rows(size: int) -> None:
+    """Build every spcl hull row of bispace_tables(size)."""
+    collections.deque(bispace_tables(size).spcl, maxlen=0)
 
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's name, its check, and the claim the check tests.
+    """A suite's name, its check, the claim the check tests, and the cached
+    tables the check reads.
 
     `check` runs once per argument tuple of `sweep(n)` and returns
     ``(checked, violations)``; the suite's count is their sum and its
     violations their concatenation, in sweep order. With no sweep, `check`
     takes the whole configuration and returns ``(checked, violations,
     notes)`` itself.
+
+    `tables` holds ``(builder, sizes)`` pairs: calling each builder once per
+    argument tuple of `sizes(n)` builds the cached tables the check reads
+    at budget n and nothing more, so the driver can build them before it
+    hands suites to worker processes. A check that stops early leaves out
+    the tables it may not reach.
     """
 
     name: str
     check: Callable
     claim: str
+    tables: tuple[tuple[Callable, Callable[[int], list[tuple]]], ...]
     sweep: Optional[Callable[[int], list[tuple]]] = _carrier_sizes
 
     def __call__(self, config: SuiteConfig) -> SuiteResult:
+        start = time.perf_counter()
         if self.sweep is None:
             checked, violations, notes = self.check(config)
         else:
@@ -1211,7 +1245,8 @@ class Suite:
                 checked += part_checked
                 violations += part_violations
         return SuiteResult(
-            self.name, self.claim, checked, tuple(violations), tuple(notes)
+            self.name, self.claim, checked, tuple(violations), tuple(notes),
+            (time.perf_counter() - start) * 1000.0,
         )
 
 
@@ -1219,102 +1254,116 @@ def _table(*suites: Suite) -> dict[str, Suite]:
     return {suite.name: suite for suite in suites}
 
 
+_TOPOLOGIES = ((topology_tables, _carrier_sizes),)
+_BISPACES = ((bispace_tables, _carrier_sizes),)
+_GRIDS = ((continuity_grids, _map_size_combos),)
+
 SET_SUITES = _table(
     Suite("closure-laws", _check_closure_laws,
           "closure is expansive, idempotent, additive, empty-fixing, equals "
-          "set-plus-limit-points, and is dual to interior"),
+          "set-plus-limit-points, and is dual to interior", _TOPOLOGIES),
     Suite("lemma-3.1", _check_lemma_3_1,
-          "closure(A) & B sits inside closure(A & B) for open B"),
+          "closure(A) & B sits inside closure(A & B) for open B", _TOPOLOGIES),
     Suite("C1-iff-C2", _check_c1_iff_c2,
           "the squeezed-open condition and the interior-of-closure condition "
-          "agree on every finite (hence topological) model"),
+          "agree on every finite (hence topological) model", _BISPACES),
     Suite("open-implies-preopen", _check_open_implies_preopen,
           "open sets are preopen and semiopen; preopen and semiopen sets are "
-          "semipreopen"),
+          "semipreopen", _BISPACES),
     Suite("thm-3.1", _check_thm_3_1,
           "a preopen squeeze below the closure forces preopenness; a "
-          "semipreopen core with covering closure forces semipreopenness"),
+          "semipreopen core with covering closure forces semipreopenness",
+          _BISPACES),
     Suite("thm-3.2", _check_thm_3_2,
           "preopen sets land in the interior of every closed superset, and on "
-          "finite models that interior condition conversely forces preopenness"),
+          "finite models that interior condition conversely forces preopenness",
+          _BISPACES),
     Suite("thm-3.3", _check_thm_3_3,
           "finite unions of (semi)preopen sets stay (semi)preopen (the "
-          "pointwise witness-union mechanism behind countable unions)"),
+          "pointwise witness-union mechanism behind countable unions)",
+          _BISPACES),
     Suite("thm-3.4", _check_thm_3_4,
           "intersecting a (semi)preopen set with a set open in both "
-          "structures keeps it (semi)preopen"),
+          "structures keeps it (semi)preopen", _BISPACES),
     Suite("thm-3.5", _check_thm_3_5,
           "(semi)preopenness passes to every subspace containing the set, and "
           "comes back when the subspace carrier is open in the witness-side "
-          "structure"),
+          "structure", _BISPACES + ((trace_tables, _carrier_sizes),)),
     Suite("note-3.4", _check_note_3_4,
-          "subspace closure is the ambient closure cut down to the subspace"),
+          "subspace closure is the ambient closure cut down to the subspace",
+          ((trace_tables, _carrier_sizes),)),
     Suite("thm-3.6", _check_thm_3_6,
           "preclosure membership is meeting every preopen neighborhood, and "
-          "the hull is monotone"),
+          "the hull is monotone", ((_pcl_rows, _carrier_sizes),)),
     Suite("thm-3.7", functools.partial(_check_thm_3_6, semi=True),
           "semipreclosure membership is meeting every semipreopen "
-          "neighborhood, and the hull is monotone"),
+          "neighborhood, and the hull is monotone", ((_spcl_rows, _carrier_sizes),)),
+    # reads bispace tables only up to its first witness
     Suite("remark-3.1", _check_remark_3_1,
           "search for two preopen sets whose intersection is not preopen "
-          "(expected to exist; recorded as a fixture, never a violation)", None),
+          "(expected to exist; recorded as a fixture, never a violation)", (), None),
 )
 
 MAP_SUITES = _table(
     Suite("thm-4.1", _check_thm_4_1,
           "continuous open maps push (semi)preopen sets forward to "
-          "(semi)preopen images", None),
+          "(semi)preopen images",
+          ((map_tables, _map_size_combos), (bispace_tables, _map_carrier_sizes)), None),
     Suite("thm-4.2", _check_thm_4_2,
           "precontinuous open maps pull (semi)preopen sets back to "
-          "(semi)preopen preimages", None),
+          "(semi)preopen preimages", _GRIDS, None),
     Suite("thm-4.3", _check_thm_4_3,
           "precontinuity via open preimages coincides with the closed-preimage "
           "characterization; the closed route repeats the open one "
           "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
-          "corrupted grids", _map_size_combos),
+          "corrupted grids", _GRIDS, _map_size_combos),
     Suite("thm-4.4", _check_thm_4_4,
           "precontinuous maps: witness neighborhoods map into open "
           "neighborhoods, and preclosure bounds transfer through images and "
-          "preimages", _map_size_combos),
+          "preimages", _GRIDS + ((_pcl_rows, _map_carrier_sizes),), _map_size_combos),
     Suite("thm-4.5", _check_thm_4_5,
           "precontinuity survives restriction to a region open in both source "
-          "structures", None),
+          "structures", _GRIDS + ((trace_tables, _map_carrier_sizes),), None),
     Suite("thm-4.6", _check_thm_4_6,
           "under one-direction precontinuity plus the closure-image identity, "
           "convergent nets push forward to convergent image nets (all nets on "
-          "directed sets of up to 3 elements)", _map_size_combos),
+          "directed sets of up to 3 elements)",
+          _GRIDS + ((convergence_bits, _map_carrier_sizes),), _map_size_combos),
     Suite("note-4.1", _check_note_4_1,
           "continuous maps between single structures preserve closures into "
           "closures (the converse failure is pinned by catalog entry ex-4.1)",
-          _map_size_combos),
+          ((map_tables, _map_size_combos),), _map_size_combos),
     Suite("note-4.2", functools.partial(_check_thm_4_4, converse=True),
           "on finite models, where both structures are full topologies, each "
           "precontinuity consequence conversely forces the continuity factor",
-          _map_size_combos),
+          _GRIDS + ((_pcl_rows, _map_carrier_sizes),), _map_size_combos),
     Suite("thm-5.1", functools.partial(_check_thm_4_3, semi=True),
           "sp-continuity via open preimages coincides with the closed-preimage "
           "characterization; the closed route repeats the open one "
           "(f^-1(Y - V) = X - f^-1(V)), so this identity check catches "
-          "corrupted grids", _map_size_combos),
+          "corrupted grids", _GRIDS, _map_size_combos),
     Suite("thm-5.2", functools.partial(_check_thm_4_4, semi=True),
           "sp-continuous maps: witness neighborhoods map into open "
           "neighborhoods, and semipreclosure bounds transfer through images "
-          "and preimages", _map_size_combos),
+          "and preimages", _GRIDS + ((_spcl_rows, _map_carrier_sizes),),
+          _map_size_combos),
     Suite("thm-5.3", functools.partial(_check_thm_4_5, semi=True),
           "sp-continuity survives restriction to a region open in both source "
-          "structures", None),
+          "structures", _GRIDS + ((trace_tables, _map_carrier_sizes),), None),
     Suite("hierarchy", _check_hierarchy,
           "continuity implies semi- and pre-continuity; both imply "
           "sp-continuity, on every enumerated map and bispace pair; "
-          "strictness witnesses recorded per gap", None),
+          "strictness witnesses recorded per gap", _GRIDS, None),
 )
 
 ALL_SUITES = {**SET_SUITES, **MAP_SUITES}
 
+# runs only at n = 4, and draws target carriers of 1..4 points
 _SAMPLED_MAPS = Suite(
     "sampled-maps-n4", _check_sampled_maps,
     "seeded sampled sweep of 4-point-source maps through the reference "
-    "predicates (hierarchy and closed-preimage characterization)", None,
+    "predicates (hierarchy and closed-preimage characterization)",
+    ((_space_forms, _carrier_sizes),), None,
 )
 
 
@@ -1350,17 +1399,143 @@ class SuiteConfig:
     def sampled(self) -> bool:
         return self.n >= 4 and any(name in MAP_SUITES for name in self.names())
 
+    def suites(self) -> list[Suite]:
+        """The suites to run, in output order."""
+        suites = [ALL_SUITES[name] for name in self.names()]
+        return suites + [_SAMPLED_MAPS] if self.sampled else suites
+
+
+def _build_tables(config: SuiteConfig) -> None:
+    """Build every cached table the configured suites read, each once."""
+    calls = dict.fromkeys(
+        (builder, args)
+        for suite in config.suites()
+        for builder, sizes in suite.tables
+        for args in sizes(config.n)
+    )
+    for builder, args in calls:
+        builder(*args)
+
 
 def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
-    """Run the configured suites; deterministic result order."""
-    suites = [ALL_SUITES[name] for name in config.names()]
-    if config.sampled:
-        suites.append(_SAMPLED_MAPS)
-    results = []
-    for suite in suites:
-        start = time.perf_counter()
-        result = suite(config)
-        results.append(
-            replace(result, duration_ms=(time.perf_counter() - start) * 1000.0)
-        )
+    """Run the configured suites; deterministic result order.
+
+    The suites share only read-only cached tables, so those are built
+    first, and then every CPU this process may use takes suites until none
+    is left: this process on the first, a forked worker on each other. The
+    results are merged in suite order, so the output does not depend on
+    which process ran which suite.
+    """
+    suites = config.suites()
+    _build_tables(config)
+    processes = _worker_count(len(suites))
+    if processes == 1:
+        return [suite(config) for suite in suites]
+    return _run_forked(suites, config, processes - 1)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+#
+# Suite indices wait in one pipe, one byte each, written before the first
+# fork; a one-byte read is atomic, so each process takes the next free
+# suite. A worker sends its SuiteResult fields through its own pipe, in
+# marshal form, once the task pipe is empty or a suite raised, and leaves
+# by os._exit, so it never returns into its parent's frames and writes
+# nothing to stdout or stderr.
+
+def _worker_count(suite_count: int) -> int:
+    """How many processes run suites, this one included: one per CPU this
+    process may use, at most one per suite, and only this one where it
+    cannot fork safely (no os.fork, or other threads running)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, suite_count))
+
+
+def _take(tasks: int):
+    """The suite indices this process takes from the task pipe, until it is
+    empty."""
+    while index := os.read(tasks, 1):
+        yield index[0]
+
+
+def _work(suites: list[Suite], config: SuiteConfig, tasks: int, out: int) -> None:
+    """A forked worker: run the suites it takes, then send ``(index,
+    fields)`` per suite through `out`, or ``(index, traceback)`` for a suite
+    that raised, after which it takes no more; never returns."""
+    status = 1
+    try:
+        done = []
+        for index in _take(tasks):
+            try:
+                fields = dataclasses.astuple(suites[index](config))
+            except Exception:
+                import traceback
+
+                done.append((index, traceback.format_exc()))
+                break
+            done.append((index, fields))
+        with open(out, "wb") as pipe:
+            pipe.write(marshal.dumps(done))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(
+    suites: list[Suite], config: SuiteConfig, workers: int
+) -> list[SuiteResult]:
+    """Run `suites` here and in `workers` forked processes; every worker is
+    reaped before this returns or raises."""
+    results: list[Optional[SuiteResult]] = [None] * len(suites)
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(range(len(suites))))
+    os.close(queue)
+    pipes: dict[int, int] = {}  # worker pid -> read end of its result pipe
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(suites, config, tasks, write)
+            os.close(write)
+            pipes[pid] = read
+        for index in _take(tasks):
+            results[index] = suites[index](config)
+        for pid, read in pipes.items():
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            for index, fields in marshal.loads(data) if data else ():
+                if isinstance(fields, str):
+                    raise RuntimeError(
+                        f"suite {suites[index].name} raised in worker process "
+                        f"{pid}:\n{fields}"
+                    )
+                results[index] = SuiteResult(*fields)
+    except BaseException:
+        import signal  # here, not at the top: its enums slow every start-up
+
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        for read in pipes.values():
+            os.close(read)
+        for pid in pipes:
+            os.waitpid(pid, 0)
+    lost = [suite.name for suite, result in zip(suites, results) if result is None]
+    if lost:
+        raise RuntimeError(f"a worker process died before sending suites {lost}")
     return results

@@ -1,5 +1,6 @@
 """Shared generators and cross-backend comparison drivers for the tests."""
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -1388,6 +1389,52 @@ def fault_injection_digests(case: str, n: int = 3) -> dict:
         }
         for result in fault_injection_results(case, n)
     }
+
+
+def table_builds(n: int, which: tuple, seed=None) -> dict:
+    """Cached-table entries per lru_cache builder of tables, finite and
+    maps, and hull rows built per carrier size, all from emptied caches and
+    in one process: after suites._build_tables ("prebuilt"), after a run
+    that follows it ("run"), and after a run without it ("serial").
+
+    It empties every cache, so call it in a process of its own.
+    """
+    from bispacelab import finite, maps, tables
+
+    builders = {
+        f"{fn.__module__}.{fn.__qualname__}": fn
+        for module in (tables, finite, maps)
+        for fn in vars(module).values()
+        if callable(getattr(fn, "cache_info", None))
+    }
+    hull_rows = collections.Counter()
+    true_hull_row = tables._hull_row
+
+    def counting_hull_row(bits, size):
+        hull_rows[str(size)] += 1
+        return true_hull_row(bits, size)
+
+    def snapshot():
+        entries = {name: fn.cache_info().currsize for name, fn in builders.items()}
+        return {**entries, "hull rows": dict(hull_rows)}
+
+    def empty_caches():
+        for fn in builders.values():
+            fn.cache_clear()
+        hull_rows.clear()
+
+    config = suites.SuiteConfig(n=n, which=tuple(which), seed=seed)
+    with mock.patch.object(tables, "_hull_row", counting_hull_row), \
+            mock.patch.object(suites, "_worker_count", lambda suite_count: 1):
+        empty_caches()
+        suites._build_tables(config)
+        prebuilt = snapshot()
+        suites.run_theorem_suite(config)
+        run = snapshot()
+        empty_caches()
+        with mock.patch.object(suites, "_build_tables", lambda config: None):
+            suites.run_theorem_suite(config)
+        return {"prebuilt": prebuilt, "run": run, "serial": snapshot()}
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+from bispacelab.cli import main
 from bispacelab.reports import parse_machine
 
 
@@ -308,3 +311,19 @@ def test_suite_machine_output_is_pinned():
         result = run_cli("--format", "machine", "suite", *args)
         assert result.returncode == 0, result.stderr
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, args
+
+
+# every suite at n = 4 with the sampled sweep at seed 7
+FULL_N4_DIGEST = {
+    ("--n", "4", "--seed", "7"):
+        "4782f9cf28705160bea1da83ce5f611424970b233bea4a36c924275e2b351970",
+}
+
+
+# more processes than CPUs on a 2-vCPU machine at 3 and 6
+@pytest.mark.parametrize("processes", [1, 2, 3, 6], indirect=True)
+def test_suite_machine_output_does_not_depend_on_the_worker_count(processes, capsys):
+    for args, digest in {**SUITE_DIGESTS, **FULL_N4_DIGEST}.items():
+        assert main(["--format", "machine", "suite", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

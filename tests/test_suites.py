@@ -2,8 +2,16 @@ import collections
 import functools
 import hashlib
 import json
+import os
 import pathlib
 import random
+import re
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -290,6 +298,7 @@ TABLES_N4_SUITES = (
 )
 
 
+@pytest.mark.usefixtures("processes")  # the checks see this process only
 def test_tables_n4_suites_build_no_4_point_hull_row():
     # the tables-n4 suites read no hull row at n = 4, so a build of those
     # rows there is wasted work
@@ -311,6 +320,7 @@ def test_tables_n4_suites_build_no_4_point_hull_row():
         assert 4 in sizes
 
 
+@pytest.mark.usefixtures("processes")  # the checks see this process only
 def test_suite_runs_leave_cached_table_rows_unchanged():
     # bispace_tables and topology_tables hand every caller the same cached
     # rows, and the bispace rows are mutable arrays: a suite that wrote to
@@ -386,3 +396,131 @@ def test_thm_4_6_matches_reference_sweep_where_a_flip_gates_a_failing_read(
         expected = reference_map_suite("thm-4.6", config)
     assert (result.checked, result.violations) == expected
     assert len(result.violations) == 1
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+def test_prebuild_builds_exactly_the_tables_a_serial_run_reads():
+    # the tables built before any fork are those a run on empty caches
+    # builds: none that no suite reads, and none left for a worker to build.
+    # Every suite at n = 3, the tables-n4 suites, and each suite alone at
+    # n = 3 but remark-3.1, which stops at its first witness and builds what
+    # it reads up to there itself; note-4.1 at n = 4 adds the sampled sweep
+    configs = [
+        (3, ("all",), None),
+        (4, TABLES_N4_SUITES, 0),
+        (4, ("note-4.1",), 0),
+        *((3, (name,), None) for name in ALL_SUITES if name != "remark-3.1"),
+    ]
+    tests = pathlib.Path(__file__).parent
+    src = pathlib.Path(suites.__file__).parents[1]
+    code = (
+        "import json, helpers; "
+        f"print(json.dumps([helpers.table_builds(*c) for c in {configs!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    for config, builds in zip(configs, json.loads(done.stdout), strict=True):
+        assert builds["prebuilt"] == builds["run"] == builds["serial"], config
+    assert builds["prebuilt"]["bispacelab.tables.bispace_tables"] == 3
+
+
+def _run_apart(here, there) -> list:
+    """Run two suites in this process and one worker: `there()` in the
+    worker, and `here()` in this process once the worker has started it."""
+    parent = os.getpid()
+    started, start = os.pipe()
+
+    def check(n):
+        if os.getpid() == parent:
+            select.select([started], [], [], 30)
+            return here()
+        os.write(start, b"x")
+        return there()
+
+    added = {
+        name: suites.Suite(name, check, "a test suite", ())
+        for name in ("apart-a", "apart-b")
+    }
+    try:
+        with mock.patch.dict(suites.ALL_SUITES, added), \
+                mock.patch.object(suites, "_worker_count", lambda suite_count: 2):
+            return run_theorem_suite(SuiteConfig(n=1, which=tuple(added)))
+    finally:
+        os.close(started)
+        os.close(start)
+
+
+def _passes():
+    return 0, []
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_suites_run_apart_pass():
+    results = _run_apart(_passes, _passes)
+    assert [(r.name, r.checked, r.violations) for r in results] == [
+        ("apart-a", 0, ()), ("apart-b", 0, ())
+    ]
+    _no_child_left()
+
+
+def test_a_suite_raising_in_a_worker_raises_with_its_traceback():
+    def boom():
+        raise ValueError("boom in a worker")
+
+    with pytest.raises(RuntimeError) as raised:
+        _run_apart(_passes, boom)
+    message = str(raised.value)
+    assert re.match(r"suite apart-[ab] raised in worker process \d+:\n", message)
+    assert "in boom\n" in message
+    assert message.endswith("ValueError: boom in a worker\n")
+    _no_child_left()
+
+
+def test_a_suite_raising_here_stops_a_busy_worker():
+    def boom():
+        raise ValueError("boom here")
+
+    def busy():
+        time.sleep(60)
+        return _passes()
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="boom here"):
+        _run_apart(boom, busy)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_a_worker_that_dies_makes_the_run_raise():
+    with pytest.raises(RuntimeError, match="a worker process died"):
+        _run_apart(_passes, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    _no_child_left()
+
+
+def test_worker_count_follows_the_cpus_this_process_may_use():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1
+    )
+    assert suites._worker_count(100) == cpus
+    assert suites._worker_count(1) == 1
+    assert suites._worker_count(0) == 1
+    # forking beside another thread could copy a lock that thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert suites._worker_count(100) == 1
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
