@@ -1181,6 +1181,12 @@ FAULT_CASES = {
         {3: lambda bt: dataclasses.replace(bt, pcl=_flip_hull(bt.pcl, 300, 2, 0))},
         {},
     ),
+    # the semipreclosure hull of {0, 1} in row 400 = (13, 23) gains point 2
+    # while the row's spo maskset stays right: thm-3.7 and thm-5.2 report
+    "spcl-pair400-entry3": (
+        {3: lambda bt: dataclasses.replace(bt, spcl=_flip_hull(bt.spcl, 400, 3, 2))},
+        {},
+    ),
     # sets a wpo bit that po lacks: containment-without-squeeze
     "wpo-pair400-bit1": (
         {3: lambda bt: dataclasses.replace(bt, wpo=_flip_row(bt.wpo, 400, 1))},
