@@ -36,9 +36,11 @@ from .finite import FiniteSpace, PointSet, _space_forms, bit_indices
 from .reports import SuiteResult
 from .tables import (
     bispace_tables,
+    closed_route_grid,
     continuity_grids,
     convergence_bits,
     decode_pair,
+    hull_tables,
     interval_masksets,
     map_tables,
     net_catalog,
@@ -441,7 +443,8 @@ def _check_thm_3_6(n: int, semi: bool = False) -> tuple[int, list[str]]:
     """Keyed on the (semi)preopen maskset and the hull row: a wrong hull row
     beside a right maskset must still fault."""
     bt = bispace_tables(n)
-    column = zip(bt.spo, bt.spcl) if semi else zip(bt.po, bt.pcl)
+    pcl, spcl = hull_tables(n)
+    column = zip(bt.spo, spcl) if semi else zip(bt.po, pcl)
     return _row_check(bt, column, functools.partial(_hull_faults, n), " ")
 
 
@@ -685,7 +688,7 @@ def _check_thm_4_3(m: int, k: int, semi: bool = False) -> tuple[int, list[str]]:
     grids = continuity_grids(m, k)
     t_m = bispace_tables(m).top.count
     lhs_grid = grids.spc if semi else grids.pc
-    rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
+    rhs_grid = closed_route_grid(m, k, semi)
     violations = []
     for f in range(len(mt.maps)):
         lhs = lhs_grid[f]
@@ -740,7 +743,8 @@ def _consequence_failures(m: int, k: int, semi: bool):
         ])
         for v in range(1 << k)
     ]
-    rows = zip(bt_m.spo, bt_m.spcl) if semi else zip(bt_m.po, bt_m.pcl)
+    pcl, spcl = hull_tables(m)
+    rows = zip(bt_m.spo, spcl) if semi else zip(bt_m.po, pcl)
     ids: dict[tuple, int] = {}
     keys = [ids.setdefault(key, len(ids)) for key in rows]
     # held[x]: per key, its (semi)preopen sets holding x
@@ -1200,16 +1204,6 @@ def _map_size_combos(n: int) -> list[tuple[int, int]]:
     return [(m, k) for m in range(1, limit + 1) for k in range(1, limit + 1)]
 
 
-def _pcl_rows(size: int) -> None:
-    """Build every pcl hull row of bispace_tables(size)."""
-    collections.deque(bispace_tables(size).pcl, maxlen=0)
-
-
-def _spcl_rows(size: int) -> None:
-    """Build every spcl hull row of bispace_tables(size)."""
-    collections.deque(bispace_tables(size).spcl, maxlen=0)
-
-
 @dataclass(frozen=True)
 class Suite:
     """A suite's name, its check, the claim the check tests, and the cached
@@ -1257,6 +1251,8 @@ def _table(*suites: Suite) -> dict[str, Suite]:
 _TOPOLOGIES = ((topology_tables, _carrier_sizes),)
 _BISPACES = ((bispace_tables, _carrier_sizes),)
 _GRIDS = ((continuity_grids, _map_size_combos),)
+_HULLS = ((hull_tables, _carrier_sizes),)
+_MAP_HULLS = ((hull_tables, _map_carrier_sizes),)
 
 SET_SUITES = _table(
     Suite("closure-laws", _check_closure_laws,
@@ -1294,10 +1290,10 @@ SET_SUITES = _table(
           ((trace_tables, _carrier_sizes),)),
     Suite("thm-3.6", _check_thm_3_6,
           "preclosure membership is meeting every preopen neighborhood, and "
-          "the hull is monotone", ((_pcl_rows, _carrier_sizes),)),
+          "the hull is monotone", _HULLS),
     Suite("thm-3.7", functools.partial(_check_thm_3_6, semi=True),
           "semipreclosure membership is meeting every semipreopen "
-          "neighborhood, and the hull is monotone", ((_spcl_rows, _carrier_sizes),)),
+          "neighborhood, and the hull is monotone", _HULLS),
     # reads bispace tables only up to its first witness
     Suite("remark-3.1", _check_remark_3_1,
           "search for two preopen sets whose intersection is not preopen "
@@ -1320,7 +1316,7 @@ MAP_SUITES = _table(
     Suite("thm-4.4", _check_thm_4_4,
           "precontinuous maps: witness neighborhoods map into open "
           "neighborhoods, and preclosure bounds transfer through images and "
-          "preimages", _GRIDS + ((_pcl_rows, _map_carrier_sizes),), _map_size_combos),
+          "preimages", _GRIDS + _MAP_HULLS, _map_size_combos),
     Suite("thm-4.5", _check_thm_4_5,
           "precontinuity survives restriction to a region open in both source "
           "structures", _GRIDS + ((trace_tables, _map_carrier_sizes),), None),
@@ -1336,7 +1332,7 @@ MAP_SUITES = _table(
     Suite("note-4.2", functools.partial(_check_thm_4_4, converse=True),
           "on finite models, where both structures are full topologies, each "
           "precontinuity consequence conversely forces the continuity factor",
-          _GRIDS + ((_pcl_rows, _map_carrier_sizes),), _map_size_combos),
+          _GRIDS + _MAP_HULLS, _map_size_combos),
     Suite("thm-5.1", functools.partial(_check_thm_4_3, semi=True),
           "sp-continuity via open preimages coincides with the closed-preimage "
           "characterization; the closed route repeats the open one "
@@ -1345,8 +1341,7 @@ MAP_SUITES = _table(
     Suite("thm-5.2", functools.partial(_check_thm_4_4, semi=True),
           "sp-continuous maps: witness neighborhoods map into open "
           "neighborhoods, and semipreclosure bounds transfer through images "
-          "and preimages", _GRIDS + ((_spcl_rows, _map_carrier_sizes),),
-          _map_size_combos),
+          "and preimages", _GRIDS + _MAP_HULLS, _map_size_combos),
     Suite("thm-5.3", functools.partial(_check_thm_4_5, semi=True),
           "sp-continuity survives restriction to a region open in both source "
           "structures", _GRIDS + ((trace_tables, _map_carrier_sizes),), None),
@@ -1388,7 +1383,7 @@ class SuiteConfig:
         if self.sampled and self.seed is None:
             raise ValueError("a seed is required for the sampled 4-point map sweep")
         if not self.sampled and self.seed is not None:
-            raise ValueError("a seed is only meaningful for sampled sweeps (n = 4)")
+            raise ValueError("a seed applies only when a map suite runs at n = 4")
 
     def names(self) -> tuple[str, ...]:
         if "all" in self.which:
@@ -1428,10 +1423,7 @@ def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
     """
     suites = config.suites()
     _build_tables(config)
-    processes = _worker_count(len(suites))
-    if processes == 1:
-        return [suite(config) for suite in suites]
-    return _run_forked(suites, config, processes - 1)
+    return _run_forked(suites, config, _worker_count(len(suites)) - 1)
 
 
 # ---------------------------------------------------------------------------

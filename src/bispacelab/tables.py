@@ -11,8 +11,8 @@ The bispace tables are built packed across tau_2: a maskset per tau_2 sits in
 a slot of 2^n bits (at least 8) of one big int, slot t2 holding pair (t1, t2),
 so one OR per tau_1-open computes a row for every t2 at once. The rows keep
 that slot layout: each is an `array` of one machine word per pair, filled
-from the packed ints' bytes, and the hull rows are built from those masksets
-on first read (see BispaceTables).
+from the packed ints' bytes. The preclosure and semipreclosure hull rows are
+a table of their own, `hull_tables`, built from those masksets.
 
 Everything here recomputes the reference predicates in flat form; the test
 suite asserts agreement with the reference implementations, so the tables
@@ -25,7 +25,6 @@ import itertools
 import struct
 import sys
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,10 +126,6 @@ class BispaceTables:
     Each of these masksets sits in one int with a slot per t2 (see
     `_slot_width`), so one OR per tau_1-open serves every t2 at once, and
     the po/wpo/so/spo rows are arrays with one slot-wide item per pair.
-    pcl and spcl are `_HullRows` over the build's own po and spo arrays: a
-    hull row is computed on first read and shared by every pair with the
-    same maskset, and `dataclasses.replace` keeps them bound to the build's
-    masksets when it swaps a row field.
     """
 
     top: TopologyTables
@@ -138,38 +133,9 @@ class BispaceTables:
     wpo: array                                # weakly (1,2)-preopen
     so: array                                 # (1,2)-semiopen
     spo: array                                # (1,2)-semipreopen
-    pcl: Sequence[tuple[int, ...]]            # per pair, per subset: preclosure mask
-    spcl: Sequence[tuple[int, ...]]           # per pair, per subset: semipreclosure mask
 
     def pair_index(self, t1: int, t2: int) -> int:
         return t1 * self.top.count + t2
-
-
-class _HullRows(Sequence):
-    """Per pair, the `_hull_row` of that pair's maskset in `rows`, computed
-    the first time some pair with that maskset is read and kept in `hulls`,
-    which the pcl and spcl rows of one build share."""
-
-    def __init__(self, rows, n: int, hulls: dict):
-        self._rows = rows
-        self._n = n
-        self._hulls = hulls
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, pair: int) -> tuple[int, ...]:
-        bits = self._rows[pair]
-        hull = self._hulls.get(bits)
-        if hull is None:
-            hull = self._hulls[bits] = _hull_row(bits, self._n)
-        return hull
-
-    def __iter__(self):
-        hulls = self._hulls
-        for bits in set(self._rows).difference(hulls):
-            hulls[bits] = _hull_row(bits, self._n)
-        return map(hulls.__getitem__, self._rows)
 
 
 def pair_rows(t_count: int):
@@ -284,12 +250,18 @@ def bispace_tables(n: int) -> BispaceTables:
     po, wpo, so, spo = (
         _split_slots(rows, width, t_count) for rows in (po, wpo, so, spo)
     )
-    # a hull row depends only on its maskset, and many pairs share one
-    # (1,639 distinct rows over the 126,025 pairs at n = 4)
-    hulls: dict[int, tuple[int, ...]] = {}
-    return BispaceTables(
-        top, po, wpo, so, spo, _HullRows(po, n, hulls), _HullRows(spo, n, hulls)
-    )
+    return BispaceTables(top, po, wpo, so, spo)
+
+
+@lru_cache(maxsize=None)
+def hull_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(pcl, spcl): per pair of bispace_tables(n), the `_hull_row` of its po
+    and of its spo maskset, the preclosure and semipreclosure of each subset.
+    Each distinct maskset is hulled once (1,639 distinct rows over the
+    126,025 pairs at n = 4)."""
+    bt = bispace_tables(n)
+    hulls = {bits: _hull_row(bits, n) for bits in {*bt.po, *bt.spo}}
+    return tuple(map(hulls.__getitem__, bt.po)), tuple(map(hulls.__getitem__, bt.spo))
 
 
 # ---------------------------------------------------------------------------
@@ -328,108 +300,6 @@ def trace_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 # Map tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapTables:
-    m: int
-    k: int
-    maps: tuple[tuple[int, ...], ...]        # assignment tuples
-    img: tuple[tuple[int, ...], ...]         # per map, source mask -> target mask
-    preim: tuple[tuple[int, ...], ...]       # per map, target mask -> source mask
-    cont: tuple[tuple[int, ...], ...]        # per map, per source topology: topset of s
-    openmap: tuple[tuple[int, ...], ...]     # same for image-of-open openness
-    pm: tuple[tuple[int, ...], ...]          # per map, per target topology: maskset of open preimages
-    pm_closed: tuple[tuple[int, ...], ...]   # same via closed sets and complements
-    index: dict
-
-
-@lru_cache(maxsize=None)
-def map_tables(m: int, k: int) -> MapTables:
-    top_m = topology_tables(m)
-    top_k = topology_tables(k)
-    full_m = top_m.full
-    full_k = top_k.full
-    maps = tuple(itertools.product(range(k), repeat=m))
-    img_all, preim_all, cont_all, open_all = [], [], [], []
-    pm_all, pmc_all = [], []
-    for assignment in maps:
-        img_row = or_table([1 << y for y in assignment])
-        # fibre v: the source points sent to v
-        preim_row = or_table(
-            [sum(1 << p for p, y in enumerate(assignment) if y == v) for v in range(k)]
-        )
-        # distinct preimages of the opens of each target topology, as
-        # masksets; pm_closed reroutes through closed sets (preimage of the
-        # complement, then complement back). Since f^-1(Y - V) = X - f^-1(V)
-        # it equals pm for every map, so the characterization suites'
-        # right-hand side repeats the left and catches only corrupted grids
-        pm_masks = []
-        pmc_masks = []
-        for s in range(top_k.count):
-            bits = 0
-            cbits = 0
-            for v_open in top_k.opens[s]:
-                bits |= 1 << preim_row[v_open]
-                cbits |= 1 << (full_m ^ preim_row[full_k ^ v_open])
-            pm_masks.append(bits)
-            pmc_masks.append(cbits)
-        im_masks = []
-        for t in range(top_m.count):
-            bits = 0
-            for u in top_m.opens[t]:
-                bits |= 1 << img_row[u]
-            im_masks.append(bits)
-        cont_row = []
-        open_row = []
-        for t in range(top_m.count):
-            c_bits = 0
-            o_bits = 0
-            for s in range(top_k.count):
-                if pm_masks[s] & ~top_m.openbits[t] == 0:
-                    c_bits |= 1 << s
-                if im_masks[t] & ~top_k.openbits[s] == 0:
-                    o_bits |= 1 << s
-            cont_row.append(c_bits)
-            open_row.append(o_bits)
-        img_all.append(tuple(img_row))
-        preim_all.append(tuple(preim_row))
-        cont_all.append(tuple(cont_row))
-        open_all.append(tuple(open_row))
-        pm_all.append(tuple(pm_masks))
-        pmc_all.append(tuple(pmc_masks))
-    return MapTables(
-        m,
-        k,
-        maps,
-        tuple(img_all),
-        tuple(preim_all),
-        tuple(cont_all),
-        tuple(open_all),
-        tuple(pm_all),
-        tuple(pmc_all),
-        {a: i for i, a in enumerate(maps)},
-    )
-
-
-@dataclass(frozen=True)
-class ContinuityGrids:
-    """Per-(map, source pair) topsets of target topologies, by hierarchy level.
-
-    pc[f][pair]: s such that preimages of s-opens are (1,2)-preopen in pair;
-    the (2,1) direction at (t1,t2) is pc at the swapped pair. sc and spc are
-    the semiopen / semipreopen analogues. rhs_closed and sp_rhs_closed
-    recompute pc and spc from MapTables.pm_closed, which equals pm, so they
-    always equal pc and spc: thm-4.3, thm-5.1 and the sampled closed-preimage
-    check fail only on a corrupted grid or predicate, as the fault-injection
-    cases show.
-    """
-
-    pc: tuple[tuple[int, ...], ...]
-    sc: tuple[tuple[int, ...], ...]
-    spc: tuple[tuple[int, ...], ...]
-    rhs_closed: tuple[tuple[int, ...], ...]
-    sp_rhs_closed: tuple[tuple[int, ...], ...]
-
-
 def _covered_targets(preimages: tuple[int, ...], rows: tuple[int, ...]):
     """Per row, the topset of targets s with preimages[s] inside that row.
 
@@ -449,28 +319,127 @@ def _covered_targets(preimages: tuple[int, ...], rows: tuple[int, ...]):
     return tuple(map(covered.__getitem__, rows))
 
 
+@dataclass(frozen=True)
+class MapTables:
+    """Rows per map from m to k points, in `maps` order; the closed-set
+    route to continuity is `closed_route_grid`."""
+
+    m: int
+    k: int
+    maps: tuple[tuple[int, ...], ...]        # assignment tuples
+    img: tuple[tuple[int, ...], ...]         # per map, source mask -> target mask
+    preim: tuple[tuple[int, ...], ...]       # per map, target mask -> source mask
+    cont: tuple[tuple[int, ...], ...]        # per map, per source topology: topset of s
+    openmap: tuple[tuple[int, ...], ...]     # same for image-of-open openness
+    pm: tuple[tuple[int, ...], ...]          # per map, per target topology: maskset of open preimages
+    index: dict
+
+
+@lru_cache(maxsize=None)
+def map_tables(m: int, k: int) -> MapTables:
+    top_m = topology_tables(m)
+    top_k = topology_tables(k)
+    maps = tuple(itertools.product(range(k), repeat=m))
+    img_all, preim_all, cont_all, open_all, pm_all = [], [], [], [], []
+    for assignment in maps:
+        img_row = or_table([1 << y for y in assignment])
+        # fibre v: the source points sent to v
+        preim_row = or_table(
+            [sum(1 << p for p, y in enumerate(assignment) if y == v) for v in range(k)]
+        )
+        # distinct preimages of the opens of each target topology, as masksets
+        pm_masks = []
+        for s in range(top_k.count):
+            bits = 0
+            for v_open in top_k.opens[s]:
+                bits |= 1 << preim_row[v_open]
+            pm_masks.append(bits)
+        im_masks = []
+        for t in range(top_m.count):
+            bits = 0
+            for u in top_m.opens[t]:
+                bits |= 1 << img_row[u]
+            im_masks.append(bits)
+        open_row = []
+        for t in range(top_m.count):
+            o_bits = 0
+            for s in range(top_k.count):
+                if im_masks[t] & ~top_k.openbits[s] == 0:
+                    o_bits |= 1 << s
+            open_row.append(o_bits)
+        img_all.append(tuple(img_row))
+        preim_all.append(tuple(preim_row))
+        cont_all.append(_covered_targets(pm_masks, top_m.openbits))
+        open_all.append(tuple(open_row))
+        pm_all.append(tuple(pm_masks))
+    return MapTables(
+        m,
+        k,
+        maps,
+        tuple(img_all),
+        tuple(preim_all),
+        tuple(cont_all),
+        tuple(open_all),
+        tuple(pm_all),
+        {a: i for i, a in enumerate(maps)},
+    )
+
+
+@dataclass(frozen=True)
+class ContinuityGrids:
+    """Per-(map, source pair) topsets of target topologies, by hierarchy level.
+
+    pc[f][pair]: s such that preimages of s-opens are (1,2)-preopen in pair;
+    the (2,1) direction at (t1,t2) is pc at the swapped pair. sc and spc are
+    the semiopen / semipreopen analogues. The closed-set route to pc and spc
+    is `closed_route_grid`, which only thm-4.3 and thm-5.1 read.
+    """
+
+    pc: tuple[tuple[int, ...], ...]
+    sc: tuple[tuple[int, ...], ...]
+    spc: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
 def continuity_grids(m: int, k: int) -> ContinuityGrids:
     """Grids for every map from m to k points; see ContinuityGrids.
 
-    Each grid reads one row of the source pair (pc and rhs_closed read po,
-    sc reads so, spc and sp_rhs_closed read spo) against the map's preimage
-    masksets, so each is computed by _covered_targets once per distinct
-    value of that row.
+    Each grid reads one row of the source pair (pc reads po, sc reads so,
+    spc reads spo) against the map's preimage masksets, so each is computed
+    by _covered_targets once per distinct value of that row.
     """
     mt = map_tables(m, k)
     bt = bispace_tables(m)
-    pc_all, sc_all, spc_all, rhs_all, sp_rhs_all = [], [], [], [], []
-    for pm, pmc in zip(mt.pm, mt.pm_closed):
+    pc_all, sc_all, spc_all = [], [], []
+    for pm in mt.pm:
         pc_all.append(_covered_targets(pm, bt.po))
         sc_all.append(_covered_targets(pm, bt.so))
         spc_all.append(_covered_targets(pm, bt.spo))
-        rhs_all.append(_covered_targets(pmc, bt.po))
-        sp_rhs_all.append(_covered_targets(pmc, bt.spo))
-    return ContinuityGrids(
-        tuple(pc_all), tuple(sc_all), tuple(spc_all),
-        tuple(rhs_all), tuple(sp_rhs_all),
-    )
+    return ContinuityGrids(tuple(pc_all), tuple(sc_all), tuple(spc_all))
+
+
+def closed_route_grid(m: int, k: int, semi: bool = False) -> tuple[tuple[int, ...], ...]:
+    """pc (semi: spc) of continuity_grids(m, k) by closed sets: per map and
+    source pair, the targets s whose closed sets Y - V all have preclosed
+    (semipreclosed) preimages, X - f^-1(Y - V) being preopen (semipreopen).
+
+    As f^-1(Y - V) = X - f^-1(V), it equals the open route, so thm-4.3 and
+    thm-5.1 fault only on a corrupted grid: it reads this module's own
+    tables, which a fault patched into the suites' tables leaves true."""
+    mt = map_tables(m, k)
+    top_k = topology_tables(k)
+    bt = bispace_tables(m)
+    full_m = bt.top.full
+    grid = []
+    for preim_row in mt.preim:
+        closed = []
+        for opens in top_k.opens:
+            bits = 0
+            for v_open in opens:
+                bits |= 1 << (full_m ^ preim_row[top_k.full ^ v_open])
+            closed.append(bits)
+        grid.append(_covered_targets(closed, bt.spo if semi else bt.po))
+    return tuple(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Shared generators and cross-backend comparison drivers for the tests."""
 
-import collections
 import contextlib
 import dataclasses
 import functools
@@ -297,10 +296,11 @@ def reference_bispace_rows(top: TopologyTables, t1: int, t2: int):
     return po_bits, wpo_bits, so_bits, spo_bits, tuple(pcl_row), tuple(spcl_row)
 
 
-def reference_bispace_tables(n: int) -> BispaceTables:
-    """bispace_tables(n) built pair by pair: per (t1, t2), po/wpo/spo scan
-    the subsets and so the tau_1-opens against interval masksets. The oracle
-    for the build packed across tau_2."""
+def reference_bispace_tables(n: int):
+    """bispace_tables(n) and the (pcl, spcl) rows of hull_tables(n), built
+    pair by pair: per (t1, t2), po/wpo/spo scan the subsets and so the
+    tau_1-opens against interval masksets. The oracle for the build packed
+    across tau_2 and for the hull rows shared by maskset."""
     top = topology_tables(n)
     t_count = top.count
     size = 1 << n
@@ -342,56 +342,69 @@ def reference_bispace_tables(n: int) -> BispaceTables:
             spo.append(spo_bits)
             pcl_rows.append(hulls[po_bits])
             spcl_rows.append(hulls[spo_bits])
-    return BispaceTables(
-        top, tuple(po), tuple(wpo), tuple(so), tuple(spo),
-        tuple(pcl_rows), tuple(spcl_rows),
-    )
+    bt = BispaceTables(top, tuple(po), tuple(wpo), tuple(so), tuple(spo))
+    return bt, (tuple(pcl_rows), tuple(spcl_rows))
 
 
 def reference_continuity_grids(m: int, k: int):
-    """Per-pair (pc, sc, spc, rhs_closed, sp_rhs_closed) grids, one loop over
-    every source pair per map. The oracle for tables.continuity_grids."""
+    """Per-pair (pc, sc, spc) grids, one loop over every source pair per
+    map. The oracle for tables.continuity_grids."""
     mt = map_tables(m, k)
     bt = bispace_tables(m)
     s_count = topology_tables(k).count
     pair_count = bt.top.count ** 2
-    pc_all, sc_all, spc_all, rhs_all, sp_rhs_all = [], [], [], [], []
+    pc_all, sc_all, spc_all = [], [], []
     for f in range(len(mt.maps)):
         pm = mt.pm[f]
-        pmc = mt.pm_closed[f]
-        pc_rows, sc_rows, spc_rows, rhs_rows, sp_rhs_rows = [], [], [], [], []
+        pc_rows, sc_rows, spc_rows = [], [], []
         for pair in range(pair_count):
             not_po = ~bt.po[pair]
             not_so = ~bt.so[pair]
             not_spo = ~bt.spo[pair]
-            pc_bits = sc_bits = spc_bits = rhs_bits = sp_rhs_bits = 0
+            pc_bits = sc_bits = spc_bits = 0
             for s in range(s_count):
                 bits = pm[s]
-                cbits = pmc[s]
                 if bits & not_po == 0:
                     pc_bits |= 1 << s
                 if bits & not_so == 0:
                     sc_bits |= 1 << s
                 if bits & not_spo == 0:
                     spc_bits |= 1 << s
-                if cbits & not_po == 0:
-                    rhs_bits |= 1 << s
-                if cbits & not_spo == 0:
-                    sp_rhs_bits |= 1 << s
             pc_rows.append(pc_bits)
             sc_rows.append(sc_bits)
             spc_rows.append(spc_bits)
-            rhs_rows.append(rhs_bits)
-            sp_rhs_rows.append(sp_rhs_bits)
         pc_all.append(tuple(pc_rows))
         sc_all.append(tuple(sc_rows))
         spc_all.append(tuple(spc_rows))
-        rhs_all.append(tuple(rhs_rows))
-        sp_rhs_all.append(tuple(sp_rhs_rows))
-    return (
-        tuple(pc_all), tuple(sc_all), tuple(spc_all),
-        tuple(rhs_all), tuple(sp_rhs_all),
-    )
+    return tuple(pc_all), tuple(sc_all), tuple(spc_all)
+
+
+def reference_closed_route_grid(m: int, k: int, semi: bool = False):
+    """Per map and source pair, the targets s such that X - f^-1(Y - V) is
+    in the pair's po (semi: spo) maskset for every s-open V, tested open by
+    open from the preimage rows, once per distinct maskset of a map. It
+    reads the tables module's own builders, which no fault patched into the
+    suites module reaches. The oracle for tables.closed_route_grid."""
+    mt = map_tables(m, k)
+    bt = bispace_tables(m)
+    top_k = topology_tables(k)
+    rows = bt.spo if semi else bt.po
+    grid = []
+    for preim_row in mt.preim:
+        # complements of the preimages of the closed sets of each target
+        closed_preimages = [
+            [bt.top.full ^ preim_row[top_k.full ^ v] for v in opens]
+            for opens in top_k.opens
+        ]
+        seen: dict[int, int] = {}
+        for bits in set(rows):
+            seen[bits] = sum(
+                1 << s
+                for s, sets in enumerate(closed_preimages)
+                if all((bits >> u) & 1 for u in sets)
+            )
+        grid.append(tuple(seen[bits] for bits in rows))
+    return tuple(grid)
 
 
 def reference_convergence_bits(size: int) -> tuple[int, ...]:
@@ -451,7 +464,7 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
     supersets = [row[-1] for row in interval_masksets(k)]
     containing = [supersets[1 << p] for p in range(k)]
     around_table = bt_m.spo if semi else bt_m.po
-    hull_table = bt_m.spcl if semi else bt_m.pcl
+    hull_table = [_hull_row(bits, m) for bits in around_table]
     for f in range(len(mt.maps)):
         img_row = mt.img[f]
         preim_row = mt.preim[f]
@@ -514,8 +527,10 @@ def reference_consequence_failures(m: int, k: int, semi: bool):
 # The oracle for suites.MAP_SUITES, which test each map by columns first:
 # every read of every map is checked in sweep order, with per-map memos only.
 # They read every table through the suites module's own names, so a
-# mock.patch of suites.bispace_tables, continuity_grids or map_tables
-# reaches them as it reaches the suites.
+# mock.patch of suites.bispace_tables, hull_tables, continuity_grids or
+# map_tables reaches them as it reaches the suites. The closed route of
+# thm-4.3 and thm-5.1 is the exception: like tables.closed_route_grid, it
+# reads the true tables.
 
 def _ref_has_pairsets(n: int) -> dict:
     out = {}
@@ -697,7 +712,7 @@ def _ref_thm_4_3(n: int, semi: bool = False):
         grids = suites.continuity_grids(m, k)
         t_m = suites.bispace_tables(m).top.count
         lhs_grid = grids.spc if semi else grids.pc
-        rhs_grid = grids.sp_rhs_closed if semi else grids.rhs_closed
+        rhs_grid = reference_closed_route_grid(m, k, semi)
         for f in range(len(mt.maps)):
             lhs = lhs_grid[f]
             rhs = rhs_grid[f]
@@ -743,7 +758,7 @@ def _ref_consequence_failures(m: int, k: int, semi: bool):
             groups[c] = groups.get(c, 0) | 1 << s
         closures_of.append(tuple(groups.items()))
     around_table = bt_m.spo if semi else bt_m.po
-    hull_table = bt_m.spcl if semi else bt_m.pcl
+    hull_table = suites.hull_tables(m)[semi]
     # (t1, t2, direction, row, key number) in stream order, and each key
     # number's (around, hull)
     key_ids: dict[tuple, int] = {}
@@ -1155,88 +1170,80 @@ def _flip_row(rows, index: int, bit: int):
     return flipped
 
 
-def _flip_hull(rows, pair: int, subset: int, bit: int):
-    """A materialised tuple of the hull rows `rows` with one bit flipped."""
-    rows = tuple(rows)
-    return rows[:pair] + (_flip_row(rows[pair], subset, bit),) + rows[pair + 1:]
+def _flip_hull(hulls, pair: int, subset: int, bit: int, semi: bool = False):
+    """hull_tables' (pcl, spcl) with one bit of one pcl (semi: spcl) entry
+    flipped."""
+    pcl, spcl = hulls
+    if semi:
+        return pcl, _flip_grid(spcl, pair, subset, bit)
+    return _flip_grid(pcl, pair, subset, bit), spcl
 
 
 def _flip_grid(grid, f: int, pair: int, bit: int):
     return grid[:f] + (_flip_row(grid[f], pair, bit),) + grid[f + 1:]
 
 
-# case name -> (bispace-table corruption per n, grid corruption per (m, k));
-# each corruption maps the true table to a dataclasses.replace copy with one
-# bit (or one pair of bits) flipped
+# case name -> per table the suites module reads (bispace_tables,
+# hull_tables, continuity_grids), its corruption per argument tuple or n;
+# each corruption maps the true table to a copy with one bit (or one pair of
+# bits) flipped
 FAULT_CASES = {
-    "po-pair100-bit3": (
-        {3: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 100, 3))},
-        {},
-    ),
-    "spo-pair257-bit5": (
-        {3: lambda bt: dataclasses.replace(bt, spo=_flip_row(bt.spo, 257, 5))},
-        {},
-    ),
-    "pcl-pair300-entry2": (
-        {3: lambda bt: dataclasses.replace(bt, pcl=_flip_hull(bt.pcl, 300, 2, 0))},
-        {},
-    ),
+    "po-pair100-bit3": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 100, 3)),
+    }},
+    "spo-pair257-bit5": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(bt, spo=_flip_row(bt.spo, 257, 5)),
+    }},
+    "pcl-pair300-entry2": {"hull_tables": {
+        3: lambda hulls: _flip_hull(hulls, 300, 2, 0),
+    }},
     # the semipreclosure hull of {0, 1} in row 400 = (13, 23) gains point 2
     # while the row's spo maskset stays right: thm-3.7 and thm-5.2 report
-    "spcl-pair400-entry3": (
-        {3: lambda bt: dataclasses.replace(bt, spcl=_flip_hull(bt.spcl, 400, 3, 2))},
-        {},
-    ),
+    "spcl-pair400-entry3": {"hull_tables": {
+        3: lambda hulls: _flip_hull(hulls, 400, 3, 2, semi=True),
+    }},
     # sets a wpo bit that po lacks: containment-without-squeeze
-    "wpo-pair400-bit1": (
-        {3: lambda bt: dataclasses.replace(bt, wpo=_flip_row(bt.wpo, 400, 1))},
-        {},
-    ),
+    "wpo-pair400-bit1": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(bt, wpo=_flip_row(bt.wpo, 400, 1)),
+    }},
     # clears the bit of a tau_1-open from so: open-not-semiopen
-    "so-pair500-bit4": (
-        {3: lambda bt: dataclasses.replace(bt, so=_flip_row(bt.so, 500, 4))},
-        {},
-    ),
+    "so-pair500-bit4": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(bt, so=_flip_row(bt.so, 500, 4)),
+    }},
     # rows 342 = (11, 23) and 678 = (23, 11) each lose the po bit of a
     # tau_1-open, so both directions of the pair fail (open-not-preopen)
-    "po-pair342-pair678-both-directions": (
-        {3: lambda bt: dataclasses.replace(
+    "po-pair342-pair678-both-directions": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(
             bt, po=_flip_row(_flip_row(bt.po, 342, 5), 678, 3)
-        )},
-        {},
-    ),
-    "grid32-f5-pc40-sc41": (
-        {},
-        {(3, 2): lambda g: dataclasses.replace(
+        ),
+    }},
+    "grid32-f5-pc40-sc41": {"continuity_grids": {
+        (3, 2): lambda g: dataclasses.replace(
             g, pc=_flip_grid(g.pc, 5, 40, 1), sc=_flip_grid(g.sc, 5, 41, 1)
-        )},
-    ),
-    "grid22-f1-pair5-restriction": (
-        {},
-        {(2, 2): lambda g: dataclasses.replace(
+        ),
+    }},
+    "grid22-f1-pair5-restriction": {"continuity_grids": {
+        (2, 2): lambda g: dataclasses.replace(
             g, pc=_flip_grid(g.pc, 1, 5, 0), spc=_flip_grid(g.spc, 1, 5, 0)
-        )},
-    ),
+        ),
+    }},
     # row 100 gains subset 1 in both po and spo: thm-3.5 reports
     # preopen-restriction and semipreopen-restriction
-    "po-spo-pair100-bit1": (
-        {3: lambda bt: dataclasses.replace(
+    "po-spo-pair100-bit1": {"bispace_tables": {
+        3: lambda bt: dataclasses.replace(
             bt, po=_flip_row(bt.po, 100, 1), spo=_flip_row(bt.spo, 100, 1)
-        )},
-        {},
-    ),
+        ),
+    }},
     # the constant map 0 = (0, 0, 0) loses pc target 0 on row 0, a read whose
     # three consequence failure sets are all empty, so note-4.2 flags it
-    "grid33-f0-pc0-bit0": (
-        {},
-        {(3, 3): lambda g: dataclasses.replace(g, pc=_flip_grid(g.pc, 0, 0, 0))},
-    ),
+    "grid33-f0-pc0-bit0": {"continuity_grids": {
+        (3, 3): lambda g: dataclasses.replace(g, pc=_flip_grid(g.pc, 0, 0, 0)),
+    }},
     # 2-point row 5 loses subset 1; thm-3.5 also reads it as the sub-carrier
     # row of 2-point regions at n = 3: restriction and converse kinds
-    "po-n2-pair5-bit1": (
-        {2: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 5, 1))},
-        {},
-    ),
+    "po-n2-pair5-bit1": {"bispace_tables": {
+        2: lambda bt: dataclasses.replace(bt, po=_flip_row(bt.po, 5, 1)),
+    }},
 }
 
 
@@ -1299,16 +1306,14 @@ def fault_injection_results(case: str, n: int = 3, which=None):
     `case`, by default FAULT_SUITES for a case of FAULT_CASES and
     TOPOLOGY_FAULT_SUITES for one of TOPOLOGY_FAULT_CASES.
 
-    The suites read the corrupted tables through their module's
-    `bispace_tables`, `continuity_grids` and `topology_tables`, so no
-    corrupted row outlives the run.
+    The suites read the corrupted tables through their module's names of
+    the table builders, so no corrupted row outlives the run.
     """
     if case in TOPOLOGY_FAULT_CASES:
         patches = {"topology_tables": TOPOLOGY_FAULT_CASES[case]}
         default = TOPOLOGY_FAULT_SUITES
     else:
-        bt_faults, grid_faults = FAULT_CASES[case]
-        patches = {"bispace_tables": bt_faults, "continuity_grids": grid_faults}
+        patches = FAULT_CASES[case]
         default = FAULT_SUITES
     with contextlib.ExitStack() as stack:
         for attr, corruptions in patches.items():
@@ -1327,8 +1332,8 @@ def seeded_table_flips(
     (label, suites attribute, arguments of the corrupted table, corruption).
 
     They cycle through a continuity-grid row at (m, k) <= max_size, a
-    po/spo/pcl row of bispace_tables(n <= max_size) and a cont/openmap row
-    of map_tables.
+    po/spo row of bispace_tables(n <= max_size) or a pcl row of
+    hull_tables(n), and a cont/openmap row of map_tables.
     """
     rng = random.Random(seed)
     flips = []
@@ -1337,30 +1342,39 @@ def seeded_table_flips(
         t_m, t_k = topology_tables(m).count, topology_tables(k).count
         f = rng.randrange(k ** m)
         if i % 3 == 0:
-            field = rng.choice(("pc", "sc", "spc", "rhs_closed", "sp_rhs_closed"))
+            field = rng.choice(("pc", "sc", "spc"))
             pair, bit = rng.randrange(t_m * t_m), rng.randrange(t_k)
             label = f"grid{m}{k}-{field}-f{f}-pair{pair}-bit{bit}"
             attr, args = "continuity_grids", (m, k)
-            flip = functools.partial(_flip_grid, f=f, pair=pair, bit=bit)
+            corrupt = _replace_field(
+                field, functools.partial(_flip_grid, f=f, pair=pair, bit=bit)
+            )
         elif i % 3 == 1:
             field = rng.choice(("po", "spo", "pcl"))
             pair = rng.randrange(t_m * t_m)
             if field == "pcl":
                 subset, bit = rng.randrange(1 << m), rng.randrange(m)
-                flip = functools.partial(_flip_hull, pair=pair, subset=subset, bit=bit)
                 label = f"n{m}-pcl-pair{pair}-entry{subset}-bit{bit}"
+                attr, args = "hull_tables", (m,)
+                corrupt = functools.partial(
+                    _flip_hull, pair=pair, subset=subset, bit=bit
+                )
             else:
                 bit = rng.randrange(1 << m)
-                flip = functools.partial(_flip_row, index=pair, bit=bit)
                 label = f"n{m}-{field}-pair{pair}-bit{bit}"
-            attr, args = "bispace_tables", (m,)
+                attr, args = "bispace_tables", (m,)
+                corrupt = _replace_field(
+                    field, functools.partial(_flip_row, index=pair, bit=bit)
+                )
         else:
             field = rng.choice(("cont", "openmap"))
             t, bit = rng.randrange(t_m), rng.randrange(t_k)
             label = f"map{m}{k}-{field}-f{f}-t{t}-bit{bit}"
             attr, args = "map_tables", (m, k)
-            flip = functools.partial(_flip_grid, f=f, pair=t, bit=bit)
-        flips.append((label, attr, args, _replace_field(field, flip)))
+            corrupt = _replace_field(
+                field, functools.partial(_flip_grid, f=f, pair=t, bit=bit)
+            )
+        flips.append((label, attr, args, corrupt))
     return flips
 
 
@@ -1399,9 +1413,9 @@ def fault_injection_digests(case: str, n: int = 3) -> dict:
 
 def table_builds(n: int, which: tuple, seed=None) -> dict:
     """Cached-table entries per lru_cache builder of tables, finite and
-    maps, and hull rows built per carrier size, all from emptied caches and
-    in one process: after suites._build_tables ("prebuilt"), after a run
-    that follows it ("run"), and after a run without it ("serial").
+    maps, hull_tables among them, all from emptied caches and in one
+    process: after suites._build_tables ("prebuilt"), after a run that
+    follows it ("run"), and after a run without it ("serial").
 
     It empties every cache, so call it in a process of its own.
     """
@@ -1413,25 +1427,16 @@ def table_builds(n: int, which: tuple, seed=None) -> dict:
         for fn in vars(module).values()
         if callable(getattr(fn, "cache_info", None))
     }
-    hull_rows = collections.Counter()
-    true_hull_row = tables._hull_row
-
-    def counting_hull_row(bits, size):
-        hull_rows[str(size)] += 1
-        return true_hull_row(bits, size)
 
     def snapshot():
-        entries = {name: fn.cache_info().currsize for name, fn in builders.items()}
-        return {**entries, "hull rows": dict(hull_rows)}
+        return {name: fn.cache_info().currsize for name, fn in builders.items()}
 
     def empty_caches():
         for fn in builders.values():
             fn.cache_clear()
-        hull_rows.clear()
 
     config = suites.SuiteConfig(n=n, which=tuple(which), seed=seed)
-    with mock.patch.object(tables, "_hull_row", counting_hull_row), \
-            mock.patch.object(suites, "_worker_count", lambda suite_count: 1):
+    with mock.patch.object(suites, "_worker_count", lambda suite_count: 1):
         empty_caches()
         suites._build_tables(config)
         prebuilt = snapshot()

@@ -21,7 +21,7 @@ from bispacelab.props import (
     spcl,
     subspace,
 )
-from bispacelab.tables import bispace_tables, topology_tables
+from bispacelab.tables import bispace_tables, hull_tables, topology_tables
 from helpers import finite_semiopen_search, random_preorder_space
 
 
@@ -178,6 +178,7 @@ def _spaces(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tables_match_reference_exhaustively(n):
     bt = bispace_tables(n)
+    pcl_rows, spcl_rows = hull_tables(n)
     spaces = _spaces(n)
     t_count = len(spaces)
     assert t_count == bt.top.count
@@ -196,8 +197,8 @@ def test_tables_match_reference_exhaustively(n):
                 assert bool(so) == is_ij_semiopen(b, pr, a)
                 spo = (bt.spo[row] >> mask) & 1
                 assert bool(spo) == is_ij_semipreopen(b, pr, a).holds
-                assert PointSet(n, bt.pcl[row][mask]) == pcl(b, pr, a)
-                assert PointSet(n, bt.spcl[row][mask]) == spcl(b, pr, a)
+                assert PointSet(n, pcl_rows[row][mask]) == pcl(b, pr, a)
+                assert PointSet(n, spcl_rows[row][mask]) == spcl(b, pr, a)
 
 
 def test_finite_semiopen_closed_form_matches_search():

@@ -59,10 +59,13 @@ def test_config_validation():
     # a repeated name runs once, at its first mention
     config = SuiteConfig(n=2, which=("thm-3.3", "thm-3.1", "thm-3.3"))
     assert config.names() == ("thm-3.3", "thm-3.1")
-    with pytest.raises(ValueError):
-        SuiteConfig(n=4, which=("thm-4.1",))  # sampled sweep needs a seed
-    with pytest.raises(ValueError):
-        SuiteConfig(n=2, which=("thm-4.1",), seed=5)  # exhaustive: no seed
+    with pytest.raises(ValueError, match="a seed is required for the sampled"):
+        SuiteConfig(n=4, which=("thm-4.1",))
+    seedless = "a seed applies only when a map suite runs at n = 4"
+    with pytest.raises(ValueError, match=seedless):
+        SuiteConfig(n=2, which=("thm-4.1",), seed=5)
+    with pytest.raises(ValueError, match=seedless):
+        SuiteConfig(n=4, which=("closure-laws",), seed=1)
     SuiteConfig(n=4, which=("thm-4.1",), seed=5)
     SuiteConfig(n=4, which=("closure-laws",))  # set suites never sample
 
@@ -191,7 +194,7 @@ def test_target_pairsets_follow_patched_tables_after_a_clean_run():
     which = ("thm-4.1", "thm-4.2")
     run_theorem_suite(SuiteConfig(n=3, which=which))
     true_bt = suites.bispace_tables
-    corrupt = FAULT_CASES["spo-pair257-bit5"][0][3]
+    corrupt = FAULT_CASES["spo-pair257-bit5"]["bispace_tables"][3]
 
     def patched(size):
         return corrupt(true_bt(size)) if size == 3 else true_bt(size)
@@ -311,12 +314,11 @@ def test_tables_n4_suites_build_no_4_point_hull_row():
         return true_hull_row(bits, n)
 
     with mock.patch.object(tables, "_hull_row", counting_hull_row):
-        fresh = tables.bispace_tables.__wrapped__(4)
-        with flipped_table("bispace_tables", (4,), lambda _: fresh):
-            results = run_theorem_suite(SuiteConfig(n=4, which=which, seed=0))
+        tables.hull_tables.cache_clear()
+        results = run_theorem_suite(SuiteConfig(n=4, which=which, seed=0))
         assert all(r.passed for r in results)
         assert 4 not in sizes
-        fresh.pcl[0]
+        tables.hull_tables(4)
         assert 4 in sizes
 
 
@@ -360,14 +362,19 @@ def test_note_4_1_fires_on_a_flipped_continuity_bit():
 
 def test_map_suites_match_reference_sweeps_on_flipped_tables():
     # every map suite against its per-pair reference sweep on 16 seeded
-    # single-bit table flips: the same `checked` and the same violation
-    # lines in order. The flips are not vacuous: 12 of them make some map
-    # suite report, and between them every map suite but note-4.1 and
-    # thm-4.6 reports (FAULT_CASES and the tests below cover those two)
+    # single-bit table flips and the spcl hull case of FAULT_CASES: the same
+    # `checked` and the same violation lines in order. The flips are not
+    # vacuous: 13 of them make some map suite report, and between them every
+    # map suite but thm-4.6 reports (the tests below cover that one)
     config = SuiteConfig(n=3)
     firing = 0
     fired = set()
-    for label, attr, args, corrupt in seeded_table_flips(16, seed=4):
+    spcl_case = FAULT_CASES["spcl-pair400-entry3"]["hull_tables"][3]
+    flips = [
+        *seeded_table_flips(16, seed=4),
+        ("spcl-pair400-entry3", "hull_tables", (3,), spcl_case),
+    ]
+    for label, attr, args, corrupt in flips:
         names = set()
         with flipped_table(attr, args, corrupt):
             for name, run in MAP_SUITES.items():
@@ -378,8 +385,8 @@ def test_map_suites_match_reference_sweeps_on_flipped_tables():
                     names.add(name)
         firing += bool(names)
         fired |= names
-    assert firing == 12
-    assert set(MAP_SUITES) - fired == {"note-4.1", "thm-4.6"}
+    assert firing == 13
+    assert set(MAP_SUITES) - fired == {"thm-4.6"}
 
 
 @pytest.mark.parametrize("m, k, f, pair, bit", [(2, 2, 1, 11, 1), (3, 2, 2, 563, 1)])
@@ -425,9 +432,13 @@ def test_prebuild_builds_exactly_the_tables_a_serial_run_reads():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
-    for config, builds in zip(configs, json.loads(done.stdout), strict=True):
+    found = json.loads(done.stdout)
+    for config, builds in zip(configs, found, strict=True):
         assert builds["prebuilt"] == builds["run"] == builds["serial"], config
     assert builds["prebuilt"]["bispacelab.tables.bispace_tables"] == 3
+    # hull rows at every size for every suite at n = 3, none for tables-n4
+    hulls = [builds["prebuilt"]["bispacelab.tables.hull_tables"] for builds in found]
+    assert hulls[:2] == [3, 0]
 
 
 def _run_apart(here, there) -> list:

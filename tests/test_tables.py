@@ -14,8 +14,10 @@ from bispacelab.tables import (
     _pack_slots,
     _split_slots,
     bispace_tables,
+    closed_route_grid,
     continuity_grids,
     convergence_bits,
+    hull_tables,
     interval_masksets,
     map_tables,
     pair_rows,
@@ -27,6 +29,7 @@ from helpers import (
     consequence_stream,
     reference_bispace_rows,
     reference_bispace_tables,
+    reference_closed_route_grid,
     reference_consequence_failures,
     reference_continuity_grids,
     reference_convergence_bits,
@@ -34,9 +37,9 @@ from helpers import (
 
 
 def _rows(bt, pair):
+    pcl, spcl = hull_tables(bt.top.n)
     return (
-        bt.po[pair], bt.wpo[pair], bt.so[pair], bt.spo[pair],
-        bt.pcl[pair], bt.spcl[pair],
+        bt.po[pair], bt.wpo[pair], bt.so[pair], bt.spo[pair], pcl[pair], spcl[pair]
     )
 
 
@@ -66,10 +69,13 @@ def test_bispace_tables_match_per_pair_build_on_every_pair(n):
     # 126,025 pairs at n = 4; the per-pair build is checked against the
     # brute force above
     got = bispace_tables(n)
-    expected = reference_bispace_tables(n)
-    for field in ("po", "wpo", "so", "spo", "pcl", "spcl"):
-        got_rows = getattr(got, field)
-        expected_rows = getattr(expected, field)
+    expected, expected_hulls = reference_bispace_tables(n)
+    fields = ("po", "wpo", "so", "spo")
+    for field, got_rows, expected_rows in zip(
+        (*fields, "pcl", "spcl"),
+        (*(getattr(got, field) for field in fields), *hull_tables(n)),
+        (*(getattr(expected, field) for field in fields), *expected_hulls),
+    ):
         assert len(got_rows) == len(expected_rows), field
         bad = next(
             (pair for pair, (g, e) in enumerate(zip(got_rows, expected_rows))
@@ -172,15 +178,23 @@ def test_continuity_grids_follow_patched_rows():
             mock.patch.object(helpers, "bispace_tables", lambda m: bt):
         got = dataclasses.astuple(continuity_grids.__wrapped__(3, 3))
         expected = reference_continuity_grids(3, 3)
+        closed = [closed_route_grid(3, 3, semi) for semi in (False, True)]
+        expected_closed = [reference_closed_route_grid(3, 3, s) for s in (False, True)]
     assert got == expected
     assert got != dataclasses.astuple(continuity_grids(3, 3))
+    assert closed == expected_closed
+    assert closed != [closed_route_grid(3, 3, semi) for semi in (False, True)]
 
 
 @pytest.mark.parametrize("m,k", list(itertools.product([1, 2, 3], repeat=2)))
 def test_closed_route_preimages_equal_open_route(m, k):
-    # f^-1(Y - V) = X - f^-1(V), so the closed route reproduces pm exactly
-    mt = map_tables(m, k)
-    assert mt.pm_closed == mt.pm
+    # f^-1(Y - V) = X - f^-1(V), so the closed route reproduces pc and spc
+    # exactly, by the build and by the set-by-set oracle
+    grids = continuity_grids(m, k)
+    for semi, open_route in ((False, grids.pc), (True, grids.spc)):
+        closed_route = closed_route_grid(m, k, semi)
+        assert closed_route == open_route, semi
+        assert reference_closed_route_grid(m, k, semi) == closed_route, semi
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
