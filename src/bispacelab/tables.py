@@ -300,25 +300,6 @@ def trace_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 # Map tables
 # ---------------------------------------------------------------------------
 
-def _covered_targets(preimages: tuple[int, ...], rows: tuple[int, ...]):
-    """Per row, the topset of targets s with preimages[s] inside that row.
-
-    Targets that share a preimage maskset are tested together, and each
-    distinct row value is tested once.
-    """
-    groups: dict[int, int] = {}
-    for s, bits in enumerate(preimages):
-        groups[bits] = groups.get(bits, 0) | 1 << s
-    covered = {}
-    for row in set(rows):
-        topset = 0
-        for bits, targets in groups.items():
-            if bits & ~row == 0:
-                topset |= targets
-        covered[row] = topset
-    return tuple(map(covered.__getitem__, rows))
-
-
 @dataclass(frozen=True)
 class MapTables:
     """Rows per map from m to k points, in `maps` order; the closed-set
@@ -400,6 +381,25 @@ class ContinuityGrids:
     spc: tuple[tuple[int, ...], ...]
 
 
+def _covered_targets(preimages: tuple[int, ...], rows: tuple[int, ...]):
+    """Per row, the topset of targets s with preimages[s] inside that row.
+
+    Targets that share a preimage maskset are tested together, and each
+    distinct row value is tested once.
+    """
+    groups: dict[int, int] = {}
+    for s, bits in enumerate(preimages):
+        groups[bits] = groups.get(bits, 0) | 1 << s
+    covered = {}
+    for row in set(rows):
+        topset = 0
+        for bits, targets in groups.items():
+            if bits & ~row == 0:
+                topset |= targets
+        covered[row] = topset
+    return tuple(map(covered.__getitem__, rows))
+
+
 @lru_cache(maxsize=None)
 def continuity_grids(m: int, k: int) -> ContinuityGrids:
     """Grids for every map from m to k points; see ContinuityGrids.
@@ -418,7 +418,7 @@ def continuity_grids(m: int, k: int) -> ContinuityGrids:
     return ContinuityGrids(tuple(pc_all), tuple(sc_all), tuple(spc_all))
 
 
-def closed_route_grid(m: int, k: int, semi: bool = False) -> tuple[tuple[int, ...], ...]:
+def closed_route_grid(m: int, k: int, semi: bool) -> tuple[tuple[int, ...], ...]:
     """pc (semi: spc) of continuity_grids(m, k) by closed sets: per map and
     source pair, the targets s whose closed sets Y - V all have preclosed
     (semipreclosed) preimages, X - f^-1(Y - V) being preopen (semipreopen).

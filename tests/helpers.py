@@ -379,7 +379,7 @@ def reference_continuity_grids(m: int, k: int):
     return tuple(pc_all), tuple(sc_all), tuple(spc_all)
 
 
-def reference_closed_route_grid(m: int, k: int, semi: bool = False):
+def reference_closed_route_grid(m: int, k: int, semi: bool):
     """Per map and source pair, the targets s such that X - f^-1(Y - V) is
     in the pair's po (semi: spo) maskset for every s-open V, tested open by
     open from the preimage rows, once per distinct maskset of a map. It
