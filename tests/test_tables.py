@@ -178,8 +178,10 @@ def test_continuity_grids_follow_patched_rows():
             mock.patch.object(helpers, "bispace_tables", lambda m: bt):
         got = dataclasses.astuple(continuity_grids.__wrapped__(3, 3))
         expected = reference_continuity_grids(3, 3)
-        closed = [closed_route_grid(3, 3, semi) for semi in (False, True)]
-        expected_closed = [reference_closed_route_grid(3, 3, s) for s in (False, True)]
+        closed, expected_closed = (
+            [route(3, 3, semi) for semi in (False, True)]
+            for route in (closed_route_grid, reference_closed_route_grid)
+        )
     assert got == expected
     assert got != dataclasses.astuple(continuity_grids(3, 3))
     assert closed == expected_closed
