@@ -992,14 +992,25 @@ def _ref_note_4_1(n: int):
 
 
 def _ref_continuity_levels(mt, grids, f: int, t_m: int) -> list[tuple]:
-    """Per source pair (t1, t2), in pair order: for each level in _LEVELS
-    order, the target topsets (direction (1,2), direction (2,1)) where map f
-    is continuous, semi-, pre- or sp-continuous, flattened into one tuple."""
+    """Per source pair (t1, t2), in pair order: for each level in
+    _REF_LEVELS order, the target topsets (direction (1,2), direction (2,1))
+    where map f is continuous, semi-, pre- or sp-continuous, flattened into
+    one tuple."""
     cont, sc, pc, spc = mt.cont[f], grids.sc[f], grids.pc[f], grids.spc[f]
     return [
         (cont[t1], cont[t2], sc[p], sc[q], pc[p], pc[q], spc[p], spc[q])
         for t1, t2, p, q in pair_rows(t_m)
     ]
+
+
+# the hierarchy's implications as (label, position of the level, position
+# of the implied level) in a _ref_continuity_levels tuple, written here
+# apart from the suite's own edge table
+_REF_LEVELS = ("cont", "sc", "pc", "spc")
+_REF_EDGES = tuple(
+    (f"{low}=>{high}", 2 * _REF_LEVELS.index(low), 2 * _REF_LEVELS.index(high))
+    for low, high in (("cont", "pc"), ("cont", "sc"), ("sc", "spc"), ("pc", "spc"))
+)
 
 
 def _ref_hierarchy(n: int):
@@ -1012,7 +1023,7 @@ def _ref_hierarchy(n: int):
         for f in range(len(mt.maps)):
             checked += t_m * t_m
             for pair, levels in enumerate(_ref_continuity_levels(mt, grids, f, t_m)):
-                for _, label, low, high in suites._EDGE_SLOTS:
+                for label, low, high in _REF_EDGES:
                     l1 = levels[low]
                     l2 = levels[low + 1]
                     if l1 and l2 and (l1 & ~levels[high] or l2 & ~levels[high + 1]):
@@ -1202,6 +1213,11 @@ FAULT_CASES = {
     "spcl-pair400-entry3": {"hull_tables": {
         3: lambda hulls: _flip_hull(hulls, 400, 3, 2, semi=True),
     }},
+    # the preclosure hull of the whole carrier in row 300 loses point 0:
+    # thm-3.6 reports membership and monotone lines
+    "pcl-pair300-entry7": {"hull_tables": {
+        3: lambda hulls: _flip_hull(hulls, 300, 7, 0),
+    }},
     # sets a wpo bit that po lacks: containment-without-squeeze
     "wpo-pair400-bit1": {"bispace_tables": {
         3: lambda bt: dataclasses.replace(bt, wpo=_flip_row(bt.wpo, 400, 1)),
@@ -1247,9 +1263,9 @@ FAULT_CASES = {
 }
 
 
-# case name -> topology-table corruption per n, as in FAULT_CASES.
-# closure-laws reads topology_tables alone, so these cases run it alone
-TOPOLOGY_FAULT_SUITES = ("closure-laws",)
+# case name -> topology-table corruption per n, as in FAULT_CASES; these
+# cases run the suites that read topology rows and no bispace row
+TOPOLOGY_FAULT_SUITES = ("closure-laws", "lemma-3.1", "note-3.4")
 TOPOLOGY_FAULT_CASES = {
     # the closure of the empty set gains point 1 in structure 5
     "cl-t5-entry0-bit1": {

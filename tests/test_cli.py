@@ -10,6 +10,7 @@ import pytest
 
 from bispacelab.cli import main
 from bispacelab.reports import parse_machine
+from bispacelab.suites import SET_SUITES
 
 
 def run_cli(*args, env_extra=None):
@@ -298,6 +299,19 @@ SUITE_DIGESTS = {
 }
 
 
+# sha256 of the other machine outputs the CI job pins: every cataloged
+# verdict and witness, the order of the 355 topologies on 4 points, and the
+# 13 set-level suites at n = 4
+OUTPUT_DIGESTS = {
+    ("verify-catalog",):
+        "0124d27748f626bebe974f08a69a8988a374ce6af635e6698d0734bed3f3cd05",
+    ("enumerate", "--n", "4"):
+        "e5195fbfcb5379dcf88d3de4cd9025ef8ddf29fc336dd91909dbedec14a28795",
+    ("suite", "--n", "4", "--which", ",".join(SET_SUITES)):
+        "7229c9a24982d04906ee0f5ac06175af635455a6903599bf7dcc4f904fe1040c",
+}
+
+
 def test_check_machine_output_is_pinned():
     data = Path(__file__).parent / "data"
     for name, digest in CHECK_DIGESTS.items():
@@ -309,6 +323,13 @@ def test_check_machine_output_is_pinned():
 def test_suite_machine_output_is_pinned():
     for args, digest in SUITE_DIGESTS.items():
         result = run_cli("--format", "machine", "suite", *args)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, args
+
+
+def test_catalog_enumeration_and_set_suite_outputs_are_pinned():
+    for args, digest in OUTPUT_DIGESTS.items():
+        result = run_cli("--format", "machine", *args)
         assert result.returncode == 0, result.stderr
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, args
 

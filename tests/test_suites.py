@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import random
@@ -165,6 +166,30 @@ def test_sampled_sweep_runs_with_seed():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize(
+    "predicate, wrong, kind, lines",
+    [
+        ("is_pairwise_semi_continuous", lambda true: False, "hierarchy", 80),
+        ("is_pairwise_sp_continuous", lambda true: False, "hierarchy-sp", 106),
+        ("closed_preimages_preclosed", operator.not_, "closed-characterization", 200),
+    ],
+)
+def test_sampled_sweep_reports_each_violation_kind(
+    predicate, wrong, kind, lines, processes
+):
+    # one reference predicate answers wrongly: the sampled sweep reports
+    # the kind of line that reads it, on every draw where the answer matters
+    true = getattr(suites.maps_mod, predicate)
+    with mock.patch.object(
+        suites.maps_mod, predicate, lambda *args: wrong(true(*args))
+    ):
+        results = run_theorem_suite(SuiteConfig(n=4, which=("hierarchy",), seed=7))
+    sampled = results[-1]
+    assert sampled.name == "sampled-maps-n4"
+    assert {line.split()[0] for line in sampled.violations} == {kind}
+    assert len(sampled.violations) == lines
+
+
 def test_sampled_sweep_deterministic_for_fixed_seed():
     def run():
         return "".join(
@@ -238,7 +263,7 @@ def test_fault_cases_fire_every_row_comparison_kind():
 def test_topology_fault_cases_fire_every_closure_law():
     kinds = set()
     for case in TOPOLOGY_FAULT_CASES:
-        (result,) = fault_injection_results(case)
+        (result,) = fault_injection_results(case, which=("closure-laws",))
         kinds.update(line.split()[0] for line in result.violations)
     assert kinds == {
         "closure-of-empty", "expansive", "idempotent", "interior-duality",
