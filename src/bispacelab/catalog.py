@@ -15,13 +15,12 @@ from typing import Callable, Mapping, Optional
 
 from . import maps as maps_mod
 from . import props
-from .finite import PointSet
+from .finite import CarrierSet
 from .props import Bispace
 from .reports import ClaimOutcome, Report, render_value
 from .symbolic import (
     AtomUniverse,
     SchematicFamily,
-    SymSet,
     countable,
     is_countable,
     singleton,
@@ -69,7 +68,7 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _resolve_set(entry: CatalogEntry, value, on: str):
-    if isinstance(value, (SymSet, PointSet)):
+    if isinstance(value, CarrierSet):
         return value
     if isinstance(value, str):
         try:

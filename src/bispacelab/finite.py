@@ -6,8 +6,9 @@ The gap between "some open set sits between A and its closure" and
 "A sits inside the interior of its closure" cannot open up on a finite
 carrier; separating those two conditions is the symbolic backend's job.
 
-Points are the integers 0..n-1 and subsets are bitmasks, so brute force
-over all subsets and all open families is cheap up to n = 4.
+Points are the integers 0..n-1 and subsets are bitmasks (PointSet, on the
+CarrierSet algebra both backends share), so brute force over all subsets
+and all open families is cheap up to n = 4.
 """
 
 from __future__ import annotations
@@ -27,10 +28,61 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class PointSet:
-    """Immutable subset of a finite carrier, bitmask-backed."""
+class CarrierSet:
+    """Immutable subset of an ordered finite carrier, bitmask-backed, with
+    the set algebra written once.
 
-    __slots__ = ("size", "mask")
+    A subclass names its carrier: `_check(other)` raises unless other lives
+    on the same carrier, `_on_carrier(mask)` builds a set on it, and
+    `_carrier_size()` counts its elements.
+    """
+
+    __slots__ = ("mask",)
+
+    def union(self, other: CarrierSet) -> CarrierSet:
+        self._check(other)
+        return self._on_carrier(self.mask | other.mask)
+
+    def intersection(self, other: CarrierSet) -> CarrierSet:
+        self._check(other)
+        return self._on_carrier(self.mask & other.mask)
+
+    def difference(self, other: CarrierSet) -> CarrierSet:
+        self._check(other)
+        return self._on_carrier(self.mask & ~other.mask)
+
+    def complement(self) -> CarrierSet:
+        return self._on_carrier(self.mask ^ ((1 << self._carrier_size()) - 1))
+
+    def issubset(self, other: CarrierSet) -> bool:
+        self._check(other)
+        return self.mask & ~other.mask == 0
+
+    __or__ = union
+    __and__ = intersection
+    __sub__ = difference
+    __le__ = issubset
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def is_empty(self) -> bool:
+        return self.mask == 0
+
+    @property
+    def is_whole(self) -> bool:
+        return self.mask == (1 << self._carrier_size()) - 1
+
+    def __hash__(self) -> int:
+        # equal sets may hold distinct but equal carriers, so hash the size
+        return hash((self._carrier_size(), self.mask))
+
+
+class PointSet(CarrierSet):
+    """Immutable subset of the carrier 0..size-1."""
+
+    __slots__ = ("size",)
 
     def __init__(self, size: int, mask: int = 0):
         if size < 1:
@@ -61,46 +113,17 @@ class PointSet:
         if self.size != other.size:
             raise ValueError("point sets live on different carriers")
 
-    def union(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.size, self.mask | other.mask)
+    def _on_carrier(self, mask: int) -> "PointSet":
+        return PointSet(self.size, mask)
 
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.size, self.mask & other.mask)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.size, self.mask & ~other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.size, self.mask ^ ((1 << self.size) - 1))
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __le__ = issubset
+    def _carrier_size(self) -> int:
+        return self.size
 
     def __contains__(self, point: int) -> bool:
         return 0 <= point < self.size and (self.mask >> point) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return bit_indices(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_whole(self) -> bool:
-        return self.mask == (1 << self.size) - 1
 
     def points(self) -> tuple[int, ...]:
         return tuple(self)
@@ -116,8 +139,7 @@ class PointSet:
             and self.mask == other.mask
         )
 
-    def __hash__(self) -> int:
-        return hash((self.size, self.mask))
+    __hash__ = CarrierSet.__hash__
 
     def __repr__(self) -> str:
         return "{" + ",".join(str(p) for p in self) + "}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .finite import PointSet
+from .finite import CarrierSet, PointSet
 from .props import (
     Bispace,
     PAIRS,
@@ -37,8 +37,6 @@ from .props import (
     subspace,
 )
 from .symbolic import AtomUniverse, SymSet
-
-AnySet = Union[PointSet, SymSet]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ AnyMap = Union[FiniteMap, AtomMap]
 # Quantifying over the target's opens by what their preimages can be
 # ---------------------------------------------------------------------------
 
-def preimage_test_sets(target_space, f: AnyMap) -> Sequence[AnySet]:
+def preimage_test_sets(target_space, f: AnyMap) -> Sequence[CarrierSet]:
     """Target sets whose preimages exhaust all preimages of open sets.
 
     A preimage only depends on the open's meet with the image points, so
@@ -240,7 +238,7 @@ def is_pairwise_sp_continuous(f: AnyMap, bx: Bispace, by: Bispace) -> bool:
     )
 
 
-def check_closure_preservation(f: AnyMap, space_x, space_y, a: AnySet) -> bool:
+def check_closure_preservation(f: AnyMap, space_x, space_y, a: CarrierSet) -> bool:
     """image(closure(a)) <= closure(image(a)) between two single structures."""
     _check_compatible(f, space_x, space_y)
     return f.image(space_x.closure(a)).issubset(space_y.closure(f.image(a)))
@@ -355,7 +353,7 @@ def precontinuity_consequences(
     )
 
 
-def restrict_map(f: AnyMap, bx: Bispace, region: AnySet) -> tuple[AnyMap, Bispace]:
+def restrict_map(f: AnyMap, bx: Bispace, region: CarrierSet) -> tuple[AnyMap, Bispace]:
     """Restrict a map to a region open in both source structures.
 
     Returns the restricted map together with the sub-bispace it now lives

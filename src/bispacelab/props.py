@@ -12,17 +12,15 @@ backends' open_traces(), exact on both (see its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .finite import FiniteSpace, PointSet
-from .symbolic import SchematicFamily, SymSet
-
-AnySet = Union[PointSet, SymSet]
+from .finite import CarrierSet, FiniteSpace
+from .symbolic import SchematicFamily
 
 
 class Witnessed(NamedTuple):
     holds: bool
-    witness: Optional[AnySet]
+    witness: Optional[CarrierSet]
 
 
 PAIRS = ((1, 2), (2, 1))
@@ -65,13 +63,13 @@ class Bispace:
 # Single-space predicates
 # ---------------------------------------------------------------------------
 
-def is_preopen(space, a: AnySet) -> Witnessed:
+def is_preopen(space, a: CarrierSet) -> Witnessed:
     """Some open U with a <= U <= closure(a)."""
     w = space.open_between(a, space.closure(a))
     return Witnessed(w is not None, w)
 
 
-def is_weakly_preopen(space, a: AnySet) -> bool:
+def is_weakly_preopen(space, a: CarrierSet) -> bool:
     """a <= interior(closure(a))."""
     return a.issubset(space.interior(space.closure(a)))
 
@@ -80,30 +78,30 @@ def is_weakly_preopen(space, a: AnySet) -> bool:
 # Pairwise predicates
 # ---------------------------------------------------------------------------
 
-def is_ij_preopen(bispace: Bispace, pair, a: AnySet) -> Witnessed:
+def is_ij_preopen(bispace: Bispace, pair, a: CarrierSet) -> Witnessed:
     """Some space_i-open U with a <= U <= closure_j(a)."""
     i, j = check_pair(pair)
     w = bispace.space(i).open_between(a, bispace.space(j).closure(a))
     return Witnessed(w is not None, w)
 
 
-def is_ij_weakly_preopen(bispace: Bispace, pair, a: AnySet) -> bool:
+def is_ij_weakly_preopen(bispace: Bispace, pair, a: CarrierSet) -> bool:
     """a <= interior_i(closure_j(a))."""
     i, j = check_pair(pair)
     return a.issubset(bispace.space(i).interior(bispace.space(j).closure(a)))
 
 
-def is_pairwise_preopen(bispace: Bispace, a: AnySet) -> bool:
+def is_pairwise_preopen(bispace: Bispace, a: CarrierSet) -> bool:
     return is_ij_preopen(bispace, (1, 2), a).holds and is_ij_preopen(bispace, (2, 1), a).holds
 
 
-def is_ij_semiopen(bispace: Bispace, pair, a: AnySet) -> bool:
+def is_ij_semiopen(bispace: Bispace, pair, a: CarrierSet) -> bool:
     """Some space_i-open O with O <= a <= closure_j(O)."""
     i, j = check_pair(pair)
     return bispace.space(i).semiopen_under(bispace.space(j), a)
 
 
-def is_ij_semipreopen(bispace: Bispace, pair, a: AnySet) -> Witnessed:
+def is_ij_semipreopen(bispace: Bispace, pair, a: CarrierSet) -> Witnessed:
     """Some (i,j)-preopen U with U <= a <= closure_j(U).
 
     The witness ranges over representable sets inside `a`, smallest
@@ -127,17 +125,17 @@ def is_ij_semipreopen(bispace: Bispace, pair, a: AnySet) -> Witnessed:
     return Witnessed(False, None)
 
 
-def is_ij_preclosed(bispace: Bispace, pair, a: AnySet) -> bool:
+def is_ij_preclosed(bispace: Bispace, pair, a: CarrierSet) -> bool:
     """The complement is (i,j)-preopen."""
     return is_ij_preopen(bispace, pair, a.complement()).holds
 
 
-def is_ij_semipreclosed(bispace: Bispace, pair, a: AnySet) -> bool:
+def is_ij_semipreclosed(bispace: Bispace, pair, a: CarrierSet) -> bool:
     """The complement is (i,j)-semipreopen."""
     return is_ij_semipreopen(bispace, pair, a.complement()).holds
 
 
-def _hull(bispace: Bispace, pair, a: AnySet, closed) -> AnySet:
+def _hull(bispace: Bispace, pair, a: CarrierSet, closed) -> CarrierSet:
     """Intersection of the representable supersets s of a where closed(s)."""
     check_pair(pair)
     out = bispace.space(1).whole()
@@ -147,7 +145,7 @@ def _hull(bispace: Bispace, pair, a: AnySet, closed) -> AnySet:
     return out
 
 
-def pcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
+def pcl(bispace: Bispace, pair, a: CarrierSet) -> CarrierSet:
     """Intersection of the representable (i,j)-preclosed supersets of a.
 
     Exact on finite backends; algebra-relative on symbolic ones.
@@ -155,12 +153,12 @@ def pcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
     return _hull(bispace, pair, a, is_ij_preclosed)
 
 
-def spcl(bispace: Bispace, pair, a: AnySet) -> AnySet:
+def spcl(bispace: Bispace, pair, a: CarrierSet) -> CarrierSet:
     """Intersection of the representable (i,j)-semipreclosed supersets of a."""
     return _hull(bispace, pair, a, is_ij_semipreclosed)
 
 
-def closed_supersets_interior(bispace: Bispace, pair, a: AnySet) -> bool:
+def closed_supersets_interior(bispace: Bispace, pair, a: CarrierSet) -> bool:
     """Does every space_j-closed set containing `a` have interior_i covering `a`?
 
     Quantifies over all closed sets of space_j, one X - touched per open
@@ -186,7 +184,7 @@ def closed_supersets_interior(bispace: Bispace, pair, a: AnySet) -> bool:
 # Subspaces
 # ---------------------------------------------------------------------------
 
-def subspace(bispace: Bispace, region: AnySet) -> Bispace:
+def subspace(bispace: Bispace, region: CarrierSet) -> Bispace:
     """Trace bispace on `region`; finite points are relabelled positionally."""
     return Bispace(bispace.first.restrict(region), bispace.second.restrict(region))
 

@@ -1432,9 +1432,12 @@ def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
 #
 # Suite indices wait in one pipe, one byte each, written before the first
 # fork; a one-byte read is atomic, so each process takes the next free
-# suite. A worker sends its SuiteResult fields through its own pipe, in
-# marshal form, once the task pipe is empty or a suite raised, and leaves
-# by os._exit, so it never returns into its parent's frames and writes
+# suite. They are written last suite first, because the longest suites sit
+# late in the table (at n = 4, thm-3.5 and the sampled sweep), and a long
+# suite that starts last leaves the other processes idle while it runs. A
+# worker sends its SuiteResult fields through its own pipe, in marshal
+# form, once the task pipe is empty or a suite raised, and leaves by
+# os._exit, so it never returns into its parent's frames and writes
 # nothing to stdout or stderr.
 
 def _worker_count(suite_count: int) -> int:
@@ -1487,7 +1490,7 @@ def _run_forked(
     reaped before this returns or raises."""
     results: list[Optional[SuiteResult]] = [None] * len(suites)
     tasks, queue = os.pipe()
-    os.write(queue, bytes(range(len(suites))))
+    os.write(queue, bytes(reversed(range(len(suites)))))
     os.close(queue)
     pipes: dict[int, int] = {}  # worker pid -> read end of its result pipe
     try:

@@ -2,7 +2,8 @@
 
 A universe is a finite partition of an abstract ground set into atoms, each
 tagged as a single point, a countably infinite block, or an uncountable
-block. The representable sets (the "atom algebra") are the unions of atoms.
+block. The representable sets (the "atom algebra") are the unions of atoms,
+each a SymSet: a CarrierSet bitmask over the universe's atom order.
 
 A schematic family is the open structure
 
@@ -40,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .finite import FiniteSpace, PointSet, canonical_masks
+from .finite import CarrierSet, FiniteSpace, PointSet, canonical_masks
 
 
 class Cardinality(enum.Enum):
@@ -148,10 +149,10 @@ class AtomUniverse:
         return "AtomUniverse[" + ",".join(a.id for a in self.atoms) + "]"
 
 
-class SymSet:
-    """Immutable union of atoms of one universe, bitmask-backed."""
+class SymSet(CarrierSet):
+    """Immutable union of atoms of one universe."""
 
-    __slots__ = ("universe", "mask")
+    __slots__ = ("universe",)
 
     def __init__(self, universe: AtomUniverse, mask: int = 0):
         if mask < 0 or mask >> len(universe):
@@ -163,33 +164,15 @@ class SymSet:
         if not self.universe.same_as(other.universe):
             raise ValueError("sets live in different universes")
 
-    def union(self, other: "SymSet") -> "SymSet":
-        self._check(other)
-        return SymSet(self.universe, self.mask | other.mask)
+    def _on_carrier(self, mask: int) -> "SymSet":
+        return SymSet(self.universe, mask)
 
-    def intersection(self, other: "SymSet") -> "SymSet":
-        self._check(other)
-        return SymSet(self.universe, self.mask & other.mask)
-
-    def difference(self, other: "SymSet") -> "SymSet":
-        self._check(other)
-        return SymSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "SymSet":
-        return SymSet(self.universe, self.mask ^ ((1 << len(self.universe)) - 1))
-
-    def issubset(self, other: "SymSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
+    def _carrier_size(self) -> int:
+        return len(self.universe)
 
     def disjoint(self, other: "SymSet") -> bool:
         self._check(other)
         return self.mask & other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __le__ = issubset
 
     def contains_atom(self, id: str) -> bool:
         return (self.mask >> self.universe.position(id)) & 1 == 1
@@ -205,17 +188,6 @@ class SymSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.atom_ids())
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_whole(self) -> bool:
-        return self.mask == (1 << len(self.universe)) - 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymSet)
@@ -223,9 +195,7 @@ class SymSet:
             and self.mask == other.mask
         )
 
-    def __hash__(self) -> int:
-        # same_as compares atoms, so equal sets may hold distinct universes
-        return hash((len(self.universe), self.mask))
+    __hash__ = CarrierSet.__hash__
 
     def __repr__(self) -> str:
         return "{" + ",".join(self.atom_ids()) + "}"
