@@ -2,11 +2,13 @@
 """The preopenness zoo: every cataloged separation, replayed live.
 
 Each entry of the counterexample catalog encodes one universe together
-with the verdicts it must produce. This demo walks the separations in
-order of strength and lets the verifier recompute everything.
+with the verdicts it must produce, as a space document that
+`bispace-lab check` replays. This demo walks the separations in order of
+strength and lets the verifier recompute everything.
 """
 
-from bispacelab.catalog import CATALOG_IDS, build_example, verify_entry
+from bispacelab import cli
+from bispacelab.catalog import CATALOG_IDS, ENTRIES, build_example, verify_entry
 from bispacelab.props import (
     is_ij_preopen,
     is_ij_semiopen,
@@ -62,3 +64,9 @@ print("== full catalog verification ==")
 for entry_id in CATALOG_IDS:
     report = verify_entry(build_example(entry_id))
     print(f"  {report.entry}: {report.summary} ({len(report.outcomes)} claims)")
+
+print()
+print("== one entry replayed from its document by `bispace-lab check` ==")
+doc = ENTRIES / "ex-3.5.json"
+print(f"$ bispace-lab check {doc.name}")
+cli.main(["check", str(doc)])

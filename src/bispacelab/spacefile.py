@@ -3,50 +3,70 @@
 A document describes either a finite bispace (carrier size plus two open-set
 lists given as sorted point arrays) or a symbolic one (atom list with
 cardinality tags plus two region/mandatory family descriptions), optionally
-with named sets and claims. Claims use the claim vocabulary of
+with named sets and claims. A symbolic document may also describe a map
+into a second symbolic bispace. Claims use the claim vocabulary of
 catalog.PREDICATES; a document without claims gets the default battery
-(every set predicate on every named set, values recorded).
+(every set predicate on every named set of the source, values recorded).
+The catalog entries are documents of this format.
 
 Grammar sketch (JSON subset):
 
     document  = finite | symbolic
     finite    = { "kind": "finite", "carrier": int,
                   "opens1": [[int*]*], "opens2": [[int*]*],
-                  sets?, claims? }
-    symbolic  = { "kind": "symbolic", "atoms": [atom+],
-                  "family1": family, "family2": family,
-                  sets?, claims? }
+                  texts, sets?, claims? }
+    symbolic  = { "kind": "symbolic", bispace, texts, sets?, map?, claims? }
+    bispace   = "atoms": [atom+], "family1": family, "family2": family
+    texts     = "id"?: string, "title"?: string, "note"?: string
     atom      = { "id": string, "cardinality": "singleton" | "countable"
                   | "uncountable", "label"?: string }
     family    = { "region": [string*], "mandatory": [string*] }
     sets      = "sets": { name: [int* | string*] }
+    map       = "map": { "target": { bispace, sets? },
+                  "assignment": { string: string } }
     claims    = "claims": [ { "predicate": string, "set"?: name | [..],
                   "set2"?, "witness"?, "pair"?: [int, int], "space"?: int,
-                  "expected"?: bool | [..], "note"?: string } ]
+                  "on"?: side, "expected_on"?: side,
+                  "expected"?: bool | [..], "expected_witness"?: name | [..],
+                  "note"?: string } ]
+    side      = "source" | "target"
 
 Points are JSON integers (not true/false) and atom ids are strings. Each
 claim names the set arguments its predicate reads ("set", and "set2" or
 "witness") and "pair" if it reads one; "expected" is a boolean, or for a
-set-valued predicate an array of members. A claim that could not be
-evaluated is rejected when parsed.
+set-valued predicate an array of members. "expected_witness" is the witness
+a passing claim must also find. A claim that could not be evaluated is
+rejected when parsed.
+
+A map sends each source atom to a single-point atom of the target. Names in
+the target's "sets" live on the target and share one namespace with the
+source's. Only a document with a map may make the seven map predicates or
+use "on" and "expected_on": "on" is the carrier the claim's sets and space
+live on (default "source"; preimage reads a target set, and the other
+predicates that read the map or the bispace read source sets), and
+"expected_on" the carrier of a set-valued "expected" (default "on"). "id",
+"title" and "note" name the report; a document without them is reported as
+file:<name>.
 
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
-symbolic universe at most MAX_ATOMS (12) atoms. The set predicates search
-the whole subset lattice, 2^n sets, so a default `check` of two named sets
-takes 2-6 s at the limit on a 2-vCPU machine, and each extra point or atom
-roughly triples that.
+symbolic universe (a map's target too) at most MAX_ATOMS (12) atoms. The
+set predicates search the whole subset lattice, 2^n sets, so a default
+`check` of two named sets takes 2-6 s at the limit on a 2-vCPU machine,
+and each extra point or atom roughly triples that.
 Larger documents are rejected with a SpaceFileError naming the limit,
 before any set, space or universe is built.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional
 
 from .catalog import PREDICATES, CatalogEntry, Claim, verify_entry
 from .finite import FiniteSpace, PointSet, SpaceAxiomError
+from .maps import AtomMap
 from .props import Bispace
 from .reports import Report
 from .symbolic import Atom, AtomUniverse, Cardinality, SchematicFamily
@@ -60,8 +80,8 @@ _CARDINALITIES = {
     "uncountable": Cardinality.UNCOUNTABLE,
 }
 
-# Claims a user file may make: the catalog predicates that read no map,
-# since files cannot describe one. Those marked `relative`
+# Claims any user file may make: the catalog predicates that read no map;
+# the others need a map section. Those marked `relative`
 # (is_ij_semipreopen, is_ij_semipreclosed, pcl, spcl) are algebra-relative
 # on symbolic documents and flagged as such in the report.
 FILE_PREDICATES = tuple(
@@ -225,10 +245,32 @@ def _parse_sets(doc: dict, bispace: Bispace, where: str) -> dict:
     return named
 
 
-def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list[Claim]:
-    """Claims whose arguments and expected value are all checked here, so
-    evaluating them cannot fail on the document's contents."""
-    symbolic = bispace.is_symbolic
+def _parse_map(raw, source: Bispace, where: str):
+    """(map, target bispace, target named sets) of a map section."""
+    if not isinstance(raw, dict):
+        _fail(where, "must be an object with target and assignment")
+    target_doc = _require(raw, "target", where)
+    if not isinstance(target_doc, dict):
+        _fail(f"{where}.target", "must be an object")
+    target = _parse_symbolic(target_doc, f"{where}.target")
+    named = _parse_sets(target_doc, target, f"{where}.target")
+    assignment = _require(raw, "assignment", where)
+    if not isinstance(assignment, dict) or any(
+        not isinstance(v, str) for v in assignment.values()
+    ):
+        _fail(f"{where}.assignment", "must be an object of atom id -> atom id")
+    try:
+        map_ = AtomMap(source.first.universe, target.first.universe, assignment)
+    except (KeyError, ValueError) as e:
+        _fail(f"{where}.assignment", str(e.args[0]))
+    return map_, target, named
+
+
+def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
+    """Claims on `entry` whose arguments and expected value are all checked
+    here, so evaluating them cannot fail on the document's contents."""
+    symbolic = entry.bispace.is_symbolic
+    carriers = {"source": entry.bispace, "target": entry.target_bispace}
     claims = []
     if not isinstance(raw_claims, list):
         _fail(where, "claims must be a list")
@@ -237,30 +279,51 @@ def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list
         if not isinstance(c, dict):
             _fail(loc, "must be an object")
         predicate = c.get("predicate")
-        if predicate not in FILE_PREDICATES:
-            _fail(
-                f"{loc}.predicate",
-                f"unknown or unsupported predicate {predicate!r}",
-            )
+        spec = PREDICATES.get(predicate) if isinstance(predicate, str) else None
+        if spec is None:
+            _fail(f"{loc}.predicate", f"unknown predicate {predicate!r}")
+        if "map" in spec.reads and entry.map_ is None:
+            _fail(f"{loc}.predicate", f"{predicate} needs a map section")
         if predicate == "is_countable" and not symbolic:
             _fail(f"{loc}.predicate", "is_countable applies to symbolic documents")
         if predicate == "limit_points" and symbolic:
             _fail(f"{loc}.predicate", "limit_points applies to finite documents")
         args = {}
+        for key in ("on", "expected_on"):
+            if key in c:
+                if entry.map_ is None:
+                    _fail(f"{loc}.{key}", "needs a map section")
+                if c[key] not in ("source", "target"):
+                    _fail(f"{loc}.{key}", "must be 'source' or 'target'")
+                args[key] = c[key]
+        on = args.get("on", "source")
+        if predicate == "preimage":
+            side = "target"
+        elif "map" in spec.reads or "bispace" in spec.reads:
+            side = "source"
+        else:
+            side = on
+        if on != side:
+            _fail(f"{loc}.on", f"must be {side!r} for {predicate}")
+        bispace = carriers[on]
         resolved = {}
-        for key in ("set", "set2", "witness"):
+        for key in ("set", "set2", "witness", "expected_witness"):
             if key in c:
                 v = c[key]
                 if isinstance(v, str):
-                    if v not in named:
+                    s = entry.named_sets.get(v)
+                    if s is None:
                         _fail(f"{loc}.{key}", f"unknown named set {v!r}")
-                    resolved[key] = named[v]
+                    if bispace.is_symbolic and not s.universe.same_as(
+                        bispace.first.universe
+                    ):
+                        _fail(f"{loc}.{key}", f"named set {v!r} is not on the {on}")
+                    resolved[key] = s
                 elif isinstance(v, list):
                     resolved[key] = _members(bispace, v, f"{loc}.{key}")
                 else:
                     _fail(f"{loc}.{key}", "must be a set name or an array of members")
                 args[key] = v
-        spec = PREDICATES[predicate]
         required = [key for key in spec.reads if key in ("set", "set2", "witness")]
         if "pair" in spec.reads:
             required.append("pair")
@@ -287,7 +350,8 @@ def _parse_claims(raw_claims, named: dict, bispace: Bispace, where: str) -> list
         expected = c.get("expected")
         if spec.set_valued:
             if expected is not None:
-                _members(bispace, expected, f"{loc}.expected")
+                side = args.get("expected_on", on)
+                _members(carriers[side], expected, f"{loc}.expected")
                 expected = list(expected)
         elif expected is not None and not isinstance(expected, bool):
             _fail(f"{loc}.expected", "must be true, false or null")
@@ -336,22 +400,33 @@ def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
     else:
         _fail(f"{name}.kind", f"must be 'finite' or 'symbolic', got {kind!r}")
     named = _parse_sets(doc, bispace, name)
-    raw_claims = doc.get("claims", [])
-    claims = _parse_claims(raw_claims, named, bispace, f"{name}.claims")
+    map_ = target = None
+    target_named = {}
+    if "map" in doc:
+        if kind != "symbolic":
+            _fail(f"{name}.map", "applies to symbolic documents")
+        map_, target, target_named = _parse_map(doc["map"], bispace, f"{name}.map")
+        for set_name in target_named:
+            if set_name in named:
+                _fail(f"{name}.map.target.sets.{set_name}", "also names a source set")
+    texts = []
+    for key, default in (
+        ("id", f"file:{name}"),
+        ("title", f"user document ({kind})"),
+        ("note", ""),
+    ):
+        texts.append(doc.get(key, default))
+        if not isinstance(texts[-1], str):
+            _fail(f"{name}.{key}", "must be a string")
+    entry = CatalogEntry(*texts, bispace, {**named, **target_named}, (), map_, target)
+    claims = _parse_claims(doc.get("claims", []), entry, f"{name}.claims")
     if not claims:
         claims = [
             Claim(pred, {**base, "set": set_name})
             for set_name in named
             for pred, base in _BATTERY
         ]
-    return CatalogEntry(
-        f"file:{name}",
-        f"user document ({kind})",
-        "",
-        bispace,
-        named,
-        tuple(claims),
-    )
+    return dataclasses.replace(entry, claims=tuple(claims))
 
 
 def check_user_file(path, claims_path: Optional[str] = None) -> Report:
@@ -359,7 +434,7 @@ def check_user_file(path, claims_path: Optional[str] = None) -> Report:
 
     Claims from `claims_path` (an object with a "claims" list, or a bare
     list) are appended to the document's own claims; with neither, the
-    default battery runs over all named sets.
+    default battery runs over the source's named sets.
     """
     path = Path(path)
     entry = parse_spacefile(_read_text(path), path.name)
@@ -367,18 +442,6 @@ def check_user_file(path, claims_path: Optional[str] = None) -> Report:
         claims_file = Path(claims_path)
         raw = _load_json(_read_text(claims_file), claims_file.name)
         raw_claims = raw.get("claims", raw) if isinstance(raw, dict) else raw
-        extra = _parse_claims(
-            raw_claims,
-            entry.named_sets,
-            entry.bispace,
-            f"{claims_file.name}.claims",
-        )
-        entry = CatalogEntry(
-            entry.entry_id,
-            entry.title,
-            entry.note,
-            entry.bispace,
-            entry.named_sets,
-            entry.claims + tuple(extra),
-        )
+        extra = _parse_claims(raw_claims, entry, f"{claims_file.name}.claims")
+        entry = dataclasses.replace(entry, claims=entry.claims + tuple(extra))
     return verify_entry(entry)

@@ -150,19 +150,6 @@ def _check_lemma_3_1(n: int) -> tuple[int, list[str]]:
     return sum(map(len, top.opens)) << n, violations
 
 
-def _row_reads(rows, t_count: int) -> list[tuple[int, int, int, int]]:
-    """(t1, t2, direction, row) for every read of the given rows, in sweep
-    order: row a * t_count + b is direction (1,2) at pair (a, b) and
-    direction (2,1) at pair (b, a)."""
-    reads = []
-    for row in rows:
-        a, b = divmod(row, t_count)
-        reads.append((a, b, 0, row))
-        reads.append((b, a, 1, row))
-    reads.sort()
-    return reads
-
-
 def _row_check(bt, column, faults, sep: str) -> tuple[int, list[str]]:
     """(checked, violations) at one carrier size of a suite whose verdict on
     a read depends on the read's row alone.
@@ -170,7 +157,7 @@ def _row_check(bt, column, faults, sep: str) -> tuple[int, list[str]]:
     `column` gives each row of `bt` its key, laid out like `bt.po`, and
     `faults(key)` gives ``(checked, [(kind, where), ...])`` for one read of a
     row with that key; it runs once per distinct key. Each row is read twice
-    (see `_row_reads`), so it counts twice, and a failing row is reported at
+    (see `pair_rows`), so it counts twice, and a failing row is reported at
     both reads as ``{kind} n=.. pair=(t1,{sep}t2) dir=.. {where}``.
     """
     column = list(column)
@@ -181,39 +168,42 @@ def _row_check(bt, column, faults, sep: str) -> tuple[int, list[str]]:
         checked += 2 * count * key_checked
         if key_faults:
             found[key] = key_faults
-    if not found:  # before the failing-row list, which hashes every key
+    if not found:  # before the walk, which looks up every read's key
         return checked, []
-    failing = [row for row, key in enumerate(column) if key in found]
     violations = []
-    for t1, t2, direction, row in _row_reads(failing, bt.top.count):
-        for kind, where in found[column[row]]:
-            violations.append(
-                f"{kind} n={bt.top.n} pair=({t1},{sep}{t2}) "
-                f"dir={_dir_name(direction)} {where}"
-            )
+    for t1, t2, pair, swapped in pair_rows(bt.top.count):
+        for direction, row in enumerate((pair, swapped)):
+            for kind, where in found.get(column[row], ()):
+                violations.append(
+                    f"{kind} n={bt.top.n} pair=({t1},{sep}{t2}) "
+                    f"dir={_dir_name(direction)} {where}"
+                )
     return checked, violations
 
 
 def _check_c1_iff_c2(n: int) -> tuple[int, list[str]]:
-    """A carrier size whose po and wpo arrays are equal passes whole; only
-    otherwise are its rows keyed on (po, wpo) and compared."""
+    """A carrier size whose po and wpo rows are equal passes whole; only
+    otherwise are they compared read by read."""
     bt = bispace_tables(n)
-    if bt.po == bt.wpo:
-        # every row is read in both directions, over all 2^n subsets
-        return 2 * bt.top.count ** 2 << n, []
-
-    def faults(key):
-        po, wpo = key
-        found = []
-        for kind, bits in (
-            ("squeeze-without-containment", po & ~wpo),
-            ("containment-without-squeeze", wpo & ~po),
-        ):
-            if bits:
-                found.append((kind, f"A={_ps(n, (bits & -bits).bit_length() - 1)}"))
-        return 1 << n, found
-
-    return _row_check(bt, zip(bt.po, bt.wpo), faults, " ")
+    # every row is read in both directions, over all 2^n subsets
+    checked = 2 * bt.top.count ** 2 << n
+    # the arrays under the views compare in C, without a copy
+    if bt.po.obj == bt.wpo.obj:
+        return checked, []
+    violations = []
+    for t1, t2, pair, swapped in pair_rows(bt.top.count):
+        for direction, row in enumerate((pair, swapped)):
+            po, wpo = bt.po[row], bt.wpo[row]
+            for kind, bits in (
+                ("squeeze-without-containment", po & ~wpo),
+                ("containment-without-squeeze", wpo & ~po),
+            ):
+                if bits:
+                    violations.append(
+                        f"{kind} n={n} pair=({t1}, {t2}) dir={_dir_name(direction)} "
+                        f"A={_ps(n, (bits & -bits).bit_length() - 1)}"
+                    )
+    return checked, violations
 
 
 def _check_open_implies_preopen(n: int) -> tuple[int, list[str]]:
@@ -228,37 +218,28 @@ def _check_open_implies_preopen(n: int) -> tuple[int, list[str]]:
     # checks against the opens of t_a; it passes iff those opens lie in
     # po & so and po | so lies in spo
     checked = 6 * t_count * t_count
-    opens_rows = array(po_table.typecode)
+    opens_rows = array(po_table.format)
     for bits in bt.top.openbits:
-        opens_rows += array(po_table.typecode, (bits,)) * t_count
+        opens_rows += array(po_table.format, (bits,)) * t_count
     opens_all, po_all, so_all, spo_all = (
         int.from_bytes(rows, "little")
         for rows in (opens_rows, po_table, so_table, spo_table)
     )
     if not (opens_all & ~(po_all & so_all) or (po_all | so_all) & ~spo_all):
         return checked, []
-    opens_i = list(opens_rows)
-    covered = map(operator.and_, map(operator.and_, opens_i, po_table), so_table)
-    joined = map(operator.or_, map(operator.or_, po_table, so_table), spo_table)
-    fails = map(
-        operator.or_,
-        map(operator.ne, covered, opens_i),
-        map(operator.ne, joined, spo_table),
-    )
     violations = []
-    for t1, t2, _, row in _row_reads(
-        itertools.compress(itertools.count(), fails), t_count
-    ):
-        opens = opens_i[row]
-        po = po_table[row]
-        so = so_table[row]
-        spo = spo_table[row]
-        if opens & ~po:
-            violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
-        if opens & ~so:
-            violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
-        if (po | so) & ~spo:
-            violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
+    for t1, t2, pair, swapped in pair_rows(t_count):
+        for row in (pair, swapped):
+            opens = opens_rows[row]
+            po = po_table[row]
+            so = so_table[row]
+            spo = spo_table[row]
+            if opens & ~po:
+                violations.append(f"open-not-preopen n={n} pair=({t1},{t2})")
+            if opens & ~so:
+                violations.append(f"open-not-semiopen n={n} pair=({t1},{t2})")
+            if (po | so) & ~spo:
+                violations.append(f"not-semipreopen n={n} pair=({t1},{t2})")
     return checked, violations
 
 
@@ -297,7 +278,8 @@ def _check_thm_3_1(n: int) -> tuple[int, list[str]]:
 def _check_thm_3_2(n: int) -> tuple[int, list[str]]:
     """Per (t_i, t_j), the condition maskset is every subset minus, for each
     tau_j-closed g, the subsets of g that are not subsets of int_i g; it is
-    laid out like the po rows and compared with them row by row."""
+    laid out like the po rows and compared with them whole, then read by
+    read only where they differ."""
     bt = bispace_tables(n)
     top = bt.top
     every = (1 << (1 << n)) - 1
@@ -310,20 +292,24 @@ def _check_thm_3_2(n: int) -> tuple[int, list[str]]:
         for closed_j in closed:
             bad = functools.reduce(operator.or_, [escapes[g] for g in closed_j])
             cond_table.append(every & ~bad)
-    failing = itertools.compress(
-        itertools.count(), map(operator.ne, bt.po, cond_table)
-    )
-    violations = []
-    for t1, t2, direction, row in _row_reads(failing, top.count):
-        po = bt.po[row]
-        diff = po ^ cond_table[row]
-        a = (diff & -diff).bit_length() - 1
-        side = "forward" if (po >> a) & 1 else "converse-on-finite"
-        violations.append(
-            f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} A={_ps(n, a)}"
-        )
     # every row is read in both directions, over all 2^n subsets
-    return 2 * top.count ** 2 << n, violations
+    checked = 2 * top.count ** 2 << n
+    if bt.po.tolist() == cond_table:
+        return checked, []
+    violations = []
+    for t1, t2, pair, swapped in pair_rows(top.count):
+        for direction, row in enumerate((pair, swapped)):
+            po = bt.po[row]
+            diff = po ^ cond_table[row]
+            if not diff:
+                continue
+            a = (diff & -diff).bit_length() - 1
+            side = "forward" if (po >> a) & 1 else "converse-on-finite"
+            violations.append(
+                f"{side} n={n} pair=({t1},{t2}) dir={_dir_name(direction)} "
+                f"A={_ps(n, a)}"
+            )
+    return checked, violations
 
 
 def _check_thm_3_3(n: int) -> tuple[int, list[str]]:

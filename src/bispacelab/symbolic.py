@@ -107,7 +107,7 @@ class AtomUniverse:
         return iter(self.atoms)
 
     def atom(self, id: str) -> Atom:
-        return self.atoms[self._index[id]]
+        return self.atoms[self.position(id)]
 
     def position(self, id: str) -> int:
         try:

@@ -125,14 +125,15 @@ class BispaceTables:
     tau_1-opens, and wpo is the OR over c of fibre(c) & {a : a <= int_1(c)}.
     Each of these masksets sits in one int with a slot per t2 (see
     `_slot_width`), so one OR per tau_1-open serves every t2 at once, and
-    the po/wpo/so/spo rows are arrays with one slot-wide item per pair.
+    the po/wpo/so/spo rows are read-only views of arrays with one slot-wide
+    item per pair: every caller shares the cached rows, so none may write.
     """
 
     top: TopologyTables
-    po: array                                 # maskset of (1,2)-preopen subsets
-    wpo: array                                # weakly (1,2)-preopen
-    so: array                                 # (1,2)-semiopen
-    spo: array                                # (1,2)-semipreopen
+    po: memoryview                            # maskset of (1,2)-preopen subsets
+    wpo: memoryview                           # weakly (1,2)-preopen
+    so: memoryview                            # (1,2)-semiopen
+    spo: memoryview                           # (1,2)-semipreopen
 
     def pair_index(self, t1: int, t2: int) -> int:
         return t1 * self.top.count + t2
@@ -191,14 +192,14 @@ def _pack_slots(values, width: int) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
 
 
-def _split_slots(packed, width: int, count: int) -> array:
-    """The `count` slots of each int in `packed`, lowest first, one array
-    item per slot; inverts _pack_slots."""
+def _split_slots(packed, width: int, count: int) -> memoryview:
+    """The `count` slots of each int in `packed`, lowest first, one item of
+    a read-only array view per slot; inverts _pack_slots."""
     data = b"".join(bits.to_bytes(count * width // 8, "little") for bits in packed)
     rows = array(_SLOT_CODES[width], data)
     if sys.byteorder == "big":
         rows.byteswap()
-    return rows
+    return memoryview(rows).toreadonly()
 
 
 @lru_cache(maxsize=None)

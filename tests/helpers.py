@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import random
+from array import array
 from unittest import mock
 
 from bispacelab import suites
@@ -1173,12 +1174,13 @@ FAULT_SUITES = (
 
 
 def _flip_row(rows, index: int, bit: int):
-    """A copy of `rows`, a tuple or an array, with one bit flipped."""
+    """A copy of `rows`, a tuple or a read-only view of an array, with one
+    bit flipped."""
     if isinstance(rows, tuple):
         return rows[:index] + (rows[index] ^ (1 << bit),) + rows[index + 1:]
-    flipped = rows[:]  # an array slice is a copy
+    flipped = array(rows.format, rows)
     flipped[index] ^= 1 << bit
-    return flipped
+    return memoryview(flipped).toreadonly()
 
 
 def _flip_hull(hulls, pair: int, subset: int, bit: int, semi: bool = False):

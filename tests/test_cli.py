@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bispacelab.catalog import CATALOG_IDS, ENTRIES
 from bispacelab.cli import main
 from bispacelab.reports import parse_machine
 from bispacelab.suites import SET_SUITES
@@ -68,6 +69,16 @@ def test_verify_catalog_machine_round_trip():
         "ex-3.8",
         "ex-4.1",
     ]
+
+
+def test_each_shipped_document_replays_its_catalog_block(capsys):
+    assert main(["--format", "machine", "verify-catalog"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    for entry_id in CATALOG_IDS:
+        doc = str(ENTRIES / f"{entry_id}.json")
+        assert main(["--format", "machine", "check", doc]) == 0
+        block = [line for line in lines if json.loads(line)["entry"] == entry_id]
+        assert capsys.readouterr().out == "".join(block), entry_id
 
 
 def test_enumerate_counts():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import time
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispacelab.catalog import verify_entry
+from bispacelab.catalog import CATALOG_IDS, ENTRIES, PREDICATES, verify_entry
+from bispacelab.cli import main
 from bispacelab.spacefile import (
     FILE_PREDICATES,
     MAX_ATOMS,
@@ -17,24 +19,13 @@ from bispacelab.spacefile import (
     parse_spacefile,
 )
 
-EX_3_2_DOC = {
-    "kind": "symbolic",
-    "atoms": [
-        {"id": "irr01", "cardinality": "uncountable", "label": "irrationals left"},
-        {"id": "irr12", "cardinality": "uncountable", "label": "irrationals right"},
-        {"id": "rats", "cardinality": "countable", "label": "rationals"},
-    ],
-    "family1": {"region": ["irr01"], "mandatory": []},
-    "family2": {"region": ["irr12"], "mandatory": []},
-    "sets": {"A": ["irr01"], "cl2A": ["irr01", "rats"]},
-    "claims": [
-        {"predicate": "closure", "set": "A", "space": 2, "expected": ["irr01", "rats"]},
-        {"predicate": "interior", "set": "cl2A", "space": 1, "expected": ["irr01"]},
-        {"predicate": "is_ij_weakly_preopen", "set": "A", "pair": [1, 2], "expected": True},
-        {"predicate": "is_ij_preopen", "set": "A", "pair": [1, 2], "expected": False},
-        {"predicate": "is_pairwise_preopen", "set": "A", "expected": False},
-    ],
-}
+def shipped(entry_id):
+    """The catalog's document for `entry_id`, as parsed JSON."""
+    return json.loads((ENTRIES / f"{entry_id}.json").read_text(encoding="utf-8"))
+
+
+EX_3_2_DOC = shipped("ex-3.2")
+EX_4_1_DOC = shipped("ex-4.1")
 
 FINITE_DOC = {
     "kind": "finite",
@@ -60,7 +51,68 @@ def write(tmp_path, doc, name="space.json"):
 def test_symbolic_document_reproduces_catalog_verdicts(tmp_path):
     report = check_user_file(write(tmp_path, EX_3_2_DOC))
     assert report.passed
-    assert len(report.outcomes) == 5
+    assert report.entry == "ex-3.2"
+    assert len(report.outcomes) == 6
+
+
+def test_entries_directory_holds_one_document_per_catalog_id():
+    assert sorted(p.name for p in ENTRIES.iterdir()) == [
+        f"{entry_id}.json" for entry_id in CATALOG_IDS
+    ]
+
+
+def _set_assignment(doc, source, target):
+    doc["map"]["assignment"][source] = target
+
+
+def _wide_target(doc):
+    doc["map"]["target"]["atoms"] = [
+        {"id": f"t{i}", "cardinality": "singleton"} for i in range(MAX_ATOMS + 1)
+    ]
+
+
+def _claim_on_target_without_map(doc):
+    del doc["map"]
+    doc["claims"] = [
+        {"predicate": "closure", "set": ["irr01"], "space": 1, "on": "target"}
+    ]
+
+
+def _finite_with_map(doc):
+    doc.update(kind="finite", carrier=1, opens1=[[], [0]], opens2=[[], [0]])
+    doc["sets"] = {"A": [0]}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: _set_assignment(d, "zz", "3/2"), "unknown atom id 'zz'"),
+        (lambda d: _set_assignment(d, "rats01", "nope"), "unknown atom id 'nope'"),
+        (lambda d: _set_assignment(d, "rats01", "rats12"), "must be a single point"),
+        (lambda d: _set_assignment(d, "rats01", ["3/2"]), "atom id -> atom id"),
+        (lambda d: d["map"]["assignment"].pop("rats01"), "misses source atoms"),
+        (_wide_target, f"limit of {MAX_ATOMS} atoms"),
+        (lambda d: d["map"].pop("target"), "missing required field 'target'"),
+        (_claim_on_target_without_map, "on: needs a map section"),
+        (lambda d: d.pop("map"), "preimage needs a map section"),
+        (lambda d: d["claims"][0].pop("on"), "must be 'target' for preimage"),
+        (
+            lambda d: d["claims"][1].update(on="target"),
+            "named set 'irrational-part' is not on the target",
+        ),
+        (
+            lambda d: d["map"]["target"]["sets"].update({"both-parts": []}),
+            "also names a source set",
+        ),
+        (_finite_with_map, "map: applies to symbolic documents"),
+    ],
+)
+def test_malformed_map_section_is_an_input_error(tmp_path, capsys, mutate, message):
+    doc = json.loads(json.dumps(EX_4_1_DOC))
+    mutate(doc)
+    assert main(["check", str(write(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space.json") and message in err, err
 
 
 def test_finite_document_claims(tmp_path):
@@ -286,28 +338,35 @@ JSON_VALUES = st.recursive(
 NEAR_VALUES = (
     st.sampled_from(
         ["A", "B", "nope", "irr01", "rats", "finite", "symbolic", "countable",
+         "sqrt2", "3/2", "source", "target",
          [1, 2], [2, 1], [0], [0, 1], [True, 2], [0.0], [[0]], 1, 2, 3, True]
     )
     | JSON_VALUES
 )
 
 SET_ARGS = st.sampled_from(
-    ["A", "B", "cl2A", "nope", [0], [0, 1], [0, 7], [True], ["irr01"],
-     ["rats", "irr12"], ["zz"]]
+    ["A", "B", "cl2-A", "nope", "rational-part", "both-parts", "open-sqrt2",
+     [0], [0, 1], [0, 7], [True], ["irr01"], ["rats", "irr12"], ["zz"],
+     ["rats01"], ["sqrt2"], ["3/2", "rats12"]]
 ) | JSON_VALUES
+
+SIDES = st.sampled_from(["source", "target", "both"]) | JSON_VALUES
 
 CLAIMS = st.lists(
     st.fixed_dictionaries(
-        {"predicate": st.sampled_from(FILE_PREDICATES) | JSON_VALUES},
+        {"predicate": st.sampled_from(list(PREDICATES)) | JSON_VALUES},
         optional={
             "set": SET_ARGS,
             "set2": SET_ARGS,
             "witness": SET_ARGS,
+            "expected_witness": SET_ARGS,
+            "on": SIDES,
+            "expected_on": SIDES,
             "pair": st.sampled_from([[1, 2], [2, 1], [1, 1], [True, 2], 5, [1, 2, 3]])
             | JSON_VALUES,
             "space": st.sampled_from([1, 2, 3, True]) | JSON_VALUES,
             "expected": st.sampled_from(
-                [True, False, None, [0], [0, 7], ["irr01"], ["zz"], 1]
+                [True, False, None, [0], [0, 7], ["irr01"], ["zz"], ["sqrt2"], 1]
             )
             | JSON_VALUES,
             "note": st.text(max_size=4) | JSON_VALUES,
@@ -337,6 +396,31 @@ def _paths(value, prefix=()):
             yield from _paths(child, prefix + (idx,))
 
 
+def test_every_map_claim_the_parser_accepts_evaluates():
+    """Every predicate over a grid of sides, sets and expectations on the
+    ex-4.1 document: a claim that parses must evaluate without raising."""
+    sides = (None, "source", "target")
+    sets = ("rational-part", "open-sqrt2", ["3/2"], ["irr01"])
+    accepted = set()
+    for predicate, on, expected_on, value, expected in itertools.product(
+        PREDICATES, sides, sides, sets, (True, ["sqrt2"], ["irr01"])
+    ):
+        claim = {
+            "predicate": predicate,
+            **{key: value for key in ("set", "set2", "witness", "expected_witness")},
+            "pair": [1, 2],
+            "expected": expected,
+            **({"on": on} if on else {}),
+            **({"expected_on": expected_on} if expected_on else {}),
+        }
+        entry = parses_or_rejects({**EX_4_1_DOC, "claims": [claim]})
+        if entry is not None:
+            verify_entry(entry)
+            accepted.add((predicate, on or "source"))
+    assert {name for name, _ in accepted} == set(PREDICATES) - {"limit_points"}
+    assert ("closure", "target") in accepted and ("preimage", "target") in accepted
+
+
 @settings(max_examples=150, deadline=None)
 @given(JSON_VALUES)
 def test_fuzz_arbitrary_json_parses_or_rejects(value):
@@ -344,7 +428,7 @@ def test_fuzz_arbitrary_json_parses_or_rejects(value):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC]), st.data())
+@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC, EX_4_1_DOC]), st.data())
 def test_fuzz_mutated_documents_parse_or_reject(base, data):
     doc = json.loads(json.dumps(base))
     for _ in range(data.draw(st.integers(1, 3))):
@@ -361,7 +445,7 @@ def test_fuzz_mutated_documents_parse_or_reject(base, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC]), CLAIMS)
+@given(st.sampled_from([FINITE_DOC, EX_3_2_DOC, EX_4_1_DOC]), CLAIMS)
 def test_fuzz_claims_parse_or_reject_and_accepted_claims_evaluate(base, claims):
     entry = parses_or_rejects({**base, "claims": claims})
     if entry is not None:

@@ -350,8 +350,9 @@ def test_tables_n4_suites_build_no_4_point_hull_row():
 @pytest.mark.usefixtures("processes")  # the checks see this process only
 def test_suite_runs_leave_cached_table_rows_unchanged():
     # bispace_tables and topology_tables hand every caller the same cached
-    # rows, and the bispace rows are mutable arrays: a suite that wrote to
-    # one would change what every later caller reads. After every suite at
+    # rows: a suite that wrote to one would change what every later caller
+    # reads (a write to a bispace row raises, as the rows are read-only
+    # views; see test_tables.py). After every suite at
     # n = 3 and the tables-n4 suites at n = 4, the cached rows must equal
     # those of a fresh build
     def rows(bispace, topology):

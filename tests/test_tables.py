@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+from array import array
 from unittest import mock
 
 import pytest
@@ -111,6 +112,15 @@ def test_subsets_of_follow_the_trace_relabelling(n):
             assert PointSet.of(len(relabel), points).mask == i, (y, a)
 
 
+def test_cached_bispace_rows_are_read_only():
+    # every caller shares the cached rows, so a write must fail, not change
+    # what later callers read
+    bt = bispace_tables(3)
+    for name in ("po", "wpo", "so", "spo"):
+        with pytest.raises(TypeError):
+            getattr(bt, name)[0] ^= 1
+
+
 @pytest.mark.parametrize("byteorder", ["little", "big"])
 @pytest.mark.parametrize("width", [8, 16])
 def test_split_slots_matches_shifts(width, byteorder, monkeypatch):
@@ -131,6 +141,7 @@ def test_split_slots_matches_shifts(width, byteorder, monkeypatch):
             got = _split_slots(packed, width, count)
             assert got.itemsize * 8 == width
             if byteorder != native:
+                got = array(got.format, got)  # the split is read-only
                 got.byteswap()
             assert got.tolist() == expected
             for i, bits in enumerate(packed):
