@@ -31,8 +31,7 @@ class Claim:
     """One checkable statement about an entry's structures.
 
     args may hold: set / set2 / witness (named set or list of atom ids),
-    pair (i,j), space (1 or 2), on ("source" | "target" for map entries),
-    expected_on (the carrier of a set-valued expectation, default `on`)
+    pair (i,j), space (1 or 2), on ("source" | "target" for map entries)
     and expected_witness (the witness the engine must also find). expected
     None marks an informational claim (always passes, value recorded).
     """
@@ -106,12 +105,14 @@ class Predicate:
     order ("space", "bispace", "pair", "map", "target", "target_space" or a
     set argument "set"/"set2"/"witness"), and returns a value or a
     Witnessed. `relative` marks a search over representable sets, which is
-    algebra-relative on a symbolic bispace."""
+    algebra-relative on a symbolic bispace. `value_on` is the carrier of a
+    set value that does not lie on the claim's own (`on`) carrier."""
 
     run: Callable
     reads: tuple[str, ...]
     set_valued: bool = False
     relative: bool = False
+    value_on: Optional[str] = None
 
 
 _ON_SPACE = ("space", "set")
@@ -146,8 +147,12 @@ PREDICATES: dict[str, Predicate] = {
     "semipreopen_witness_valid": Predicate(
         _witness_valid, ("bispace", "pair", "set", "witness")
     ),
-    "image": Predicate(lambda f, s: f.image(s), ("map", "set"), set_valued=True),
-    "preimage": Predicate(lambda f, s: f.preimage(s), ("map", "set"), set_valued=True),
+    "image": Predicate(
+        lambda f, s: f.image(s), ("map", "set"), set_valued=True, value_on="target"
+    ),
+    "preimage": Predicate(
+        lambda f, s: f.preimage(s), ("map", "set"), set_valued=True, value_on="source"
+    ),
     "is_pairwise_continuous": Predicate(maps_mod.is_pairwise_continuous, _ON_MAP),
     "is_pairwise_precontinuous": Predicate(
         maps_mod.is_pairwise_precontinuous, _ON_MAP
@@ -210,8 +215,10 @@ def verify_entry(entry: CatalogEntry) -> Report:
         else:
             expected = claim.expected
             if isinstance(expected, (list, tuple)) and not isinstance(computed, bool):
-                side = claim.args.get("expected_on", claim.args.get("on", "source"))
-                expected = _resolve_set(entry, expected, side)
+                side = PREDICATES[claim.predicate].value_on
+                expected = _resolve_set(
+                    entry, expected, side or claim.args.get("on", "source")
+                )
             if "expected_witness" in claim.args and witness is not None:
                 want_w = _resolve_set(
                     entry, claim.args["expected_witness"], claim.args.get("on", "source")
@@ -266,7 +273,10 @@ def build_example(entry_id: str) -> CatalogEntry:
     from .spacefile import parse_spacefile
 
     name = f"{entry_id}.json"
-    return parse_spacefile((ENTRIES / name).read_text(encoding="utf-8"), name)
+    entry = parse_spacefile((ENTRIES / name).read_text(encoding="utf-8"), name)
+    if entry.entry_id != entry_id:
+        raise ValueError(f"{name} declares the id {entry.entry_id!r}")
+    return entry
 
 
 def negative_control_entry() -> CatalogEntry:

@@ -26,8 +26,8 @@ Grammar sketch (JSON subset):
                   "assignment": { string: string } }
     claims    = "claims": [ { "predicate": string, "set"?: name | [..],
                   "set2"?, "witness"?, "pair"?: [int, int], "space"?: int,
-                  "on"?: side, "expected_on"?: side,
-                  "expected"?: bool | [..], "expected_witness"?: name | [..],
+                  "on"?: side, "expected"?: bool | [..],
+                  "expected_witness"?: name | [..],
                   "note"?: string } ]
     side      = "source" | "target"
 
@@ -41,12 +41,12 @@ rejected when parsed.
 A map sends each source atom to a single-point atom of the target. Names in
 the target's "sets" live on the target and share one namespace with the
 source's. Only a document with a map may make the seven map predicates or
-use "on" and "expected_on": "on" is the carrier the claim's sets and space
-live on (default "source"; preimage reads a target set, and the other
-predicates that read the map or the bispace read source sets), and
-"expected_on" the carrier of a set-valued "expected" (default "on"). "id",
-"title" and "note" name the report; a document without them is reported as
-file:<name>.
+use "on", the carrier the claim's sets and space live on (default
+"source"). A preimage reads a target set, so its "on" is always "target",
+and the other predicates that read the map or the bispace read source sets.
+A set-valued "expected" lies on "on", except that an image is a target set
+and a preimage a source set. "id", "title" and "note" name the report; a
+document without them is reported as file:<name>.
 
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
 symbolic universe (a map's target too) at most MAX_ATOMS (12) atoms. The
@@ -79,14 +79,6 @@ _CARDINALITIES = {
     "countable": Cardinality.COUNTABLE,
     "uncountable": Cardinality.UNCOUNTABLE,
 }
-
-# Claims any user file may make: the catalog predicates that read no map;
-# the others need a map section. Those marked `relative`
-# (is_ij_semipreopen, is_ij_semipreclosed, pcl, spcl) are algebra-relative
-# on symbolic documents and flagged as such in the report.
-FILE_PREDICATES = tuple(
-    name for name, spec in PREDICATES.items() if "map" not in spec.reads
-)
 
 _BATTERY = (
     ("is_open", {"space": 1}),
@@ -289,20 +281,20 @@ def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
         if predicate == "limit_points" and symbolic:
             _fail(f"{loc}.predicate", "limit_points applies to finite documents")
         args = {}
-        for key in ("on", "expected_on"):
-            if key in c:
-                if entry.map_ is None:
-                    _fail(f"{loc}.{key}", "needs a map section")
-                if c[key] not in ("source", "target"):
-                    _fail(f"{loc}.{key}", "must be 'source' or 'target'")
-                args[key] = c[key]
-        on = args.get("on", "source")
+        if "on" in c:
+            if entry.map_ is None:
+                _fail(f"{loc}.on", "needs a map section")
+            if c["on"] not in ("source", "target"):
+                _fail(f"{loc}.on", "must be 'source' or 'target'")
+            args["on"] = c["on"]
         if predicate == "preimage":
             side = "target"
+            args.setdefault("on", side)  # so the claim's label names it
         elif "map" in spec.reads or "bispace" in spec.reads:
             side = "source"
         else:
-            side = on
+            side = args.get("on", "source")
+        on = args.get("on", "source")
         if on != side:
             _fail(f"{loc}.on", f"must be {side!r} for {predicate}")
         bispace = carriers[on]
@@ -350,8 +342,7 @@ def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
         expected = c.get("expected")
         if spec.set_valued:
             if expected is not None:
-                side = args.get("expected_on", on)
-                _members(carriers[side], expected, f"{loc}.expected")
+                _members(carriers[spec.value_on or on], expected, f"{loc}.expected")
                 expected = list(expected)
         elif expected is not None and not isinstance(expected, bool):
             _fail(f"{loc}.expected", "must be true, false or null")

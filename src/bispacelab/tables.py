@@ -10,8 +10,8 @@ over all target bispaces into a handful of big-int operations.
 The bispace tables are built packed across tau_2: a maskset per tau_2 sits in
 a slot of 2^n bits (at least 8) of one big int, slot t2 holding pair (t1, t2),
 so one OR per tau_1-open computes a row for every t2 at once. The rows keep
-that slot layout: each is an `array` of one machine word per pair, filled
-from the packed ints' bytes. The preclosure and semipreclosure hull rows are
+that slot layout: each is a view of the packed ints' bytes, one machine
+word per pair. The preclosure and semipreclosure hull rows are
 a table of their own, `hull_tables`, built from those masksets.
 
 Everything here recomputes the reference predicates in flat form; the test
@@ -125,8 +125,8 @@ class BispaceTables:
     tau_1-opens, and wpo is the OR over c of fibre(c) & {a : a <= int_1(c)}.
     Each of these masksets sits in one int with a slot per t2 (see
     `_slot_width`), so one OR per tau_1-open serves every t2 at once, and
-    the po/wpo/so/spo rows are read-only views of arrays with one slot-wide
-    item per pair: every caller shares the cached rows, so none may write.
+    the po/wpo/so/spo rows are views of bytes with one slot-wide item per
+    pair: every caller shares the cached rows, and none can write them.
     """
 
     top: TopologyTables
@@ -176,7 +176,7 @@ def _hull_row(bits: int, n: int) -> tuple[int, ...]:
 
 # struct and array codes of unsigned slots by width (enumeration stops at 4
 # points, so slots are 8 or 16 bits); slots are little-endian, by the "<"
-# prefix in _pack_slots and a byteswap of big-endian arrays in _split_slots,
+# prefix in _pack_slots and a byteswap on big-endian hosts in _split_slots,
 # so the slot layout does not depend on sys.byteorder
 _SLOT_CODES = {8: "B", 16: "H"}
 
@@ -194,12 +194,21 @@ def _pack_slots(values, width: int) -> int:
 
 def _split_slots(packed, width: int, count: int) -> memoryview:
     """The `count` slots of each int in `packed`, lowest first, one item of
-    a read-only array view per slot; inverts _pack_slots."""
+    a view of immutable bytes per slot; inverts _pack_slots."""
+    code = _SLOT_CODES[width]
     data = b"".join(bits.to_bytes(count * width // 8, "little") for bits in packed)
-    rows = array(_SLOT_CODES[width], data)
     if sys.byteorder == "big":
+        rows = array(code, data)
         rows.byteswap()
-    return memoryview(rows).toreadonly()
+        data = rows.tobytes()
+    return memoryview(data).cast(code)
+
+
+def rows_equal(a: memoryview, b: memoryview) -> bool:
+    """Whether two bispace row views hold the same items. Each views a
+    whole bytes object (see `_split_slots`), so this is one comparison in
+    C, without a copy."""
+    return a.obj == b.obj
 
 
 @lru_cache(maxsize=None)

@@ -1174,13 +1174,12 @@ FAULT_SUITES = (
 
 
 def _flip_row(rows, index: int, bit: int):
-    """A copy of `rows`, a tuple or a read-only view of an array, with one
-    bit flipped."""
+    """A copy of `rows`, a tuple or a view of bytes, with one bit flipped."""
     if isinstance(rows, tuple):
         return rows[:index] + (rows[index] ^ (1 << bit),) + rows[index + 1:]
     flipped = array(rows.format, rows)
     flipped[index] ^= 1 << bit
-    return memoryview(flipped).toreadonly()
+    return memoryview(flipped.tobytes()).cast(rows.format)
 
 
 def _flip_hull(hulls, pair: int, subset: int, bit: int, semi: bool = False):

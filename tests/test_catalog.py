@@ -1,6 +1,6 @@
 import pytest
 
-from bispacelab import maps, props
+from bispacelab import catalog, maps, props
 from bispacelab.catalog import (
     CATALOG_IDS,
     PREDICATES,
@@ -38,6 +38,16 @@ def test_unknown_id_rejected():
     with pytest.raises(ValueError) as exc:
         build_example("ex-9.9")
     assert "ex-9.9" in str(exc.value)
+
+
+def test_document_declaring_another_id_rejected(tmp_path, monkeypatch):
+    # a copied or misnamed document must not report under the wrong id
+    text = (catalog.ENTRIES / "ex-3.1.json").read_text(encoding="utf-8")
+    (tmp_path / "ex-3.2.json").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(catalog, "ENTRIES", tmp_path)
+    with pytest.raises(ValueError) as exc:
+        build_example("ex-3.2")
+    assert "ex-3.2.json declares the id 'ex-3.1'" in str(exc.value)
 
 
 def test_negative_control_fails_with_computed_value():

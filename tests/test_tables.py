@@ -114,11 +114,13 @@ def test_subsets_of_follow_the_trace_relabelling(n):
 
 def test_cached_bispace_rows_are_read_only():
     # every caller shares the cached rows, so a write must fail, not change
-    # what later callers read
+    # what later callers read, through the view or the object under it
     bt = bispace_tables(3)
     for name in ("po", "wpo", "so", "spo"):
         with pytest.raises(TypeError):
             getattr(bt, name)[0] ^= 1
+        with pytest.raises(TypeError):
+            getattr(bt, name).obj[0] ^= 1
 
 
 @pytest.mark.parametrize("byteorder", ["little", "big"])
@@ -141,7 +143,7 @@ def test_split_slots_matches_shifts(width, byteorder, monkeypatch):
             got = _split_slots(packed, width, count)
             assert got.itemsize * 8 == width
             if byteorder != native:
-                got = array(got.format, got)  # the split is read-only
+                got = array(got.format, got)  # the split views immutable bytes
                 got.byteswap()
             assert got.tolist() == expected
             for i, bits in enumerate(packed):
