@@ -15,30 +15,35 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from . import maps as maps_mod
 from . import props
-from .finite import CarrierSet
 from .props import Bispace
 from .reports import ClaimOutcome, Report, render_value
 from .symbolic import is_countable
 
 @dataclass(frozen=True)
 class Claim:
-    """One checkable statement about an entry's structures.
+    """One checkable statement about an entry's structures, as
+    spacefile.parse_claims builds it.
 
-    args may hold: set / set2 / witness (named set or list of atom ids),
-    pair (i,j), space (1 or 2), on ("source" | "target" for map entries)
-    and expected_witness (the witness the engine must also find). expected
-    None marks an informational claim (always passes, value recorded).
+    args is the claim as written, for label(): set / set2 / witness (named
+    set or member list), pair (i,j), space (1 or 2) and on ("source" |
+    "target" for map entries). values are the objects the predicate's `run`
+    takes, in its `reads` order. expected is the resolved expectation (a set
+    for a set-valued predicate, else a bool), None for an informational
+    claim, which passes on any value; witness is the resolved
+    expected_witness, which the engine must return, or None.
     """
 
     predicate: str
-    args: Mapping[str, object] = field(default_factory=dict)
+    args: Mapping[str, object]
+    values: tuple
     expected: object = None
+    witness: object = None
     note: str = ""
 
     def label(self) -> str:
@@ -66,24 +71,6 @@ class CatalogEntry:
 # Claim evaluation
 # ---------------------------------------------------------------------------
 
-def _resolve_set(entry: CatalogEntry, value, on: str):
-    if isinstance(value, CarrierSet):
-        return value
-    if isinstance(value, str):
-        try:
-            return entry.named_sets[value]
-        except KeyError:
-            raise ValueError(f"{entry.entry_id}: unknown named set {value!r}") from None
-    bisp = entry.target_bispace if on == "target" else entry.bispace
-    return bisp.first.set_of(value)
-
-
-def _space(entry: CatalogEntry, claim: Claim):
-    on = claim.args.get("on", "source")
-    bisp = entry.target_bispace if on == "target" else entry.bispace
-    return bisp.space(claim.args.get("space", 1))
-
-
 def _open_between(space, a, b) -> props.Witnessed:
     w = space.open_between(a, b)
     return props.Witnessed(w is not None, w)
@@ -103,10 +90,11 @@ def _witness_valid(bispace: Bispace, pair, a, u) -> props.Witnessed:
 class Predicate:
     """One claim predicate: `run` takes the arguments named in `reads`, in
     order ("space", "bispace", "pair", "map", "target", "target_space" or a
-    set argument "set"/"set2"/"witness"), and returns a value or a
-    Witnessed. `relative` marks a search over representable sets, which is
-    algebra-relative on a symbolic bispace. `value_on` is the carrier of a
-    set value that does not lie on the claim's own (`on`) carrier."""
+    set argument "set"/"set2"/"witness"; spacefile.parse_claims builds
+    them) and returns a value or a Witnessed. `relative` marks a search over
+    representable sets, which is algebra-relative on a symbolic bispace.
+    `value_on` is the carrier of a set value that does not lie on the
+    claim's own (`on`) carrier."""
 
     run: Callable
     reads: tuple[str, ...]
@@ -169,33 +157,10 @@ PREDICATES: dict[str, Predicate] = {
 }
 
 
-def _argument(entry: CatalogEntry, claim: Claim, name: str):
-    """One argument a predicate reads; "target_space" is the target
-    structure with the claim's space index."""
-    args = claim.args
-    if name == "space":
-        return _space(entry, claim)
-    if name == "bispace":
-        return entry.bispace
-    if name == "pair":
-        return args["pair"]
-    if name == "map":
-        return entry.map_
-    if name == "target":
-        return entry.target_bispace
-    if name == "target_space":
-        return entry.target_bispace.space(args.get("space", 1))
-    return _resolve_set(entry, args[name], args.get("on", "source"))
-
-
 def evaluate_claim(entry: CatalogEntry, claim: Claim):
     """Returns (computed, witness, algebra_relative)."""
-    spec = PREDICATES.get(claim.predicate)
-    if spec is None:
-        raise ValueError(
-            f"{entry.entry_id}: unknown claim predicate {claim.predicate!r}"
-        )
-    result = spec.run(*(_argument(entry, claim, name) for name in spec.reads))
+    spec = PREDICATES[claim.predicate]
+    result = spec.run(*claim.values)
     relative = spec.relative and entry.bispace.is_symbolic
     if isinstance(result, props.Witnessed):
         return result.holds, result.witness, relative
@@ -209,24 +174,12 @@ def verify_entry(entry: CatalogEntry) -> Report:
         start = time.perf_counter()
         computed, witness, algebra_relative = evaluate_claim(entry, claim)
         elapsed = (time.perf_counter() - start) * 1000.0
-        if claim.expected is None:
-            passed = True
-            expected_str = "none"
-        else:
-            expected = claim.expected
-            if isinstance(expected, (list, tuple)) and not isinstance(computed, bool):
-                side = PREDICATES[claim.predicate].value_on
-                expected = _resolve_set(
-                    entry, expected, side or claim.args.get("on", "source")
-                )
-            if "expected_witness" in claim.args and witness is not None:
-                want_w = _resolve_set(
-                    entry, claim.args["expected_witness"], claim.args.get("on", "source")
-                )
-                passed = computed == expected and witness == want_w
-            else:
-                passed = computed == expected
-            expected_str = render_value(expected)
+        passed = claim.expected is None or computed == claim.expected
+        expected_str = render_value(claim.expected)
+        if claim.witness is not None:
+            passed = passed and witness == claim.witness
+            if not passed:
+                expected_str += f" with witness {render_value(claim.witness)}"
         outcomes.append(
             ClaimOutcome(
                 claim=claim.label(),
@@ -281,8 +234,11 @@ def build_example(entry_id: str) -> CatalogEntry:
 
 def negative_control_entry() -> CatalogEntry:
     """ex-3.1 with one deliberately inverted claim; must fail verification."""
+    from .spacefile import parse_claims
+
     base = build_example("ex-3.1")
-    flipped = Claim("is_preopen", {"set": "B", "space": 1}, True)
+    raw = [{"predicate": "is_preopen", "set": "B", "space": 1, "expected": True}]
+    (flipped,) = parse_claims(raw, base, "negative-control.claims")
     return dataclasses.replace(
         base,
         entry_id="negative-control",

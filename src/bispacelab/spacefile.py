@@ -35,15 +35,16 @@ Points are JSON integers (not true/false) and atom ids are strings. Each
 claim names the set arguments its predicate reads ("set", and "set2" or
 "witness") and "pair" if it reads one; "expected" is a boolean, or for a
 set-valued predicate an array of members. "expected_witness" is the witness
-a passing claim must also find. A claim that could not be evaluated is
-rejected when parsed.
+a passing claim must also find; a claim whose engine returns no witness or
+another one fails. parse_claims resolves every argument once, so a claim
+that could not be evaluated is rejected when parsed.
 
 A map sends each source atom to a single-point atom of the target. Names in
 the target's "sets" live on the target and share one namespace with the
 source's. Only a document with a map may make the seven map predicates or
-use "on", the carrier the claim's sets and space live on (default
-"source"). A preimage reads a target set, so its "on" is always "target",
-and the other predicates that read the map or the bispace read source sets.
+use "on", the carrier (default "source") whose sets, space and bispace a
+claim reads. The map predicates keep fixed sides: a preimage reads a target
+set, so its "on" is always "target", and the others read the source.
 A set-valued "expected" lies on "on", except that an image is a target set
 and a preimage a source set. "id", "title" and "note" name the report; a
 document without them is reported as file:<name>.
@@ -81,31 +82,31 @@ _CARDINALITIES = {
 }
 
 _BATTERY = (
-    ("is_open", {"space": 1}),
-    ("is_open", {"space": 2}),
-    ("closure", {"space": 1}),
-    ("closure", {"space": 2}),
-    ("interior", {"space": 1}),
-    ("interior", {"space": 2}),
-    ("is_preopen", {"space": 1}),
-    ("is_preopen", {"space": 2}),
-    ("is_weakly_preopen", {"space": 1}),
-    ("is_weakly_preopen", {"space": 2}),
-    ("is_ij_preopen", {"pair": (1, 2)}),
-    ("is_ij_preopen", {"pair": (2, 1)}),
-    ("is_ij_weakly_preopen", {"pair": (1, 2)}),
-    ("is_ij_weakly_preopen", {"pair": (2, 1)}),
-    ("is_pairwise_preopen", {}),
-    ("is_ij_semiopen", {"pair": (1, 2)}),
-    ("is_ij_semiopen", {"pair": (2, 1)}),
-    ("is_ij_semipreopen", {"pair": (1, 2)}),
-    ("is_ij_semipreopen", {"pair": (2, 1)}),
-    ("is_ij_preclosed", {"pair": (1, 2)}),
-    ("is_ij_preclosed", {"pair": (2, 1)}),
-    ("pcl", {"pair": (1, 2)}),
-    ("pcl", {"pair": (2, 1)}),
-    ("spcl", {"pair": (1, 2)}),
-    ("spcl", {"pair": (2, 1)}),
+    {"predicate": "is_open", "space": 1},
+    {"predicate": "is_open", "space": 2},
+    {"predicate": "closure", "space": 1},
+    {"predicate": "closure", "space": 2},
+    {"predicate": "interior", "space": 1},
+    {"predicate": "interior", "space": 2},
+    {"predicate": "is_preopen", "space": 1},
+    {"predicate": "is_preopen", "space": 2},
+    {"predicate": "is_weakly_preopen", "space": 1},
+    {"predicate": "is_weakly_preopen", "space": 2},
+    {"predicate": "is_ij_preopen", "pair": [1, 2]},
+    {"predicate": "is_ij_preopen", "pair": [2, 1]},
+    {"predicate": "is_ij_weakly_preopen", "pair": [1, 2]},
+    {"predicate": "is_ij_weakly_preopen", "pair": [2, 1]},
+    {"predicate": "is_pairwise_preopen"},
+    {"predicate": "is_ij_semiopen", "pair": [1, 2]},
+    {"predicate": "is_ij_semiopen", "pair": [2, 1]},
+    {"predicate": "is_ij_semipreopen", "pair": [1, 2]},
+    {"predicate": "is_ij_semipreopen", "pair": [2, 1]},
+    {"predicate": "is_ij_preclosed", "pair": [1, 2]},
+    {"predicate": "is_ij_preclosed", "pair": [2, 1]},
+    {"predicate": "pcl", "pair": [1, 2]},
+    {"predicate": "pcl", "pair": [2, 1]},
+    {"predicate": "spcl", "pair": [1, 2]},
+    {"predicate": "spcl", "pair": [2, 1]},
 )
 
 
@@ -258,11 +259,13 @@ def _parse_map(raw, source: Bispace, where: str):
     return map_, target, named
 
 
-def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
-    """Claims on `entry` whose arguments and expected value are all checked
-    here, so evaluating them cannot fail on the document's contents."""
+def parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
+    """Claims on `entry`, each with the objects its predicate reads and its
+    expected value and witness resolved on the claim's carrier, so
+    evaluating them cannot fail on the document's contents."""
     symbolic = entry.bispace.is_symbolic
-    carriers = {"source": entry.bispace, "target": entry.target_bispace}
+    target = entry.target_bispace
+    carriers = {"source": entry.bispace, "target": target}
     claims = []
     if not isinstance(raw_claims, list):
         _fail(where, "claims must be a list")
@@ -287,15 +290,12 @@ def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
             if c["on"] not in ("source", "target"):
                 _fail(f"{loc}.on", "must be 'source' or 'target'")
             args["on"] = c["on"]
+        # the map claims read fixed sides; every other claim reads `on`
+        side = "target" if predicate == "preimage" else "source"
         if predicate == "preimage":
-            side = "target"
             args.setdefault("on", side)  # so the claim's label names it
-        elif "map" in spec.reads or "bispace" in spec.reads:
-            side = "source"
-        else:
-            side = args.get("on", "source")
         on = args.get("on", "source")
-        if on != side:
+        if "map" in spec.reads and on != side:
             _fail(f"{loc}.on", f"must be {side!r} for {predicate}")
         bispace = carriers[on]
         resolved = {}
@@ -342,14 +342,26 @@ def _parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
         expected = c.get("expected")
         if spec.set_valued:
             if expected is not None:
-                _members(carriers[spec.value_on or on], expected, f"{loc}.expected")
-                expected = list(expected)
+                value_on = carriers[spec.value_on or on]
+                expected = _members(value_on, expected, f"{loc}.expected")
         elif expected is not None and not isinstance(expected, bool):
             _fail(f"{loc}.expected", "must be true, false or null")
         note = c.get("note", "")
         if not isinstance(note, str):
             _fail(f"{loc}.note", "must be a string")
-        claims.append(Claim(predicate, args, expected, note))
+        index = args.get("space", 1)
+        given = {
+            **resolved,
+            "space": bispace.space(index),
+            "bispace": bispace,
+            "pair": args.get("pair"),
+            "map": entry.map_,
+            "target": target,
+            "target_space": None if target is None else target.space(index),
+        }
+        values = tuple(given[key] for key in spec.reads)
+        witness = resolved.get("expected_witness")
+        claims.append(Claim(predicate, args, values, expected, witness, note))
     return claims
 
 
@@ -410,13 +422,10 @@ def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
         if not isinstance(texts[-1], str):
             _fail(f"{name}.{key}", "must be a string")
     entry = CatalogEntry(*texts, bispace, {**named, **target_named}, (), map_, target)
-    claims = _parse_claims(doc.get("claims", []), entry, f"{name}.claims")
+    claims = parse_claims(doc.get("claims", []), entry, f"{name}.claims")
     if not claims:
-        claims = [
-            Claim(pred, {**base, "set": set_name})
-            for set_name in named
-            for pred, base in _BATTERY
-        ]
+        battery = [{**c, "set": set_name} for set_name in named for c in _BATTERY]
+        claims = parse_claims(battery, entry, f"{name}.battery")
     return dataclasses.replace(entry, claims=tuple(claims))
 
 
@@ -433,6 +442,6 @@ def check_user_file(path, claims_path: Optional[str] = None) -> Report:
         claims_file = Path(claims_path)
         raw = _load_json(_read_text(claims_file), claims_file.name)
         raw_claims = raw.get("claims", raw) if isinstance(raw, dict) else raw
-        extra = _parse_claims(raw_claims, entry, f"{claims_file.name}.claims")
+        extra = parse_claims(raw_claims, entry, f"{claims_file.name}.claims")
         entry = dataclasses.replace(entry, claims=entry.claims + tuple(extra))
     return verify_entry(entry)

@@ -5,7 +5,6 @@ from bispacelab.catalog import (
     CATALOG_IDS,
     PREDICATES,
     CatalogEntry,
-    Claim,
     build_example,
     evaluate_claim,
     negative_control_entry,
@@ -15,6 +14,7 @@ from bispacelab.catalog import (
 from bispacelab.finite import PointSet
 from bispacelab.props import Bispace, finite_bispace
 from bispacelab.reports import machine_report, parse_machine
+from bispacelab.spacefile import parse_claims
 from bispacelab.symbolic import (
     AtomUniverse,
     SchematicFamily,
@@ -222,16 +222,23 @@ def test_every_predicate_matches_its_direct_call(build):
     symbolic = entry.bispace.is_symbolic
     # is_countable reads atom cardinalities, limit_points finite points
     skip = "limit_points" if symbolic else "is_countable"
+    # member lists, as a document writes them
+    members = {
+        "set": list(a),
+        "set2": list(entry.bispace.first.whole()),
+        "witness": list(a),
+        "pair": [1, 2],
+        "space": 1,
+    }
     for name in PREDICATES:
         if name == skip:
             continue
-        args = {
-            "set": b if name == "preimage" else a,
-            "set2": entry.bispace.first.whole(),
-            "witness": a,
-            "pair": (1, 2),
-            "space": 1,
-        }
-        value, witness, relative = evaluate_claim(entry, Claim(name, args))
+        reads = PREDICATES[name].reads
+        raw = {"predicate": name}
+        raw.update((key, v) for key, v in members.items() if key in reads)
+        if name == "preimage":
+            raw["set"] = list(b)
+        (claim,) = parse_claims([raw], entry, "direct")
+        value, witness, relative = evaluate_claim(entry, claim)
         assert (value, witness) == _direct(name, entry, a, b), name
         assert relative == (symbolic and name in _RELATIVE), name

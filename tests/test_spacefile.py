@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispacelab.catalog import CATALOG_IDS, ENTRIES, PREDICATES, verify_entry
+from bispacelab import props
+from bispacelab.catalog import (
+    CATALOG_IDS,
+    ENTRIES,
+    PREDICATES,
+    evaluate_claim,
+    verify_entry,
+)
 from bispacelab.cli import main
 from bispacelab.spacefile import (
     MAX_ATOMS,
@@ -107,6 +114,26 @@ def _finite_with_map(doc):
             "also names a source set",
         ),
         (_finite_with_map, "map: applies to symbolic documents"),
+        # the rest of the document grammar
+        (lambda d: d.update(atoms=[]), "must be a nonempty list"),
+        (lambda d: d["atoms"].append(d["atoms"][0]), "duplicate atom id"),
+        (lambda d: d["atoms"].__setitem__(0, "irr01"), "atoms[0]: must be an object"),
+        (lambda d: d.update(family1=[]), "must be an object with region/mandatory"),
+        (lambda d: d.update(sets=[]), "must be an object of name -> member list"),
+        (lambda d: d.update(map=[]), "must be an object with target and assignment"),
+        (lambda d: d["map"].update(target=[]), "target: must be an object"),
+        (lambda d: d.update(claims={}), "claims must be a list"),
+        (lambda d: d["claims"][1].update(on="left"), "must be 'source' or 'target'"),
+        (
+            lambda d: d.update(claims=[{
+                "predicate": "open_between", "set": "both-parts",
+                "set2": "rational-part", "space": 1,
+            }]),
+            "open_between needs set inside set2",
+        ),
+        (lambda d: d["claims"][1].update(note=5), "note: must be a string"),
+        (lambda d: d.update(id=5), "id: must be a string"),
+        (lambda d: d.update(title=["ex-4.1"]), "title: must be a string"),
     ],
 )
 def test_malformed_map_section_is_an_input_error(tmp_path, capsys, mutate, message):
@@ -131,6 +158,23 @@ def test_failed_expectation_is_report_content(tmp_path):
     assert not report.passed
     (failure,) = report.failures
     assert failure.computed == "false"
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        # no witness computed: a closure, and a preopen claim that fails
+        {"predicate": "closure", "set": "A", "space": 1, "expected": [0, 1]},
+        {"predicate": "is_preopen", "set": "B", "space": 1, "expected": False},
+        # a witness computed, but another one ({0})
+        {"predicate": "is_ij_preopen", "set": "A", "pair": [1, 2], "expected": True},
+    ],
+)
+def test_expected_witness_is_always_checked(tmp_path, capsys, claim):
+    doc = {**FINITE_DOC, "claims": [{**claim, "expected_witness": "B"}]}
+    assert main(["check", str(write(tmp_path, doc))]) == 1
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if "FAIL " in l]
+    assert "with witness {1}, computed" in line, line
 
 
 def test_default_battery_runs_without_claims(tmp_path):
@@ -443,6 +487,33 @@ def test_every_map_claim_the_parser_accepts_evaluates():
             accepted.add((predicate, entry.claims[0].args.get("on", "source")))
     assert {name for name, _ in accepted} == set(PREDICATES) - {"limit_points"}
     assert ("closure", "target") in accepted and ("preimage", "target") in accepted
+    assert ("is_ij_preopen", "target") in accepted
+
+
+@pytest.mark.parametrize(
+    "predicate, direct",
+    [
+        ("is_ij_preopen", lambda by, a: props.is_ij_preopen(by, (1, 2), a)),
+        ("pcl", lambda by, a: props.pcl(by, (1, 2), a)),
+        ("is_pairwise_preopen", props.is_pairwise_preopen),
+        (
+            "closed_supersets_interior",
+            lambda by, a: props.closed_supersets_interior(by, (1, 2), a),
+        ),
+    ],
+)
+def test_pair_predicates_read_the_target_bispace_on_target(predicate, direct):
+    claim = {"predicate": predicate, "set": "open-sqrt2", "on": "target"}
+    if predicate != "is_pairwise_preopen":
+        claim["pair"] = [1, 2]
+    entry = parse_spacefile(json.dumps({**EX_4_1_DOC, "claims": [claim]}), "ex")
+    want = direct(entry.target_bispace, entry.named_sets["open-sqrt2"])
+    if isinstance(want, props.Witnessed):
+        want = (want.holds, want.witness)
+    else:
+        want = (want, None)
+    value, witness, _ = evaluate_claim(entry, entry.claims[0])
+    assert (value, witness) == want
 
 
 @settings(max_examples=150, deadline=None)
