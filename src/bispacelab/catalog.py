@@ -65,6 +65,7 @@ class CatalogEntry:
     claims: tuple[Claim, ...]
     map_: Optional[maps_mod.AtomMap] = None
     target_bispace: Optional[Bispace] = None
+    target_sets: frozenset[str] = frozenset()  # names of the target's named sets
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ The gap between "some open set sits between A and its closure" and
 carrier; separating those two conditions is the symbolic backend's job.
 
 Points are the integers 0..n-1 and subsets are bitmasks (PointSet, on the
-CarrierSet algebra both backends share), so brute force over all subsets
-and all open families is cheap up to n = 4.
+CarrierSet algebra both backends share). Each point has a least open set,
+so a space is read off two tables over its 2^n subsets, and the open
+families on n points are enumerated through those least opens up to n = 4.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -172,56 +174,77 @@ def _canonical_opens(size: int, masks: set) -> tuple[int, ...]:
     return tuple(m for m in canonical_masks(size) if m in masks)
 
 
+def or_table(values) -> list[int]:
+    """table[mask] is the OR of values[i] over the bits i of mask."""
+    table = [0]
+    for value in values:
+        table += [t | value for t in table]
+    return table
+
+
+def least_open_tables(n: int, opens) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(least, cl) per mask s of an n-point carrier for an open family: with
+    up[x] the meet of the opens holding x (Alexandroff 1937), least[s] is
+    the union of up[x] over x in s and cl[s] the points x with up[x]
+    meeting s. The masks with least[s] == s form a topology holding the
+    family, so the family is one iff it has as many masks; then least[s]
+    is the least open holding s and cl[s] the closure of s."""
+    up = [(1 << n) - 1] * n
+    below = [0] * n  # below[y]: the x with y in up[x], the closure of {y}
+    for x in range(n):
+        for o in opens:
+            if o >> x & 1:
+                up[x] &= o
+        for y in bit_indices(up[x]):
+            below[y] |= 1 << x
+    return tuple(or_table(up)), tuple(or_table(below))
+
+
 class FiniteSpace:
     """A finite carrier with an explicit family of open sets.
 
     The constructor validates the axioms (empty and whole set present,
     closure under pairwise union and intersection) and stores the opens
     duplicate-free in canonical order, so construction is the same thing
-    as ``validate_space``. Both steps walk all 2^size masks, as
-    algebra_sets does, so carriers are meant to be small.
+    as ``validate_space``. Every primitive reads the two 2^size-entry
+    tables of least_open_tables, so carriers are meant to be small.
     """
 
-    __slots__ = ("size", "opens", "_open_masks", "_full")
+    __slots__ = ("size", "opens", "least", "cl")
 
     def __init__(self, size: int, opens):
         if size < 1:
             raise ValueError("carrier needs at least one point")
         self.size = size
-        self._full = (1 << size) - 1
-        masks = []
+        full = (1 << size) - 1
+        mask_set = set()
         for o in opens:
             if isinstance(o, PointSet):
                 if o.size != size:
                     raise ValueError("open set on the wrong carrier")
-                masks.append(o.mask)
+                mask_set.add(o.mask)
             else:
-                masks.append(PointSet.of(size, o).mask)
-        mask_set = set(masks)
+                mask_set.add(PointSet.of(size, o).mask)
         if 0 not in mask_set:
             raise SpaceAxiomError(
                 "empty-set-open", (), "the empty set must be open"
             )
-        if self._full not in mask_set:
+        if full not in mask_set:
             raise SpaceAxiomError(
                 "whole-set-open", (), "the whole carrier must be open"
             )
-        # pairs in numeric mask order: the first offending pair is reported
-        numeric = [m for m in range(self._full + 1) if m in mask_set]
-        for a, b in itertools.combinations(numeric, 2):
-            if a | b not in mask_set:
-                raise SpaceAxiomError(
-                    "union-closed",
-                    (PointSet(size, a), PointSet(size, b)),
-                    f"union of {PointSet(size, a)} and {PointSet(size, b)} is missing",
-                )
-            if a & b not in mask_set:
-                raise SpaceAxiomError(
-                    "intersection-closed",
-                    (PointSet(size, a), PointSet(size, b)),
-                    f"intersection of {PointSet(size, a)} and {PointSet(size, b)} is missing",
-                )
-        self._open_masks = frozenset(mask_set)
+        self.least, self.cl = least_open_tables(size, mask_set)
+        if len(mask_set) != sum(map(operator.eq, self.least, range(full + 1))):
+            # not a topology: name its first unclosed pair, in numeric order
+            for a, b in itertools.combinations(sorted(mask_set), 2):
+                pair = (PointSet(size, a), PointSet(size, b))
+                for op, m in (("union", a | b), ("intersection", a & b)):
+                    if m not in mask_set:
+                        raise SpaceAxiomError(
+                            f"{op}-closed",
+                            pair,
+                            f"{op} of {pair[0]} and {pair[1]} is missing",
+                        )
         self.opens = tuple(
             PointSet(size, m) for m in _canonical_opens(size, mask_set)
         )
@@ -232,43 +255,33 @@ class FiniteSpace:
         return ("finite", self.size)
 
     def whole(self) -> PointSet:
-        return PointSet(self.size, self._full)
+        return PointSet.full(self.size)
 
     def empty(self) -> PointSet:
         return PointSet(self.size, 0)
 
     def is_open(self, s: PointSet) -> bool:
         self._own(s)
-        return s.mask in self._open_masks
+        return self.least[s.mask] == s.mask
 
     def closure(self, s: PointSet) -> PointSet:
-        """Intersection of all closed supersets (complements of opens)."""
+        """The points whose least open meets s."""
         self._own(s)
-        removed = 0
-        for o in self._open_masks:
-            if o & s.mask == 0:
-                removed |= o
-        return PointSet(self.size, self._full & ~removed)
+        return PointSet(self.size, self.cl[s.mask])
 
     def interior(self, s: PointSet) -> PointSet:
-        """Union of all open subsets."""
-        self._own(s)
-        inside = 0
-        for o in self._open_masks:
-            if o & ~s.mask == 0:
-                inside |= o
-        return PointSet(self.size, inside)
+        """The complement of the closure of the complement."""
+        return self.closure(s.complement()).complement()
 
     def limit_points(self, s: PointSet) -> PointSet:
-        """Points whose every open neighbourhood meets s somewhere else."""
+        """Points x in the closure of s - {x}: every open neighbourhood of
+        x meets s somewhere else."""
         self._own(s)
-        out = 0
-        for x in range(self.size):
-            bit = 1 << x
-            punctured = s.mask & ~bit
-            if all(o & punctured for o in self._open_masks if o & bit):
-                out |= bit
-        return PointSet(self.size, out)
+        cl = self.cl
+        return PointSet.of(
+            self.size,
+            (x for x in range(self.size) if cl[s.mask & ~(1 << x)] >> x & 1),
+        )
 
     def algebra_sets(self) -> Iterator[PointSet]:
         """Every subset of the carrier, in canonical order."""
@@ -295,18 +308,15 @@ class FiniteSpace:
         return a.issubset(other.closure(self.interior(a)))
 
     def open_between(self, a: PointSet, b: PointSet) -> Optional[PointSet]:
-        """Smallest canonical open U with a <= U <= b, or None.
-
-        Complete: the opens tuple is the entire family.
-        """
+        """Smallest canonical open U with a <= U <= b, or None: the least
+        open holding a, since every other one is a strict superset of it
+        and so comes later in canonical order."""
         self._own(a)
         self._own(b)
         if not a.issubset(b):
             raise ValueError("open_between requires the first set inside the second")
-        for u in self.opens:  # canonical order => smallest witness first
-            if a.mask & ~u.mask == 0 and u.mask & ~b.mask == 0:
-                return u
-        return None
+        u = self.least[a.mask]
+        return PointSet(self.size, u) if u & ~b.mask == 0 else None
 
     def _own(self, s: PointSet) -> None:
         if not isinstance(s, PointSet) or s.size != self.size:
@@ -319,11 +329,11 @@ class FiniteSpace:
         return (
             isinstance(other, FiniteSpace)
             and self.size == other.size
-            and self._open_masks == other._open_masks
+            and self.least == other.least
         )
 
     def __hash__(self) -> int:
-        return hash((self.size, self._open_masks))
+        return hash((self.size, self.least))
 
     def __repr__(self) -> str:
         inner = ",".join(repr(o) for o in self.opens)

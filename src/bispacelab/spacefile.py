@@ -52,8 +52,8 @@ document without them is reported as file:<name>.
 Size limits: a finite carrier has at most MAX_CARRIER (12) points and a
 symbolic universe (a map's target too) at most MAX_ATOMS (12) atoms. The
 set predicates search the whole subset lattice, 2^n sets, so a default
-`check` of two named sets takes 2-6 s at the limit on a 2-vCPU machine,
-and each extra point or atom roughly triples that.
+`check` of two named sets takes 0.6-1.8 s at the limit on a 2-vCPU
+machine, and each extra point or atom roughly triples that.
 Larger documents are rejected with a SpaceFileError naming the limit,
 before any set, space or universe is built.
 """
@@ -306,9 +306,7 @@ def parse_claims(raw_claims, entry: CatalogEntry, where: str) -> list[Claim]:
                     s = entry.named_sets.get(v)
                     if s is None:
                         _fail(f"{loc}.{key}", f"unknown named set {v!r}")
-                    if bispace.is_symbolic and not s.universe.same_as(
-                        bispace.first.universe
-                    ):
+                    if (v in entry.target_sets) != (on == "target"):
                         _fail(f"{loc}.{key}", f"named set {v!r} is not on the {on}")
                     resolved[key] = s
                 elif isinstance(v, list):
@@ -421,7 +419,10 @@ def parse_spacefile(text: str, name: str = "spacefile") -> CatalogEntry:
         texts.append(doc.get(key, default))
         if not isinstance(texts[-1], str):
             _fail(f"{name}.{key}", "must be a string")
-    entry = CatalogEntry(*texts, bispace, {**named, **target_named}, (), map_, target)
+    entry = CatalogEntry(
+        *texts, bispace, {**named, **target_named}, (), map_, target,
+        frozenset(target_named),
+    )
     claims = parse_claims(doc.get("claims", []), entry, f"{name}.claims")
     if not claims:
         battery = [{**c, "set": set_name} for set_name in named for c in _BATTERY]

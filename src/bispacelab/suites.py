@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from . import maps as maps_mod
 from . import props
-from .finite import FiniteSpace, PointSet, _space_forms, bit_indices
+from .finite import FiniteSpace, PointSet, _space_forms, bit_indices, or_table
 from .reports import SuiteResult
 from .tables import (
     bispace_tables,
@@ -44,7 +44,6 @@ from .tables import (
     interval_masksets,
     map_tables,
     net_catalog,
-    or_table,
     pair_rows,
     rect_equal,
     rows_equal,

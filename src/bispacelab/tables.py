@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .finite import _space_forms, bit_indices
+from .finite import _space_forms, bit_indices, least_open_tables, or_table
 from .maps import enumerate_directed_sets
 
 
@@ -43,14 +43,6 @@ def rect_equal(a1: int, a2: int, b1: int, b2: int) -> bool:
 def decode_pair(pairset: int, t_count: int) -> tuple[int, int]:
     idx = (pairset & -pairset).bit_length() - 1
     return idx // t_count, idx % t_count
-
-
-def or_table(values) -> list[int]:
-    """table[mask] is the OR of values[i] over the bits i of mask."""
-    table = [0]
-    for value in values:
-        table += [t | value for t in table]
-    return table
 
 
 @dataclass(frozen=True)
@@ -70,37 +62,20 @@ class TopologyTables:
 
 @lru_cache(maxsize=None)
 def topology_tables(n: int) -> TopologyTables:
+    """Per topology on n points, in enumeration order: its opens, their
+    maskset, and the closure rows of least_open_tables with the interior
+    rows as their duals, int(a) = X - cl(X - a)."""
     forms = _space_forms(n)
     full = (1 << n) - 1
-    openbits = []
-    cl = []
-    intr = []
-    for masks in forms:
-        bits = 0
-        for m in masks:
-            bits |= 1 << m
-        openbits.append(bits)
-        cl_row = []
-        int_row = []
-        for a in range(1 << n):
-            removed = 0
-            inside = 0
-            for m in masks:
-                if m & a == 0:
-                    removed |= m
-                if m & ~a == 0:
-                    inside |= m
-            cl_row.append(full & ~removed)
-            int_row.append(inside)
-        cl.append(tuple(cl_row))
-        intr.append(tuple(int_row))
+    openbits = tuple(sum(1 << m for m in masks) for masks in forms)
+    cl = tuple(least_open_tables(n, masks)[1] for masks in forms)
     return TopologyTables(
         n,
         full,
         forms,
-        tuple(openbits),
-        tuple(cl),
-        tuple(intr),
+        openbits,
+        cl,
+        tuple(tuple(full ^ c for c in reversed(row)) for row in cl),
         {bits: i for i, bits in enumerate(openbits)},
     )
 

@@ -169,6 +169,68 @@ def finite_semiopen_search(sp_i: FiniteSpace, sp_j: FiniteSpace, a: PointSet) ->
     return False
 
 
+def scan_closure(n: int, opens, a: int) -> int:
+    """Intersection of the closed supersets of mask `a`: the complement of
+    the union of the opens missing it. The scan FiniteSpace.closure and the
+    topology_tables cl rows are checked against."""
+    removed = 0
+    for o in opens:
+        if o & a == 0:
+            removed |= o
+    return ((1 << n) - 1) & ~removed
+
+
+def scan_interior(opens, a: int) -> int:
+    """Union of the open subsets of mask `a`."""
+    inside = 0
+    for o in opens:
+        if o & ~a == 0:
+            inside |= o
+    return inside
+
+
+def scan_limit_points(n: int, opens, a: int) -> int:
+    """Points whose every open neighbourhood meets `a` somewhere else."""
+    out = 0
+    for x in range(n):
+        bit = 1 << x
+        punctured = a & ~bit
+        if all(o & punctured for o in opens if o & bit):
+            out |= bit
+    return out
+
+
+def scan_open_between(n: int, opens, a: int, b: int):
+    """The first open U, in canonical order, with a <= U <= b, or None."""
+    for u in _canonical_opens(n, set(opens)):
+        if a & ~u == 0 and u & ~b == 0:
+            return u
+    return None
+
+
+def scan_axiom_violation(n: int, masks):
+    """(axiom, witnesses, message) of the first open-set axiom a family of
+    masks fails, or None for a topology: the empty and whole sets, then
+    union and intersection over every pair in numeric mask order. The
+    reference for FiniteSpace's validation through least open sets."""
+    masks = set(masks)
+    if 0 not in masks:
+        return "empty-set-open", (), "the empty set must be open"
+    if (1 << n) - 1 not in masks:
+        return "whole-set-open", (), "the whole carrier must be open"
+    for a, b in itertools.combinations(sorted(masks), 2):
+        pa, pb = PointSet(n, a), PointSet(n, b)
+        if a | b not in masks:
+            return "union-closed", (pa, pb), f"union of {pa} and {pb} is missing"
+        if a & b not in masks:
+            return (
+                "intersection-closed",
+                (pa, pb),
+                f"intersection of {pa} and {pb} is missing",
+            )
+    return None
+
+
 def random_preorder_space(rng: random.Random, n: int) -> FiniteSpace:
     """The topology of up-sets of a seeded random preorder on n points, for
     carriers past the enumeration limit; sparse preorders give many opens."""

@@ -154,6 +154,20 @@ def test_check_command_pass_fail_and_error(tmp_path):
     assert result.returncode == 2
     assert "line 1" in result.stderr
 
+    # the discrete 12-point family without {0,1}: the first unclosed pair
+    doc = json.loads(
+        (Path(__file__).parent / "data" / "check_finite_12.json").read_text()
+    )
+    doc["opens1"].remove([0, 1])
+    unclosed = tmp_path / "unclosed.json"
+    unclosed.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(unclosed))
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: unclosed.json.opens1: axiom union-closed: "
+        "union of {0} and {1} is missing\n"
+    )
+
 
 def test_determinism_across_hash_seeds():
     # byte-identical machine output even under different string-hash seeds
@@ -295,6 +309,9 @@ CHECK_DIGESTS = {
         "a8cb5ffe388cc835d240ce3d4d42f266fa0fb3ada43bae317e265e889e13f062",
     "check_symbolic_8.json":
         "82a8ef45ba63350ec74cd0983e56d879e3ac2093e6e4514aa4d62ce3d7268637",
+    # at the carrier limit, with the discrete tau_1's 4,096 opens
+    "check_finite_12.json":
+        "7f0f53a7f7812e5226b8a3f8a49e249625886145692d77adb283f895d79b305f",
 }
 
 # sha256 of `--format machine suite` on every suite at n = 3, and on the

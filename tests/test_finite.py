@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,11 @@ from bispacelab.finite import (
     trace_space,
     validate_space,
 )
-from helpers import reference_space_forms
+from helpers import (
+    random_preorder_space,
+    reference_space_forms,
+    scan_axiom_violation,
+)
 
 
 def ps(n, *points):
@@ -226,6 +231,37 @@ def test_enumeration_range_check():
 def test_space_forms_match_candidate_scan(n):
     # same families in the same order: every table index follows this order
     assert _space_forms(n) == reference_space_forms(n)
+
+
+def _validity_families():
+    """Every family of subsets of a 2-point carrier, then seeded families on
+    3-6 points: a preorder topology with one open removed or one non-open
+    mask added."""
+    for bits in range(1 << 4):
+        yield 2, [m for m in range(4) if bits >> m & 1]
+    rng = random.Random(27)
+    for n in range(3, 7):
+        for _ in range(20):
+            opens = [o.mask for o in random_preorder_space(rng, n).opens]
+            others = sorted(set(range(1 << n)) - set(opens))
+            if others and rng.random() < 0.5:
+                yield n, opens + [rng.choice(others)]
+            else:
+                gone = rng.choice(opens)
+                yield n, [o for o in opens if o != gone]
+
+
+def test_validity_matches_the_pair_scan():
+    # validity is decided through least open sets; the scan over every pair
+    # of opens is the reference for both the verdict and the error
+    for n, family in _validity_families():
+        want = scan_axiom_violation(n, family)
+        try:
+            FiniteSpace(n, [PointSet(n, m) for m in family])
+        except SpaceAxiomError as e:
+            assert (e.axiom, e.witnesses, str(e)) == want, (n, family)
+        else:
+            assert want is None, (n, family)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ from bispacelab.props import (
     subspace,
 )
 from bispacelab.tables import bispace_tables, hull_tables, topology_tables
-from helpers import finite_semiopen_search, random_preorder_space
+from helpers import (
+    finite_semiopen_search,
+    random_preorder_space,
+    scan_closure,
+    scan_interior,
+    scan_limit_points,
+    scan_open_between,
+)
 
 
 def ps(n, *points):
@@ -246,12 +253,45 @@ def test_trace_tables_match_trace_space():
             assert tuple(o.mask for o in sub.opens) == expected
 
 
+def _assert_primitives_match_scans(space, masks, pairs):
+    """FiniteSpace's table lookups against the open-family scans: is_open,
+    closure, interior and limit_points on `masks`, open_between on the
+    nested (a, b) in `pairs`."""
+    n = space.size
+    opens = [o.mask for o in space.opens]
+    for mask in masks:
+        a = PointSet(n, mask)
+        assert space.is_open(a) == (mask in opens), (space, a)
+        assert space.closure(a).mask == scan_closure(n, opens, mask), (space, a)
+        assert space.interior(a).mask == scan_interior(opens, mask), (space, a)
+        assert space.limit_points(a).mask == scan_limit_points(n, opens, mask)
+    for a, b in pairs:
+        found = space.open_between(PointSet(n, a), PointSet(n, b))
+        found = None if found is None else found.mask
+        assert found == scan_open_between(n, opens, a, b), (space, a, b)
+
+
+def _nested_pairs(n):
+    return [(a, b) for b in range(1 << n) for a in range(1 << n) if a & ~b == 0]
+
+
 def test_topology_tables_match_spaces():
-    top = topology_tables(2)
-    spaces = _spaces(2)
-    for t, space in enumerate(spaces):
-        assert tuple(o.mask for o in space.opens) == top.opens[t]
-        for mask in range(4):
-            a = PointSet(2, mask)
-            assert PointSet(2, top.cl[t][mask]) == space.closure(a)
-            assert PointSet(2, top.intr[t][mask]) == space.interior(a)
+    # every topology on up to 4 points: the table rows and the FiniteSpace
+    # primitives both against the scans over the open family
+    rng = random.Random(27)
+    for n in range(1, 5):
+        top = topology_tables(n)
+        nested = _nested_pairs(n)
+        for t, space in enumerate(_spaces(n)):
+            assert tuple(o.mask for o in space.opens) == top.opens[t]
+            for mask in range(1 << n):
+                assert top.cl[t][mask] == scan_closure(n, top.opens[t], mask)
+                assert top.intr[t][mask] == scan_interior(top.opens[t], mask)
+            pairs = nested if n <= 3 else rng.sample(nested, 8)
+            _assert_primitives_match_scans(space, range(1 << n), pairs)
+    # seeded preorder topologies past the enumeration limit
+    for n in range(5, 11):
+        space = random_preorder_space(rng, n)
+        masks = rng.sample(range(1 << n), min(1 << n, 256))
+        pairs = [(a & b, b) for a, b in zip(masks, reversed(masks))]
+        _assert_primitives_match_scans(space, masks, pairs)

@@ -13,15 +13,19 @@ from bispacelab.catalog import (
     CATALOG_IDS,
     ENTRIES,
     PREDICATES,
+    CatalogEntry,
     evaluate_claim,
     verify_entry,
 )
 from bispacelab.cli import main
+from bispacelab.finite import PointSet
+from bispacelab.maps import FiniteMap
 from bispacelab.spacefile import (
     MAX_ATOMS,
     MAX_CARRIER,
     SpaceFileError,
     check_user_file,
+    parse_claims,
     parse_spacefile,
 )
 
@@ -514,6 +518,32 @@ def test_pair_predicates_read_the_target_bispace_on_target(predicate, direct):
         want = (want, None)
     value, witness, _ = evaluate_claim(entry, entry.claims[0])
     assert (value, witness) == want
+
+
+def test_named_sets_are_read_on_their_own_side():
+    # a 3-point -> 3-point finite map (no document has a finite map section
+    # yet): both carriers have one size, so only the entry's record of the
+    # target's names keeps the target set T off the source, and S off the
+    # target
+    bx = props.finite_bispace(3, [[], [0], [0, 1, 2]], [[], [0, 1, 2]])
+    by = props.finite_bispace(3, [[], [2], [0, 1, 2]], [[], [0, 1, 2]])
+    named = {"S": PointSet.of(3, [0]), "T": PointSet.of(3, [2])}
+    f = FiniteMap(3, 3, (0, 1, 2))
+    entry = CatalogEntry("finite-map", "", "", bx, named, (), f, by, frozenset("T"))
+    for name, on in (("T", "source"), ("S", "target")):
+        claim = {"predicate": "is_open", "set": name, "space": 1, "on": on}
+        message = f"named set '{name}' is not on the {on}"
+        with pytest.raises(SpaceFileError, match=message):
+            parse_claims([claim], entry, "claims")
+    claims = parse_claims(
+        [
+            {"predicate": "is_open", "set": "S", "space": 1},
+            {"predicate": "is_open", "set": "T", "space": 1, "on": "target"},
+        ],
+        entry,
+        "claims",
+    )
+    assert [evaluate_claim(entry, c)[0] for c in claims] == [True, True]
 
 
 @settings(max_examples=150, deadline=None)
