@@ -5,8 +5,9 @@ The interesting structures live on uncountable carriers, where the open
 sets are "any countable subset of a region, plus some mandatory points".
 Atoms carve the carrier into finitely many blocks tagged singleton /
 countably-infinite / uncountable; every set the counterexamples mention is
-a union of atoms, and closure, interior, and openness have exact closed
-forms.
+a union of atoms. Closure and "some open between" have exact closed forms,
+and interior and openness are derived from them by definition, so they are
+exact too.
 
 This demo rebuilds the classic single-structure counterexample: the space
 on [1,2] whose opens are the countable sets of irrationals.

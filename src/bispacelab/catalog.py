@@ -72,11 +72,6 @@ class CatalogEntry:
 # Claim evaluation
 # ---------------------------------------------------------------------------
 
-def _open_between(space, a, b) -> props.Witnessed:
-    w = space.open_between(a, b)
-    return props.Witnessed(w is not None, w)
-
-
 def _witness_valid(bispace: Bispace, pair, a, u) -> props.Witnessed:
     """Is `u` an (i,j)-preopen set with u <= a <= closure_j(u)?"""
     ok = (
@@ -117,7 +112,7 @@ PREDICATES: dict[str, Predicate] = {
     "limit_points": Predicate(
         lambda sp, a: sp.limit_points(a), _ON_SPACE, set_valued=True
     ),
-    "open_between": Predicate(_open_between, ("space", "set", "set2")),
+    "open_between": Predicate(props.open_between, ("space", "set", "set2")),
     "is_countable": Predicate(is_countable, ("set",)),
     "is_preopen": Predicate(props.is_preopen, _ON_SPACE),
     "is_weakly_preopen": Predicate(props.is_weakly_preopen, _ON_SPACE),

@@ -63,7 +63,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    which = tuple(args.which.split(",")) if args.which else ("all",)
+    which = tuple(args.which.split(","))
     try:
         config = SuiteConfig(n=args.n, which=which, seed=args.seed)
     except ValueError as e:

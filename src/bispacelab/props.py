@@ -1,10 +1,10 @@
 """Openness-between predicates over a pair of space backends on one carrier.
 
 Every "there is an open set squeezed between ..." predicate routes through
-the backends' open_between primitive, so the symbolic closed form is proved
-once, and each backend decides semiopenness in closed form (semiopen_under).
-Witness searches that range over representable sets only
-(is_ij_semipreopen, pcl, spcl) are complete on finite backends and
+open_between, the backends' primitive with its witness, so the symbolic
+closed form is proved once, and each backend decides semiopenness in closed
+form (semiopen_under). Witness searches that range over representable sets
+only (is_ij_semipreopen, pcl, spcl) are complete on finite backends and
 algebra-relative on symbolic ones. closed_supersets_interior walks the
 backends' open_traces(), exact on both (see its docstring).
 """
@@ -63,10 +63,15 @@ class Bispace:
 # Single-space predicates
 # ---------------------------------------------------------------------------
 
+def open_between(space, a: CarrierSet, b: CarrierSet) -> Witnessed:
+    """Some open U with a <= U <= b, witnessed by the backend's canonical one."""
+    w = space.open_between(a, b)
+    return Witnessed(w is not None, w)
+
+
 def is_preopen(space, a: CarrierSet) -> Witnessed:
     """Some open U with a <= U <= closure(a)."""
-    w = space.open_between(a, space.closure(a))
-    return Witnessed(w is not None, w)
+    return open_between(space, a, space.closure(a))
 
 
 def is_weakly_preopen(space, a: CarrierSet) -> bool:
@@ -81,8 +86,7 @@ def is_weakly_preopen(space, a: CarrierSet) -> bool:
 def is_ij_preopen(bispace: Bispace, pair, a: CarrierSet) -> Witnessed:
     """Some space_i-open U with a <= U <= closure_j(a)."""
     i, j = check_pair(pair)
-    w = bispace.space(i).open_between(a, bispace.space(j).closure(a))
-    return Witnessed(w is not None, w)
+    return open_between(bispace.space(i), a, bispace.space(j).closure(a))
 
 
 def is_ij_weakly_preopen(bispace: Bispace, pair, a: CarrierSet) -> bool:

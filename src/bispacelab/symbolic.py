@@ -15,15 +15,17 @@ countable C's stay countable, and (C1|P) & (C2|P) = (C1&C2)|P. The tests
 assert this once against the explicit finite model on all-singleton
 universes.
 
-All closure/interior/openness answers for algebra sets are exact closed
-forms: they quantify over the full (typically uncountable) family, not just
-over representable members. Quantifying over every member of the family
-(needed e.g. for "every closed superset" checks and for map questions) is
-done through trace patterns: a member C|P is known to any atom-level
-predicate only through, per atom, whether C misses it, meets it properly,
-or swallows it, and each such pattern is realizable or not depending only
-on the atom's cardinality tag. Enumerating patterns therefore quantifies
-over the whole family exactly.
+The closed forms are closure, open_between, semiopen_under and restrict;
+interior, openness, the empty member and the trace sets follow from closure
+and open_between by definition (finite.OpenFamily). On algebra sets all of
+them are exact: they quantify over the full (typically uncountable) family,
+not just over representable members. Quantifying over every member of the
+family (needed e.g. for "every closed superset" checks and for map
+questions) is done through trace patterns: a member C|P is known to any
+atom-level predicate only through, per atom, whether C misses it, meets it
+properly, or swallows it, and each such pattern is realizable or not
+depending only on the atom's cardinality tag. Enumerating patterns
+therefore quantifies over the whole family exactly.
 
 One warning inherited from the underlying theory: the closure operator here
 always returns an algebra set, and on algebra sets it is always closed or
@@ -41,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .finite import CarrierSet, FiniteSpace, PointSet, canonical_masks
+from .finite import CarrierSet, FiniteSpace, OpenFamily, PointSet, canonical_masks
 
 
 class Cardinality(enum.Enum):
@@ -206,7 +208,7 @@ def is_countable(s: SymSet) -> bool:
     return all(a.is_countable for a in s.atoms())
 
 
-class SchematicFamily:
+class SchematicFamily(OpenFamily):
     """The open family {X, empty} | {C | P : C countable, C inside the region}."""
 
     __slots__ = ("universe", "region", "mandatory")
@@ -233,9 +235,6 @@ class SchematicFamily:
     def whole(self) -> SymSet:
         return self.universe.whole()
 
-    def empty(self) -> SymSet:
-        return self.universe.empty()
-
     def algebra_sets(self) -> Iterator[SymSet]:
         return self.universe.algebra_sets()
 
@@ -254,26 +253,12 @@ class SchematicFamily:
             yield OpenTrace(SymSet(u, inside), SymSet(u, touched))
 
     def traces_on(self, points: SymSet) -> list[SymSet]:
-        """Distinct intersections U & points over all opens U, for singleton-atom points.
-
-        A member meets a singleton p iff p is mandatory or p sits in the region
-        and its C swallows p, so the possible traces on `points` are the empty
-        set, all of `points` (from X), and (P & points) | S for S inside
-        R & points. Exact and finite.
-        """
+        """OpenFamily.traces_on, for singleton-atom points only: a member
+        meets any other atom in a set outside the atom algebra."""
         for a in points.atoms():
             if not a.is_singleton:
                 raise ValueError(f"trace points must be singleton atoms, got {a.id!r}")
-        base = (self.mandatory & points).mask
-        free = (self.region & points).mask
-        order = canonical_masks(len(self.universe))
-        traces = {0, points.mask}
-        traces.update(base | s for s in order if s & ~free == 0)
-        return [SymSet(self.universe, m) for m in order if m in traces]
-
-    def is_open(self, s: SymSet) -> bool:
-        """Membership in the family: s is open iff an open fits between s and s."""
-        return self.open_between(s, s) is not None
+        return super().traces_on(points)
 
     def closure(self, s: SymSet) -> SymSet:
         """Smallest intersection of closed supersets, in closed form.
@@ -290,20 +275,6 @@ class SchematicFamily:
         if not self.mandatory.disjoint(s):
             return self.whole()
         return self.whole() - ((self.region - s) | self.mandatory)
-
-    def interior(self, s: SymSet) -> SymSet:
-        """Union of the open subsets, in closed form.
-
-        The members inside s are exactly the C|P with P inside s and C inside
-        R & s, and their union sweeps all of (R & s) | P; without P inside s
-        only the empty member fits.
-        """
-        self._own(s)
-        if s.is_whole:
-            return s
-        if self.mandatory.issubset(s):
-            return (self.region & s) | self.mandatory
-        return self.empty()
 
     def open_between(self, a: SymSet, b: SymSet) -> Optional[SymSet]:
         """Open U with a <= U <= b, or None; complete over the whole family.

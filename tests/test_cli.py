@@ -107,8 +107,11 @@ def test_suite_subcommand_small():
 
 
 def test_suite_rejects_unknown_name():
-    result = run_cli("suite", "--n", "2", "--which", "bogus")
-    assert result.returncode == 2
+    # an empty --which names the one suite "", as "thm-3.3," does
+    for which in ("bogus", ""):
+        result = run_cli("suite", "--n", "2", "--which", which)
+        assert_input_error(result)
+        assert f"unknown suite name(s) [{which!r}]" in result.stderr
 
 
 def test_suite_rejects_unknown_name_beside_all():
@@ -170,16 +173,20 @@ def test_check_command_pass_fail_and_error(tmp_path):
 
 
 def test_determinism_across_hash_seeds():
-    # byte-identical machine output even under different string-hash seeds
-    runs = [
-        run_cli(
-            "--format", "machine", "suite", "--n", "2", "--which", "all",
-            env_extra={"PYTHONHASHSEED": seed},
-        )
-        for seed in ("1", "271828")
-    ]
-    assert runs[0].returncode == runs[1].returncode == 0
-    assert runs[0].stdout == runs[1].stdout
+    # byte-identical machine output even under different string-hash seeds,
+    # on the finite suites, the symbolic catalog and a symbolic document
+    symbolic_doc = str(Path(__file__).parent / "data" / "check_symbolic_8.json")
+    for args in (
+        ("suite", "--n", "2", "--which", "all"),
+        ("verify-catalog",),
+        ("check", symbolic_doc),
+    ):
+        runs = [
+            run_cli("--format", "machine", *args, env_extra={"PYTHONHASHSEED": seed})
+            for seed in ("1", "271828")
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, args
+        assert runs[0].stdout == runs[1].stdout, args
 
 
 def test_check_rejects_oversized_carrier_quickly(tmp_path):

@@ -3,9 +3,10 @@
 On an all-singleton universe every subset is countable, so the schematic
 family is literally a finite open family and everything is brute-forceable.
 The closed forms must agree with that model on every subset, predicate by
-predicate. Mixed-cardinality universes get the trace-enumeration oracle for
-the bespoke semiopen closed form, and closed_supersets_interior's
-open-trace loop gets the closed form it replaced.
+predicate. Mixed-cardinality universes get the trace-enumeration oracles:
+for closure, the derived interior and openness, for open_between's
+absence answers and for the bespoke semiopen closed form; and
+closed_supersets_interior's open-trace loop gets the closed form it replaced.
 """
 
 import random
@@ -62,6 +63,30 @@ def test_open_between_complete_on_mixed_universes(seed):
             if witness is not None:
                 assert fam.is_open(witness)
                 assert a.issubset(witness) and witness.issubset(b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_interior_is_open_vs_member_traces(seed):
+    """closure, interior and is_open against the member traces. The members
+    with one trace sweep out exactly its touched part, so the closure of s
+    is X minus the touched parts that miss s, the interior is the union of
+    the touched parts inside s, and s is open iff some trace has
+    inside == touched == s."""
+    rng = random.Random(5000 + seed)
+    u = random_mixed_universe(rng)
+    fam = random_family(rng, u)
+    traces = list(fam.open_traces())
+    for s in u.algebra_sets():
+        missing = inside = u.empty()
+        for tr in traces:
+            if tr.touched.disjoint(s):
+                missing |= tr.touched
+            if tr.touched.issubset(s):
+                inside |= tr.touched
+        assert fam.closure(s) == missing.complement(), (seed, s)
+        assert fam.interior(s) == inside, (seed, s)
+        member = any(tr.inside == tr.touched == s for tr in traces)
+        assert fam.is_open(s) == member, (seed, s)
 
 
 def _canonical_sorted(n, masks):
