@@ -1135,18 +1135,15 @@ def find_hierarchy_witnesses(
 
 def _check_sampled_maps(config) -> tuple[int, list[str], tuple[str]]:
     rng = random.Random(config.seed)
-    forms = _space_forms(4)
-    spaces = [FiniteSpace(4, [PointSet(4, m) for m in f]) for f in forms]
+    spaces = {
+        k: [FiniteSpace(k, [PointSet(k, m) for m in f]) for f in _space_forms(k)]
+        for k in (1, 2, 3, 4)
+    }
     violations = []
     for _ in range(SAMPLE_SIZE):
         k = rng.choice((1, 2, 3, 4))
-        src1, src2 = rng.choice(spaces), rng.choice(spaces)
-        tgt_forms = _space_forms(k)
-        tgt_pick = lambda: FiniteSpace(
-            k, [PointSet(k, m) for m in rng.choice(tgt_forms)]
-        )
-        bx = props.Bispace(src1, src2)
-        by = props.Bispace(tgt_pick(), tgt_pick())
+        bx = props.Bispace(rng.choice(spaces[4]), rng.choice(spaces[4]))
+        by = props.Bispace(rng.choice(spaces[k]), rng.choice(spaces[k]))
         f = maps_mod.FiniteMap(4, k, tuple(rng.randrange(k) for _ in range(4)))
         cont = maps_mod.is_pairwise_continuous(f, bx, by)
         pre = maps_mod.is_pairwise_precontinuous(f, bx, by)
@@ -1424,18 +1421,43 @@ def run_theorem_suite(config: SuiteConfig) -> list[SuiteResult]:
 # form, once the task pipe is empty or a suite raised, and leaves by
 # os._exit, so it never returns into its parent's frames and writes
 # nothing to stdout or stderr.
+#
+# Each process of a run is pinned to one CPU of the mask the caller had:
+# worker w to the (w + 1)-th, counted round when there are more processes
+# than CPUs, and the caller to the first once every worker is forked, until
+# the `finally` that reaps the workers gives it back its own mask. Unpinned,
+# a 2-vCPU Linux VM kept a worker forked for a run of under a second on
+# its parent's CPU, so the processes took turns instead of running side
+# by side.
 
 def _worker_count(suite_count: int) -> int:
     """How many processes run suites, this one included: one per CPU this
     process may use, at most one per suite, and only this one where it
-    cannot fork safely (no os.fork, or other threads running)."""
+    cannot fork safely (no os.fork, or other threads running). Each of
+    them runs on a CPU of its own while there are enough."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
+    return max(1, min(len(_cpus()), suite_count))
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may use, in order. Where the platform cannot
+    say which, os.cpu_count() of them numbered from 0: it has no
+    os.sched_setaffinity there either, so `_pin` ignores those numbers."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, suite_count))
+        return list(range(os.cpu_count() or 1))
+
+
+def _pin(cpus) -> None:
+    """Restrict this process to `cpus`. Nothing happens where the platform
+    has no os.sched_setaffinity, and a refused pin leaves this process
+    where it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 def _take(tasks: int):
@@ -1445,12 +1467,16 @@ def _take(tasks: int):
         yield index[0]
 
 
-def _work(suites: list[Suite], config: SuiteConfig, tasks: int, out: int) -> None:
-    """A forked worker: run the suites it takes, then send ``(index,
-    fields)`` per suite through `out`, or ``(index, traceback)`` for a suite
-    that raised, after which it takes no more; never returns."""
+def _work(
+    suites: list[Suite], config: SuiteConfig, tasks: int, out: int, cpu: int
+) -> None:
+    """A forked worker: pin itself to `cpu`, run the suites it takes, then
+    send ``(index, fields)`` per suite through `out`, or ``(index,
+    traceback)`` for a suite that raised, after which it takes no more;
+    never returns."""
     status = 1
     try:
+        _pin({cpu})
         done = []
         for index in _take(tasks):
             try:
@@ -1478,8 +1504,10 @@ def _run_forked(
     os.write(queue, bytes(reversed(range(len(suites)))))
     os.close(queue)
     pipes: dict[int, int] = {}  # worker pid -> read end of its result pipe
+    cpus = _cpus()
     try:
-        for _ in range(workers):
+        for worker in range(workers):
+            cpu = cpus[(worker + 1) % len(cpus)]
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -1488,9 +1516,10 @@ def _run_forked(
                 os.close(write)
                 raise
             if pid == 0:
-                _work(suites, config, tasks, write)
+                _work(suites, config, tasks, write, cpu)
             os.close(write)
             pipes[pid] = read
+        _pin({cpus[0]})
         for index in _take(tasks):
             results[index] = suites[index](config)
         for pid, read in pipes.items():
@@ -1515,6 +1544,7 @@ def _run_forked(
             os.close(read)
         for pid in pipes:
             os.waitpid(pid, 0)
+        _pin(cpus)
     lost = [suite.name for suite, result in zip(suites, results) if result is None]
     if lost:
         raise RuntimeError(f"a worker process died before sending suites {lost}")

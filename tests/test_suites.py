@@ -469,15 +469,19 @@ def test_prebuild_builds_exactly_the_tables_a_serial_run_reads():
 
 def _run_apart(here, there) -> list:
     """Run two suites in this process and one worker: `there()` in the
-    worker, and `here()` in this process once the worker has started it."""
+    worker and `here()` in this process, each once both have taken their
+    suite, so neither process takes both."""
     parent = os.getpid()
     started, start = os.pipe()
+    here_started, here_start = os.pipe()
 
     def check(n):
         if os.getpid() == parent:
+            os.write(here_start, b"x")
             select.select([started], [], [], 30)
             return here()
         os.write(start, b"x")
+        select.select([here_started], [], [], 30)
         return there()
 
     added = {
@@ -489,38 +493,108 @@ def _run_apart(here, there) -> list:
                 mock.patch.object(suites, "_worker_count", lambda suite_count: 2):
             return run_theorem_suite(SuiteConfig(n=1, which=tuple(added)))
     finally:
-        os.close(started)
-        os.close(start)
+        for end in (started, start, here_started, here_start):
+            os.close(end)
 
 
 def _passes():
     return 0, []
 
 
-def _no_child_left():
+def _mask():
+    """The CPUs this process may use, or None where the platform cannot say."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _left_as_found(mask):
+    """Every worker is reaped, and this process may use the CPUs it could
+    before the run."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _mask() == mask
+
+
+needs_two_cpus = pytest.mark.skipif(
+    len(_mask() or ()) < 2, reason="needs at least two CPUs to place processes apart"
+)
+
+
+def _placed():
+    """A suite body that reports, as its violations, the CPUs it runs on."""
+    return 0, [str(cpu) for cpu in sorted(os.sched_getaffinity(0))]
 
 
 def test_two_suites_run_apart_pass():
+    mask = _mask()
     results = _run_apart(_passes, _passes)
     assert [(r.name, r.checked, r.violations) for r in results] == [
         ("apart-a", 0, ()), ("apart-b", 0, ())
     ]
-    _no_child_left()
+    _left_as_found(mask)
+
+
+@needs_two_cpus
+def test_each_process_runs_on_its_own_cpu_of_the_callers_mask():
+    mask = _mask()
+    placed = [set(map(int, r.violations)) for r in _run_apart(_placed, _placed)]
+    assert all(len(cpus) == 1 and cpus <= mask for cpus in placed), placed
+    assert placed[0] != placed[1]
+    _left_as_found(mask)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU masks here")
+def test_more_processes_than_cpus_share_them():
+    mask = _mask()
+    cpu = min(mask)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        placed = [set(map(int, r.violations)) for r in _run_apart(_placed, _placed)]
+        assert placed == [{cpu}, {cpu}]
+        _left_as_found({cpu})
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU masks here")
+def test_a_run_that_cannot_pin_runs_unpinned(monkeypatch):
+    mask = _mask()
+    monkeypatch.delattr(os, "sched_setaffinity")
+    placed = [set(map(int, r.violations)) for r in _run_apart(_placed, _placed)]
+    assert placed == [mask, mask]
+    _left_as_found(mask)
+
+
+@needs_two_cpus
+def test_a_refused_pin_leaves_only_that_process_unpinned(monkeypatch):
+    mask = _mask()
+    parent = os.getpid()
+    pin = os.sched_setaffinity
+
+    def refuse_in_a_worker(pid, cpus):
+        if os.getpid() != parent:
+            raise OSError(22, "refused")
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse_in_a_worker)
+    placed = sorted(
+        (set(map(int, r.violations)) for r in _run_apart(_placed, _placed)), key=len
+    )
+    assert len(placed[0]) == 1 and placed[1] == mask, placed
+    _left_as_found(mask)
 
 
 def test_a_suite_raising_in_a_worker_raises_with_its_traceback():
     def boom():
         raise ValueError("boom in a worker")
 
+    mask = _mask()
     with pytest.raises(RuntimeError) as raised:
         _run_apart(_passes, boom)
     message = str(raised.value)
     assert re.match(r"suite apart-[ab] raised in worker process \d+:\n", message)
     assert "in boom\n" in message
     assert message.endswith("ValueError: boom in a worker\n")
-    _no_child_left()
+    _left_as_found(mask)
 
 
 def test_a_suite_raising_here_stops_a_busy_worker():
@@ -531,17 +605,19 @@ def test_a_suite_raising_here_stops_a_busy_worker():
         time.sleep(60)
         return _passes()
 
+    mask = _mask()
     start = time.perf_counter()
     with pytest.raises(ValueError, match="boom here"):
         _run_apart(boom, busy)
     assert time.perf_counter() - start < 30
-    _no_child_left()
+    _left_as_found(mask)
 
 
 def test_a_worker_that_dies_makes_the_run_raise():
+    mask = _mask()
     with pytest.raises(RuntimeError, match="a worker process died"):
         _run_apart(_passes, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    _no_child_left()
+    _left_as_found(mask)
 
 
 def test_worker_count_follows_the_cpus_this_process_may_use():
